@@ -30,18 +30,17 @@ type query = {
 
 let default_cap = 500_000
 
-type prepared = { key : string; canonical : string; mapping : Mapping.t }
+type prepared = { key : string; mapping : Mapping.t }
 
 let prepare q =
   match Instance_io.parse q.instance with
   | Error msg -> Error msg
   | Ok mapping ->
-      let canonical = Instance_io.to_string mapping in
-      let key =
-        Printf.sprintf "v1|model=%s|law=%s|cap=%d|sim=%b\n%s" (Model.to_string q.model)
-          (law_to_string q.law) q.cap q.simulate canonical
-      in
-      Ok { key; canonical; mapping }
+      let buf = Buffer.create 1024 in
+      Printf.bprintf buf "v2|model=%s|law=%s|cap=%d|sim=%b\n" (Model.to_string q.model)
+        (law_to_string q.law) q.cap q.simulate;
+      Instance_io.add_key buf mapping;
+      Ok { key = Buffer.contents buf; mapping }
 
 type outcome = {
   throughput : float;
@@ -126,7 +125,7 @@ type multi_query = {
   m_wall : float option;
 }
 
-type prepared_multi = { m_key : string; m_canonical : string; m_share : Tenancy.Platform_share.t }
+type prepared_multi = { m_key : string; m_share : Tenancy.Platform_share.t }
 
 let prepare_multi q =
   match Instance_io.parse_multi q.m_instance with
@@ -135,12 +134,11 @@ let prepare_multi q =
       match Tenancy.Platform_share.create ~tenants:decls with
       | Error msg -> Error msg
       | Ok share ->
-          let canonical = Instance_io.multi_to_string decls in
-          let key =
-            Printf.sprintf "v1|multi|model=%s|law=%s|cap=%d\n%s" (Model.to_string q.m_model)
-              (law_to_string q.m_law) q.m_cap canonical
-          in
-          Ok { m_key = key; m_canonical = canonical; m_share = share })
+          let buf = Buffer.create 1024 in
+          Printf.bprintf buf "v2|multi|model=%s|law=%s|cap=%d\n" (Model.to_string q.m_model)
+            (law_to_string q.m_law) q.m_cap;
+          Instance_io.add_multi_key buf decls;
+          Ok { m_key = Buffer.contents buf; m_share = share })
 
 type tenant_outcome = {
   t_id : string;
@@ -211,11 +209,7 @@ let solve_multi prepared q =
             }
           in
           let tprepared =
-            {
-              key = "";
-              canonical = "";
-              mapping = Tenancy.Platform_share.scaled_mapping share ~tenant:i;
-            }
+            { key = ""; mapping = Tenancy.Platform_share.scaled_mapping share ~tenant:i }
           in
           match solve tprepared tq with
           | Error err -> Error (Solver_failed err)

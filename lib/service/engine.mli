@@ -39,15 +39,20 @@ type query = {
 
 val default_cap : int
 
-type prepared = { key : string; canonical : string; mapping : Streaming.Mapping.t }
+type prepared = { key : string; mapping : Streaming.Mapping.t }
 
 val prepare : query -> (prepared, string) result
-(** Validates the instance through the hardened parser and canonicalizes
-    it: [key] is the cache key — the canonical instance rendering plus
-    every solve-relevant parameter (model, law, cap; budgets are
-    excluded, because they bound effort, not the value) — so two
-    textually different descriptions of the same solve share one cache
-    entry. *)
+(** Validates the instance through the hardened parser and derives the
+    cache key from the parsed values: [key] is a text header naming every
+    solve-relevant parameter (model, law, cap, simulate; budgets are
+    excluded, because they bound effort, not the value) followed by the
+    binary {!Streaming.Instance_io.add_key} encoding of the mapping.  Two
+    requests share a key exactly when their parameters agree and their
+    parsed mappings render identically through
+    {!Streaming.Instance_io.to_string} — so textually different
+    descriptions of the same solve share one cache entry — but the
+    instance is never re-rendered to get there.  The key is binary: hash
+    and compare it, do not print it. *)
 
 type outcome = {
   throughput : float;
@@ -88,16 +93,15 @@ type multi_query = {
       (** whole-request wall budget; split across tenants by weight *)
 }
 
-type prepared_multi = {
-  m_key : string;
-  m_canonical : string;
-  m_share : Tenancy.Platform_share.t;
-}
+type prepared_multi = { m_key : string; m_share : Tenancy.Platform_share.t }
 
 val prepare_multi : multi_query -> (prepared_multi, string) result
-(** Parse, build the contention structure, canonicalize.  Like
-    {!prepare}, the key contains every value-relevant parameter plus the
-    canonical mix rendering, so equivalent texts share a cache entry. *)
+(** Parse, build the contention structure, derive the key.  Like
+    {!prepare}, the key is a header of every value-relevant parameter
+    (model, law, cap) followed by the parsed mix's
+    {!Streaming.Instance_io.add_multi_key} encoding, so texts that
+    {!Streaming.Instance_io.multi_to_string} renders identically share a
+    cache entry. *)
 
 type tenant_outcome = {
   t_id : string;

@@ -19,27 +19,34 @@ let create ~max_frame =
   if max_frame < 1 then invalid_arg "Frames.create: max_frame must be positive";
   { max_frame; acc = Buffer.create 512; skipping = false }
 
-let feed_char t c emit =
-  if c = '\n' then begin
-    if t.skipping then t.skipping <- false
-    else begin
-      let line = Buffer.contents t.acc in
-      Buffer.clear t.acc;
-      emit (Line line)
-    end
-  end
-  else if not t.skipping then begin
-    Buffer.add_char t.acc c;
-    if Buffer.length t.acc > t.max_frame then begin
+(* bytes [i, stop) hold no newline: buffer them whole, or cross the limit
+   and start skipping *)
+let add_run t bytes i stop emit =
+  if not t.skipping then
+    if Buffer.length t.acc + (stop - i) > t.max_frame then begin
       Buffer.clear t.acc;
       t.skipping <- true;
       emit Oversized
     end
-  end
+    else Buffer.add_subbytes t.acc bytes i (stop - i)
 
 let feed t bytes n emit =
-  for i = 0 to n - 1 do
-    feed_char t (Bytes.get bytes i) emit
-  done
+  let rec go i =
+    let stop = ref i in
+    while !stop < n && Bytes.get bytes !stop <> '\n' do
+      incr stop
+    done;
+    add_run t bytes i !stop emit;
+    if !stop < n then begin
+      if t.skipping then t.skipping <- false
+      else begin
+        let line = Buffer.contents t.acc in
+        Buffer.clear t.acc;
+        emit (Line line)
+      end;
+      go (!stop + 1)
+    end
+  in
+  go 0
 
 let pending t = (not t.skipping) && Buffer.length t.acc > 0

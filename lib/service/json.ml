@@ -8,7 +8,8 @@ type t =
   | Obj of (string * t) list
 
 (* shortest decimal that parses back to the same float, as in
-   [Instance_io]: rendering is part of the cache key and must be stable *)
+   [Instance_io]: the cache replays rendered results byte for byte, so
+   rendering must be stable *)
 let exact_float v =
   let short = Printf.sprintf "%.12g" v in
   if float_of_string short = v then short else Printf.sprintf "%.17g" v
@@ -105,38 +106,58 @@ let parse line =
     pos := !pos + 4;
     code
   in
+  (* skip a run of characters that stand for themselves *)
+  let skip_plain () =
+    while
+      !pos < n
+      &&
+      let c = line.[!pos] in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      advance ()
+    done
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
+    let start = !pos in
+    skip_plain ();
+    if !pos < n && line.[!pos] = '"' then begin
       advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          let e = peek () in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              let code = hex4 () in
-              if code >= 0xd800 && code <= 0xdfff then fail "surrogate in \\u escape"
-              else add_utf8 buf code
-          | _ -> fail "unknown escape");
-          go ())
-      | c when Char.code c < 0x20 -> fail "raw control character in string"
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
+      String.sub line start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buf line start (!pos - start);
+      let rec go () =
+        let c = peek () in
+        advance ();
+        match c with
+        | '"' -> Buffer.contents buf
+        | '\\' ->
+            let e = peek () in
+            advance ();
+            (match e with
+            | '"' -> Buffer.add_char buf '"'
+            | '\\' -> Buffer.add_char buf '\\'
+            | '/' -> Buffer.add_char buf '/'
+            | 'b' -> Buffer.add_char buf '\b'
+            | 'f' -> Buffer.add_char buf '\012'
+            | 'n' -> Buffer.add_char buf '\n'
+            | 'r' -> Buffer.add_char buf '\r'
+            | 't' -> Buffer.add_char buf '\t'
+            | 'u' ->
+                let code = hex4 () in
+                if code >= 0xd800 && code <= 0xdfff then fail "surrogate in \\u escape"
+                else add_utf8 buf code
+            | _ -> fail "unknown escape");
+            let run = !pos in
+            skip_plain ();
+            Buffer.add_substring buf line run (!pos - run);
+            go ()
+        | _ -> fail "raw control character in string"
+      in
+      go ()
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -1,8 +1,8 @@
 (** Bounded least-recently-used result cache, safe for concurrent use.
 
-    Keys are canonical request renderings (see {!Engine.cache_key}), so
-    two textually different requests that describe the same solve share
-    one entry.  Values are immutable rendered replies; a hit returns the
+    Keys are the service's request keys (see {!Engine.prepare}), so two
+    textually different requests that describe the same solve share one
+    entry.  Values are immutable rendered replies; a hit returns the
     stored string verbatim, which is what makes repeated identical
     queries byte-identical.  All operations take an internal mutex —
     the daemon's connection threads and the batch pool insert

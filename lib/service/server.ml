@@ -198,16 +198,19 @@ let stats_json t =
 
 (* ---- one solve, cache-first ---- *)
 
+(* solve latencies are measured on the monotonic clock: a wall-clock step
+   must not record a negative or inflated latency *)
+let seconds_since t0 = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0)
+
 let solve_one t q =
   match Engine.prepare q with
   | Error msg -> Error (Protocol.Bad_request msg)
   | Ok prepared -> (
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       match Lru.find t.cache prepared.Engine.key with
       | Some entry ->
           Metrics.record_solve t.metrics ~cached:true ~quality:entry.quality
-            ~latency:(Unix.gettimeofday () -. t0)
-            ~states:entry.states;
+            ~latency:(seconds_since t0) ~states:entry.states;
           Ok (entry.rendered, true)
       | None -> (
           (* the server-side wall ceiling protects the daemon from
@@ -227,8 +230,7 @@ let solve_one t q =
                   states = outcome.Engine.pattern_states;
                 };
               Metrics.record_solve t.metrics ~cached:false ~quality:outcome.Engine.quality
-                ~latency:(Unix.gettimeofday () -. t0)
-                ~states:outcome.Engine.pattern_states;
+                ~latency:(seconds_since t0) ~states:outcome.Engine.pattern_states;
               Ok (rendered, false)
           | Error err -> Error (Protocol.Solver err)))
 
@@ -257,10 +259,10 @@ let solve_multi_one t q =
   match Engine.prepare_multi q with
   | Error msg -> Error (Protocol.Bad_request msg)
   | Ok prepared -> (
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       match Lru.find t.cache prepared.Engine.m_key with
       | Some entry ->
-          let latency = Unix.gettimeofday () -. t0 in
+          let latency = seconds_since t0 in
           Metrics.record_solve t.metrics ~cached:true ~quality:entry.quality ~latency
             ~states:entry.states;
           Metrics.record_admission t.metrics ~decision:"admitted";
@@ -282,7 +284,7 @@ let solve_multi_one t q =
               in
               let quality = multi_quality outcomes in
               Lru.add t.cache prepared.Engine.m_key { rendered; quality; states };
-              let latency = Unix.gettimeofday () -. t0 in
+              let latency = seconds_since t0 in
               Metrics.record_solve t.metrics ~cached:false ~quality ~latency ~states;
               Metrics.record_admission t.metrics ~decision:"admitted";
               record_tenants t prepared.Engine.m_share ~latency;

@@ -1,21 +1,76 @@
-let strip_comment line = match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i
+(* ---- reading: one pass over the text, tokens found in place ---- *)
 
-let tokens_of_line line =
-  strip_comment line |> String.split_on_char ' '
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+exception Bad of string
 
-let float_of s = match float_of_string_opt s with Some f -> Some f | None -> None
+let fail lineno msg = raise (Bad (Printf.sprintf "line %d: %s" lineno msg))
 
-let floats rest =
-  let parsed = List.map float_of rest in
-  if List.exists (( = ) None) parsed then None
-  else Some (Array.of_list (List.map Option.get parsed))
+(* The tokens of the current line as offsets into the text: token [k] is
+   [String.sub text starts.(k) (stops.(k) - starts.(k))].  One record
+   serves every line of a parse. *)
+type line = {
+  text : string;
+  mutable count : int;
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable keyword : string;  (* token 0 *)
+}
 
-let ints rest =
-  let parsed = List.map int_of_string_opt rest in
-  if List.exists (( = ) None) parsed then None
-  else Some (Array.of_list (List.map Option.get parsed))
+let token l k = String.sub l.text l.starts.(k) (l.stops.(k) - l.starts.(k))
+
+let push l start stop =
+  if l.count = Array.length l.starts then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    l.starts <- grow l.starts;
+    l.stops <- grow l.stops
+  end;
+  l.starts.(l.count) <- start;
+  l.stops.(l.count) <- stop;
+  l.count <- l.count + 1
+
+(* [f lineno line] for every line that holds a token, in order.  Lines
+   end at newlines, a line's comment starts at its first '#', and tokens
+   are separated by spaces and tabs. *)
+let iter_lines text f =
+  let n = String.length text in
+  let l = { text; count = 0; starts = Array.make 16 0; stops = Array.make 16 0; keyword = "" } in
+  let lineno = ref 0 and pos = ref 0 in
+  while !pos <= n do
+    incr lineno;
+    l.count <- 0;
+    let i = ref !pos and start = ref (-1) and comment = ref false in
+    while !i < n && String.unsafe_get text !i <> '\n' do
+      (if not !comment then
+         match String.unsafe_get text !i with
+         | (' ' | '\t' | '#') as c ->
+             if !start >= 0 then begin
+               push l !start !i;
+               start := -1
+             end;
+             if c = '#' then comment := true
+         | _ -> if !start < 0 then start := !i);
+      incr i
+    done;
+    if !start >= 0 then push l !start !i;
+    if l.count > 0 then begin
+      l.keyword <- token l 0;
+      f !lineno l
+    end;
+    pos := !i + 1
+  done
+
+let int_at l k = int_of_string_opt (token l k)
+let float_at l k = float_of_string_opt (token l k)
+
+(* tokens 1.. of the line; [None] when one of them does not parse *)
+let floats_after l =
+  match Array.init (l.count - 1) (fun k -> float_of_string (token l (k + 1))) with
+  | a -> Some a
+  | exception Failure _ -> None
+
+let ints_after l =
+  match Array.init (l.count - 1) (fun k -> int_of_string (token l (k + 1))) with
+  | a -> Some a
+  | exception Failure _ -> None
 
 (* numeric sanity is checked where the line number is still at hand, so a
    NaN three screens into a file is reported as "line 47: ...", not as a
@@ -23,102 +78,133 @@ let ints rest =
 let bad ~strict v = (not (Float.is_finite v)) || if strict then v <= 0.0 else v < 0.0
 let any_bad ~strict a = Array.exists (bad ~strict) a
 
+(* The platform lines read so far.  Counts keep their line numbers, so
+   the checks made once every line is read can point at them. *)
+type platform_lines = {
+  mutable procs : (int * int) option;  (* line, processor count *)
+  mutable speeds : (int * float array) option;  (* line, speeds *)
+  mutable bw_default : float option;
+  mutable overrides : (int * int * int * float) list;  (* reversed: line, src, dst, value *)
+}
+
+(* one pipeline's lines read so far *)
+type pipeline_lines = {
+  mutable stages : int option;
+  mutable work : float array option;
+  mutable files : float array option;
+  mutable teams : int array list;  (* reversed *)
+}
+
+let platform_lines () = { procs = None; speeds = None; bw_default = None; overrides = [] }
+let pipeline_lines () = { stages = None; work = None; files = None; teams = [] }
+
+type kind = Platform_line | Pipeline_line | Other_line
+
+let kind l =
+  match (l.keyword, l.count) with
+  | "processors", 2 | "speeds", _ | "bandwidth", 4 -> Platform_line
+  | "bandwidth", 3 when token l 1 = "default" -> Platform_line
+  | "stages", 2 | "work", _ | "files", _ | "team", _ -> Pipeline_line
+  | _ -> Other_line
+
+(* the two readers take the lines [kind] sorted to them *)
+let read_platform_line p lineno l =
+  match (l.keyword, l.count) with
+  | "processors", _ -> (
+      match int_at l 1 with
+      | Some m -> p.procs <- Some (lineno, m)
+      | None -> fail lineno "bad processor count")
+  | "speeds", _ -> (
+      match floats_after l with
+      | Some a when any_bad ~strict:true a -> fail lineno "speeds must be finite and positive"
+      | Some a -> p.speeds <- Some (lineno, a)
+      | None -> fail lineno "bad speeds")
+  | _, 3 -> (
+      match float_at l 2 with
+      | Some b when bad ~strict:true b ->
+          fail lineno "default bandwidth must be finite and positive"
+      | Some b -> p.bw_default <- Some b
+      | None -> fail lineno "bad default bandwidth")
+  | _ -> (
+      match (int_at l 1, int_at l 2, float_at l 3) with
+      | Some _, Some _, Some b when bad ~strict:true b ->
+          fail lineno "bandwidth must be finite and positive"
+      | Some src, Some dst, Some b -> p.overrides <- (lineno, src, dst, b) :: p.overrides
+      | _ -> fail lineno "bad bandwidth override")
+
+let read_pipeline_line t lineno l =
+  match l.keyword with
+  | "stages" -> (
+      match int_at l 1 with
+      | Some n -> t.stages <- Some n
+      | None -> fail lineno "bad stage count")
+  | "work" -> (
+      match floats_after l with
+      | Some a when any_bad ~strict:true a -> fail lineno "work sizes must be finite and positive"
+      | Some a -> t.work <- Some a
+      | None -> fail lineno "bad work sizes")
+  | "files" -> (
+      match floats_after l with
+      | Some a when any_bad ~strict:false a ->
+          fail lineno "file sizes must be finite and non-negative"
+      | Some a -> t.files <- Some a
+      | None -> fail lineno "bad file sizes")
+  | _ -> (
+      match ints_after l with
+      | Some a when Array.length a > 0 -> t.teams <- a :: t.teams
+      | _ -> fail lineno "bad team")
+
+(* The platform, once every line is read.  The processor count and the
+   number of speeds are checked before the m x m bandwidth matrix is
+   allocated, so a short text cannot ask for gigabytes. *)
+let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default overrides =
+  if m < 1 then Error (Printf.sprintf "line %d: processor count must be positive" procs_line)
+  else if Array.length speeds <> m then
+    Error
+      (Printf.sprintf "line %d: %d speeds for %d processors" speeds_line (Array.length speeds) m)
+  else
+    let overrides = List.rev overrides in
+    match List.find_opt (fun (_, p, q, _) -> p < 0 || p >= m || q < 0 || q >= m) overrides with
+    | Some (lineno, p, q, _) ->
+        Error
+          (Printf.sprintf "line %d: bandwidth override %d %d out of range (processors %d)" lineno
+             p q m)
+    | None -> (
+        let bandwidth = Array.init m (fun _ -> Array.make m default) in
+        List.iter (fun (_, p, q, b) -> bandwidth.(p).(q) <- b) overrides;
+        match Platform.create ~speeds ~bandwidth with
+        | platform -> Ok platform
+        | exception Invalid_argument msg -> Error msg)
+
+let build_mapping ~work ~files ~teams platform =
+  let files = Option.value files ~default:[||] in
+  match Mapping.create ~app:(Application.create ~work ~files) ~platform ~teams with
+  | mapping -> Ok mapping
+  | exception Invalid_argument msg -> Error msg
+
 let parse text =
-  let lines = String.split_on_char '\n' text in
-  let n_stages = ref None in
-  let work = ref None in
-  let files = ref None in
-  let n_procs = ref None in
-  let speeds = ref None in
-  let bw_default = ref None in
-  let bw_overrides = ref [] in
-  let teams = ref [] in
-  let error = ref None in
-  let fail msg = if !error = None then error := Some msg in
-  List.iteri
-    (fun lineno raw ->
-      let lineno = lineno + 1 in
-      match tokens_of_line raw with
-      | [] -> ()
-      | "stages" :: [ n ] -> (
-          match int_of_string_opt n with
-          | Some n -> n_stages := Some n
-          | None -> fail (Printf.sprintf "line %d: bad stage count" lineno))
-      | "processors" :: [ n ] -> (
-          match int_of_string_opt n with
-          | Some n -> n_procs := Some n
-          | None -> fail (Printf.sprintf "line %d: bad processor count" lineno))
-      | "work" :: rest -> (
-          match floats rest with
-          | Some a when any_bad ~strict:true a ->
-              fail (Printf.sprintf "line %d: work sizes must be finite and positive" lineno)
-          | Some a -> work := Some a
-          | None -> fail (Printf.sprintf "line %d: bad work sizes" lineno))
-      | "files" :: rest -> (
-          match floats rest with
-          | Some a when any_bad ~strict:false a ->
-              fail (Printf.sprintf "line %d: file sizes must be finite and non-negative" lineno)
-          | Some a -> files := Some a
-          | None -> fail (Printf.sprintf "line %d: bad file sizes" lineno))
-      | "speeds" :: rest -> (
-          match floats rest with
-          | Some a when any_bad ~strict:true a ->
-              fail (Printf.sprintf "line %d: speeds must be finite and positive" lineno)
-          | Some a -> speeds := Some a
-          | None -> fail (Printf.sprintf "line %d: bad speeds" lineno))
-      | [ "bandwidth"; "default"; v ] -> (
-          match float_of v with
-          | Some b when bad ~strict:true b ->
-              fail (Printf.sprintf "line %d: default bandwidth must be finite and positive" lineno)
-          | Some b -> bw_default := Some b
-          | None -> fail (Printf.sprintf "line %d: bad default bandwidth" lineno))
-      | [ "bandwidth"; p; q; v ] -> (
-          match (int_of_string_opt p, int_of_string_opt q, float_of v) with
-          | Some _, Some _, Some b when bad ~strict:true b ->
-              fail (Printf.sprintf "line %d: bandwidth must be finite and positive" lineno)
-          | Some p, Some q, Some b -> bw_overrides := (lineno, p, q, b) :: !bw_overrides
-          | _ -> fail (Printf.sprintf "line %d: bad bandwidth override" lineno))
-      | "team" :: rest -> (
-          match ints rest with
-          | Some a when Array.length a > 0 -> teams := a :: !teams
-          | _ -> fail (Printf.sprintf "line %d: bad team" lineno))
-      | keyword :: _ -> fail (Printf.sprintf "line %d: unknown keyword %s" lineno keyword))
-    lines;
-  match !error with
-  | Some msg -> Error msg
-  | None -> (
-      match (!n_stages, !work, !n_procs, !speeds, !bw_default) with
+  let plat = platform_lines () and pipe = pipeline_lines () in
+  match
+    iter_lines text (fun lineno l ->
+        match kind l with
+        | Platform_line -> read_platform_line plat lineno l
+        | Pipeline_line -> read_pipeline_line pipe lineno l
+        | Other_line -> fail lineno ("unknown keyword " ^ l.keyword))
+  with
+  | exception Bad msg -> Error msg
+  | () -> (
+      match (pipe.stages, pipe.work, plat.procs, plat.speeds, plat.bw_default) with
       | None, _, _, _, _ -> Error "missing 'stages'"
       | _, None, _, _, _ -> Error "missing 'work'"
       | _, _, None, _, _ -> Error "missing 'processors'"
       | _, _, _, None, _ -> Error "missing 'speeds'"
       | _, _, _, _, None -> Error "missing 'bandwidth default'"
-      | Some n, Some work, Some m, Some speeds, Some bw ->
-          let files = match !files with Some f -> f | None -> [||] in
-          let teams = Array.of_list (List.rev !teams) in
+      | Some n, Some work, Some procs, Some speeds, Some default ->
+          let teams = Array.of_list (List.rev pipe.teams) in
           if Array.length teams <> n then Error "need exactly one 'team' line per stage"
-          else begin
-            let bandwidth = Array.init m (fun _ -> Array.make m bw) in
-            let range_error = ref None in
-            List.iter
-              (fun (lineno, p, q, b) ->
-                if p >= 0 && p < m && q >= 0 && q < m then bandwidth.(p).(q) <- b
-                else if !range_error = None then
-                  range_error :=
-                    Some
-                      (Printf.sprintf
-                         "line %d: bandwidth override %d %d out of range (processors %d)" lineno p
-                         q m))
-              (List.rev !bw_overrides);
-            match !range_error with
-            | Some msg -> Error msg
-            | None -> (
-                try
-                  let app = Application.create ~work ~files in
-                  let platform = Platform.create ~speeds ~bandwidth in
-                  Ok (Mapping.create ~app ~platform ~teams)
-                with Invalid_argument msg -> Error msg)
-          end)
+          else
+            Result.bind (build_platform ~procs ~speeds ~default plat.overrides)
+              (build_mapping ~work ~files:pipe.files ~teams))
 
 (* shortest decimal representation that parses back to the same float,
    so that printed instances round-trip exactly *)
@@ -171,6 +257,56 @@ let to_string mapping =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
+(* ---- the cache key: the values [print] writes, as raw bits ----
+
+   Every count precedes what it counts, so the encoding is prefix-free.
+   Floats go in as their IEEE-754 bits: two finite floats have the same
+   bits exactly when [exact_float] writes them the same way (-0.0 and 0.0
+   differ in both). *)
+
+let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+let add_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
+
+let add_stages_key buf app =
+  let n = Application.n_stages app in
+  add_int buf n;
+  for i = 0 to n - 1 do
+    add_float buf (Application.work app i)
+  done;
+  for i = 0 to n - 2 do
+    add_float buf (Application.file_size app i)
+  done
+
+(* the printed default bandwidth ([0 -> min 1 (m-1)], the diagonal when
+   m = 1) and every off-diagonal bandwidth; like [print], the key skips
+   the other diagonal entries *)
+let add_platform_key buf platform =
+  let m = Platform.n_processors platform in
+  add_int buf m;
+  for p = 0 to m - 1 do
+    add_float buf (Platform.speed platform p)
+  done;
+  add_float buf (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)));
+  for p = 0 to m - 1 do
+    for q = 0 to m - 1 do
+      if p <> q then add_float buf (Platform.bandwidth platform ~src:p ~dst:q)
+    done
+  done
+
+let add_teams_key buf mapping =
+  Array.iteri
+    (fun stage size ->
+      add_int buf size;
+      for row = 0 to size - 1 do
+        add_int buf (Mapping.proc_at mapping ~stage ~row)
+      done)
+    (Mapping.replication mapping)
+
+let add_key buf mapping =
+  add_stages_key buf (Mapping.app mapping);
+  add_platform_key buf (Mapping.platform mapping);
+  add_teams_key buf mapping
+
 (* ---- multi-tenant blocks (version 1) ---- *)
 
 type tenant_decl = {
@@ -186,195 +322,102 @@ type pending = {
   p_id : string;
   p_weight : float;
   p_floor : float;
-  mutable p_stages : int option;
-  mutable p_work : float array option;
-  mutable p_files : float array option;
-  mutable p_teams : int array list;  (* reversed *)
+  p_lines : pipeline_lines;
 }
 
+let build_tenants platform pendings =
+  let seen = Hashtbl.create 8 in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | t :: rest -> (
+        if Hashtbl.mem seen t.p_id then
+          Error (Printf.sprintf "line %d: duplicate tenant id %s" t.p_line t.p_id)
+        else
+          let ctx msg = Error (Printf.sprintf "tenant %s: %s" t.p_id msg) in
+          Hashtbl.add seen t.p_id ();
+          let p = t.p_lines in
+          match (p.stages, p.work) with
+          | None, _ -> ctx "missing 'stages'"
+          | _, None -> ctx "missing 'work'"
+          | Some n, Some work -> (
+              let teams = Array.of_list (List.rev p.teams) in
+              if Array.length teams <> n then ctx "need exactly one 'team' line per stage"
+              else
+                match build_mapping ~work ~files:p.files ~teams platform with
+                | Error msg -> ctx msg
+                | Ok mapping ->
+                    let decl =
+                      {
+                        tenant_id = t.p_id;
+                        weight = t.p_weight;
+                        floor = t.p_floor;
+                        tenant_mapping = mapping;
+                      }
+                    in
+                    go (decl :: acc) rest))
+  in
+  match pendings with
+  | [] -> Error "a tenancy block needs at least one tenant"
+  | _ -> go [] pendings
+
 let parse_multi text =
-  let lines = String.split_on_char '\n' text in
-  let error = ref None in
-  let fail msg = if !error = None then error := Some msg in
   let version = ref false in
-  let n_procs = ref None in
-  let speeds = ref None in
-  let bw_default = ref None in
-  let bw_overrides = ref [] in
-  let pendings = ref [] in
-  (* reversed *)
-  let current () = match !pendings with [] -> None | t :: _ -> Some t in
-  let platform_line lineno set =
-    (* the shared platform is declared once, before the first tenant *)
-    match current () with
-    | Some _ -> fail (Printf.sprintf "line %d: platform line after the first 'tenant'" lineno)
-    | None -> set ()
-  in
-  let tenant_line lineno keyword body =
-    match current () with
-    | None ->
-        fail (Printf.sprintf "line %d: '%s' outside a tenant declaration" lineno keyword)
-    | Some t -> body t
-  in
-  List.iteri
-    (fun lineno raw ->
-      let lineno = lineno + 1 in
-      if !error = None then
-        match tokens_of_line raw with
-        | [] -> ()
-        | [ "tenancy"; v ] ->
-            if !version then fail (Printf.sprintf "line %d: duplicate 'tenancy' line" lineno)
+  let plat = platform_lines () in
+  let pendings = ref [] (* reversed *) in
+  match
+    iter_lines text (fun lineno l ->
+        match (l.keyword, l.count) with
+        | "tenancy", 2 ->
+            let v = token l 1 in
+            if !version then fail lineno "duplicate 'tenancy' line"
             else if v <> "1" then
-              fail
-                (Printf.sprintf "line %d: unsupported tenancy version %s (this reader speaks 1)"
-                   lineno v)
+              fail lineno (Printf.sprintf "unsupported tenancy version %s (this reader speaks 1)" v)
             else version := true
-        | _ :: _ when not !version ->
-            fail (Printf.sprintf "line %d: multi-tenant instances start with 'tenancy 1'" lineno)
-        | "processors" :: [ n ] ->
-            platform_line lineno (fun () ->
-                match int_of_string_opt n with
-                | Some n -> n_procs := Some n
-                | None -> fail (Printf.sprintf "line %d: bad processor count" lineno))
-        | "speeds" :: rest ->
-            platform_line lineno (fun () ->
-                match floats rest with
-                | Some a when any_bad ~strict:true a ->
-                    fail (Printf.sprintf "line %d: speeds must be finite and positive" lineno)
-                | Some a -> speeds := Some a
-                | None -> fail (Printf.sprintf "line %d: bad speeds" lineno))
-        | [ "bandwidth"; "default"; v ] ->
-            platform_line lineno (fun () ->
-                match float_of v with
-                | Some b when bad ~strict:true b ->
-                    fail
-                      (Printf.sprintf "line %d: default bandwidth must be finite and positive"
-                         lineno)
-                | Some b -> bw_default := Some b
-                | None -> fail (Printf.sprintf "line %d: bad default bandwidth" lineno))
-        | [ "bandwidth"; p; q; v ] ->
-            platform_line lineno (fun () ->
-                match (int_of_string_opt p, int_of_string_opt q, float_of v) with
-                | Some _, Some _, Some b when bad ~strict:true b ->
-                    fail (Printf.sprintf "line %d: bandwidth must be finite and positive" lineno)
-                | Some p, Some q, Some b -> bw_overrides := (lineno, p, q, b) :: !bw_overrides
-                | _ -> fail (Printf.sprintf "line %d: bad bandwidth override" lineno))
-        | [ "tenant"; id; "weight"; w; "floor"; f ] -> (
-            match (float_of w, float_of f) with
-            | Some w, _ when bad ~strict:true w ->
-                fail (Printf.sprintf "line %d: tenant weight must be finite and positive" lineno)
-            | _, Some f when bad ~strict:false f ->
-                fail
-                  (Printf.sprintf "line %d: tenant floor must be finite and non-negative" lineno)
-            | Some w, Some f ->
-                pendings :=
-                  {
-                    p_line = lineno;
-                    p_id = id;
-                    p_weight = w;
-                    p_floor = f;
-                    p_stages = None;
-                    p_work = None;
-                    p_files = None;
-                    p_teams = [];
-                  }
-                  :: !pendings
-            | _ -> fail (Printf.sprintf "line %d: bad tenant weight or floor" lineno))
-        | "tenant" :: _ ->
-            fail (Printf.sprintf "line %d: tenant line is 'tenant ID weight W floor F'" lineno)
-        | "stages" :: [ n ] ->
-            tenant_line lineno "stages" (fun t ->
-                match int_of_string_opt n with
-                | Some n -> t.p_stages <- Some n
-                | None -> fail (Printf.sprintf "line %d: bad stage count" lineno))
-        | "work" :: rest ->
-            tenant_line lineno "work" (fun t ->
-                match floats rest with
-                | Some a when any_bad ~strict:true a ->
-                    fail
-                      (Printf.sprintf "line %d: work sizes must be finite and positive" lineno)
-                | Some a -> t.p_work <- Some a
-                | None -> fail (Printf.sprintf "line %d: bad work sizes" lineno))
-        | "files" :: rest ->
-            tenant_line lineno "files" (fun t ->
-                match floats rest with
-                | Some a when any_bad ~strict:false a ->
-                    fail
-                      (Printf.sprintf "line %d: file sizes must be finite and non-negative"
-                         lineno)
-                | Some a -> t.p_files <- Some a
-                | None -> fail (Printf.sprintf "line %d: bad file sizes" lineno))
-        | "team" :: rest ->
-            tenant_line lineno "team" (fun t ->
-                match ints rest with
-                | Some a when Array.length a > 0 -> t.p_teams <- a :: t.p_teams
-                | _ -> fail (Printf.sprintf "line %d: bad team" lineno))
-        | keyword :: _ -> fail (Printf.sprintf "line %d: unknown keyword %s" lineno keyword))
-    lines;
-  match !error with
-  | Some msg -> Error msg
-  | None -> (
+        | _ when not !version -> fail lineno "multi-tenant instances start with 'tenancy 1'"
+        | _ -> (
+            match kind l with
+            | Platform_line ->
+                (* the shared platform is declared once, before the first tenant *)
+                if !pendings <> [] then fail lineno "platform line after the first 'tenant'"
+                else read_platform_line plat lineno l
+            | Pipeline_line -> (
+                match !pendings with
+                | [] ->
+                    fail lineno (Printf.sprintf "'%s' outside a tenant declaration" l.keyword)
+                | t :: _ -> read_pipeline_line t.p_lines lineno l)
+            | Other_line -> (
+                match (l.keyword, l.count) with
+                | "tenant", 6 when token l 2 = "weight" && token l 4 = "floor" -> (
+                    match (float_at l 3, float_at l 5) with
+                    | Some w, _ when bad ~strict:true w ->
+                        fail lineno "tenant weight must be finite and positive"
+                    | _, Some f when bad ~strict:false f ->
+                        fail lineno "tenant floor must be finite and non-negative"
+                    | Some w, Some f ->
+                        pendings :=
+                          {
+                            p_line = lineno;
+                            p_id = token l 1;
+                            p_weight = w;
+                            p_floor = f;
+                            p_lines = pipeline_lines ();
+                          }
+                          :: !pendings
+                    | _ -> fail lineno "bad tenant weight or floor")
+                | "tenant", _ -> fail lineno "tenant line is 'tenant ID weight W floor F'"
+                | keyword, _ -> fail lineno ("unknown keyword " ^ keyword))))
+  with
+  | exception Bad msg -> Error msg
+  | () -> (
       if not !version then Error "missing 'tenancy 1'"
       else
-        match (!n_procs, !speeds, !bw_default) with
+        match (plat.procs, plat.speeds, plat.bw_default) with
         | None, _, _ -> Error "missing 'processors'"
         | _, None, _ -> Error "missing 'speeds'"
         | _, _, None -> Error "missing 'bandwidth default'"
-        | Some m, Some speeds, Some bw -> (
-            let bandwidth = Array.init m (fun _ -> Array.make m bw) in
-            let range_error = ref None in
-            List.iter
-              (fun (lineno, p, q, b) ->
-                if p >= 0 && p < m && q >= 0 && q < m then bandwidth.(p).(q) <- b
-                else if !range_error = None then
-                  range_error :=
-                    Some
-                      (Printf.sprintf
-                         "line %d: bandwidth override %d %d out of range (processors %d)" lineno
-                         p q m))
-              (List.rev !bw_overrides);
-            match !range_error with
-            | Some msg -> Error msg
-            | None -> (
-                match
-                  let platform = Platform.create ~speeds ~bandwidth in
-                  let seen = Hashtbl.create 8 in
-                  List.rev !pendings
-                  |> List.map (fun t ->
-                         if Hashtbl.mem seen t.p_id then
-                           failwith
-                             (Printf.sprintf "line %d: duplicate tenant id %s" t.p_line t.p_id);
-                         Hashtbl.add seen t.p_id ();
-                         let ctx msg =
-                           failwith (Printf.sprintf "tenant %s: %s" t.p_id msg)
-                         in
-                         match (t.p_stages, t.p_work) with
-                         | None, _ -> ctx "missing 'stages'"
-                         | _, None -> ctx "missing 'work'"
-                         | Some n, Some work ->
-                             let files = match t.p_files with Some f -> f | None -> [||] in
-                             let teams = Array.of_list (List.rev t.p_teams) in
-                             if Array.length teams <> n then
-                               ctx "need exactly one 'team' line per stage"
-                             else begin
-                               match
-                                 let app = Application.create ~work ~files in
-                                 Mapping.create ~app ~platform ~teams
-                               with
-                               | mapping ->
-                                   {
-                                     tenant_id = t.p_id;
-                                     weight = t.p_weight;
-                                     floor = t.p_floor;
-                                     tenant_mapping = mapping;
-                                   }
-                               | exception Invalid_argument msg -> ctx msg
-                             end)
-                with
-                | [] -> Error "a tenancy block needs at least one tenant"
-                | decls -> Ok decls
-                | exception Failure msg -> Error msg
-                | exception Invalid_argument msg -> Error msg)))
+        | Some procs, Some speeds, Some default ->
+            Result.bind (build_platform ~procs ~speeds ~default plat.overrides) (fun platform ->
+                build_tenants platform (List.rev !pendings)))
 
 let parse_multi_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -456,3 +499,16 @@ let multi_to_string decls =
   print_multi ppf decls;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
+
+let add_multi_key buf decls =
+  add_platform_key buf (shared_platform decls);
+  add_int buf (List.length decls);
+  List.iter
+    (fun d ->
+      add_int buf (String.length d.tenant_id);
+      Buffer.add_string buf d.tenant_id;
+      add_float buf d.weight;
+      add_float buf d.floor;
+      add_stages_key buf (Mapping.app d.tenant_mapping);
+      add_teams_key buf d.tenant_mapping)
+    decls

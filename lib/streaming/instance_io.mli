@@ -24,7 +24,9 @@ val parse : string -> (Mapping.t, string) result
     vetted where they are read: work sizes, speeds and bandwidths must be
     finite and positive, file sizes finite and non-negative, and a
     bandwidth override must name processors that exist — violations are
-    reported with the offending line number. *)
+    reported with the offending line number.  The processor count must be
+    positive and match the number of speeds; both are checked before the
+    bandwidth matrix is allocated.  Never raises. *)
 
 val parse_file : string -> (Mapping.t, string) result
 
@@ -36,8 +38,19 @@ val to_string : Mapping.t -> string
     instance texts that parse to the same mapping render identically
     (whatever their spacing, comments, line order or float spellings), and
     the rendering parses back to the same mapping — [parse ∘ to_string =
-    id].  The query service's cache keys and the experiment journals both
-    key on this rendering. *)
+    id].  The experiment journals key on this rendering; the query
+    service keys on {!add_key}, which groups mappings the same way. *)
+
+val add_key : Buffer.t -> Mapping.t -> unit
+(** Append the mapping's cache-key encoding: the values {!print} writes
+    (stage count, work, file sizes, processor count, speeds, the printed
+    default bandwidth, every off-diagonal bandwidth, the teams) as
+    length-prefixed 8-byte little-endian integers and raw IEEE-754 bits.
+    For mappings with finite values — everything {!parse} returns — two
+    mappings get the same encoding exactly when {!to_string} renders them
+    identically: the diagonal is skipped as the printer skips it, and
+    [-0.0] and [0.0] differ as their renderings do.  The encoding is
+    binary and prefix-free; it is a key, not a format. *)
 
 (** {1 Multi-tenant instances}
 
@@ -82,12 +95,19 @@ val parse_multi : string -> (tenant_decl list, string) result
     the one shared {!Platform.t} (physically shared, so downstream code
     may compare platforms with [==]).  Validations mirror {!parse} and
     add: a leading [tenancy 1] version line, unique tenant ids, finite
-    positive weights, finite non-negative floors, at least one tenant. *)
+    positive weights, finite non-negative floors, at least one tenant.
+    Never raises. *)
 
 val parse_multi_file : string -> (tenant_decl list, string) result
 
 val multi_to_string : tenant_decl list -> string
 (** Canonical rendering of a tenant block; [parse_multi ∘ multi_to_string
-    = id], and the tenancy service tier keys its cache on this rendering.
-    Raises [Invalid_argument] if the declarations do not share one
+    = id].  Raises [Invalid_argument] if the declarations do not share one
     platform. *)
+
+val add_multi_key : Buffer.t -> tenant_decl list -> unit
+(** {!add_key} for a tenant block: the shared platform, then each
+    tenant's id, weight, floor, stages and teams in declaration order.
+    Two blocks get the same encoding exactly when {!multi_to_string}
+    renders them identically; the tenancy service tier keys its cache on
+    it.  Raises [Invalid_argument] where {!multi_to_string} does. *)

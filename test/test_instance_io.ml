@@ -69,7 +69,102 @@ let test_parse_insane_numbers () =
      model still rejects it: a zero-time communication would need an
      infinite exponential rate *)
   expect_error "communication time"
-    "stages 2\nwork 1 1\nfiles 0\nprocessors 2\nspeeds 1 1\nbandwidth default 1\nteam 0\nteam 1\n"
+    "stages 2\nwork 1 1\nfiles 0\nprocessors 2\nspeeds 1 1\nbandwidth default 1\nteam 0\nteam 1\n";
+  (* the processor count is checked before the m x m bandwidth matrix is
+     allocated: a negative count must not raise, and a huge one with a
+     single speed must not allocate its matrix *)
+  expect_error "line 3: processor count must be positive"
+    "stages 1\nwork 1\nprocessors -1\nspeeds 1\nbandwidth default 1\nteam 0\n";
+  expect_error "line 4: 1 speeds for 4000 processors"
+    "stages 1\nwork 1\nprocessors 4000\nspeeds 1\nbandwidth default 1\nteam 0\n";
+  let expect_multi_error fragment text =
+    match Instance_io.parse_multi text with
+    | Ok _ -> Alcotest.fail ("expected parse_multi error mentioning " ^ fragment)
+    | Error msg ->
+        Alcotest.(check bool) (Printf.sprintf "%S mentions %S" msg fragment) true
+          (contains fragment msg)
+  in
+  let tenant = "tenant a weight 1 floor 0\nstages 1\nwork 1\nteam 0\n" in
+  expect_multi_error "line 2: processor count must be positive"
+    ("tenancy 1\nprocessors -1\nspeeds 1\nbandwidth default 1\n" ^ tenant);
+  expect_multi_error "line 3: 1 speeds for 4000 processors"
+    ("tenancy 1\nprocessors 4000\nspeeds 1\nbandwidth default 1\n" ^ tenant)
+
+(* ---- the parsers never raise ---- *)
+
+let never_raises name parse text =
+  match parse text with
+  | Ok _ | Error _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) text
+
+let both_never_raise text =
+  never_raises "parse" Instance_io.parse text
+  && never_raises "parse_multi" Instance_io.parse_multi text
+
+let qcheck_random_bytes_never_raise =
+  QCheck.Test.make ~name:"parse and parse_multi never raise on random bytes" ~count:300
+    QCheck.string both_never_raise
+
+(* keyword and number soup: reaches the value checks, unlike raw bytes *)
+let qcheck_token_soup_never_raises =
+  let pieces =
+    [ "stages "; "work "; "files "; "processors "; "speeds "; "bandwidth "; "default "; "team ";
+      "tenancy "; "tenant "; "weight "; "floor "; "1 "; "0 "; "-1 "; "2 "; "4000 "; "nan ";
+      "inf "; "-0 "; "0.5 "; "1e0 "; "x "; "\t"; "\n"; "\n"; "# " ]
+  in
+  let gen = QCheck.Gen.(map (String.concat "") (list_size (int_bound 60) (oneofl pieces))) in
+  QCheck.Test.make ~name:"parse and parse_multi never raise on token soup" ~count:300
+    (QCheck.make ~print:String.escaped gen) both_never_raise
+
+(* one mutation of a valid text: a bad count on its first processors or
+   stages line, a bad number in place of any token, or one line dropped
+   or duplicated *)
+let mutate g text =
+  let lines = String.split_on_char '\n' text in
+  let pick a = a.(Prng.int g (Array.length a)) in
+  let replace_token k v l =
+    String.split_on_char ' ' l |> List.mapi (fun j t -> if j = k then v else t) |> String.concat " "
+  in
+  let edit f = String.concat "\n" (List.concat (List.mapi f lines)) in
+  let first prefix =
+    let rec go k = function
+      | [] -> -1
+      | l :: rest -> if String.starts_with ~prefix l then k else go (k + 1) rest
+    in
+    go 0 lines
+  in
+  let i = Prng.int g (List.length lines) in
+  match Prng.int g 4 with
+  | 0 ->
+      let target = first (if Prng.int g 2 = 0 then "processors " else "stages ") in
+      let count = pick [| "-1"; "0"; "4000"; string_of_int max_int |] in
+      edit (fun k l -> [ (if k = target then replace_token 1 count l else l) ])
+  | 1 ->
+      let number = pick [| "-1"; "0"; "nan"; "inf"; "-inf"; "-0"; "1e308" |] in
+      edit (fun k l ->
+          [ (if k = i then replace_token (Prng.int g (List.length (String.split_on_char ' ' l))) number l
+             else l) ])
+  | 2 -> edit (fun k l -> if k = i then [] else [ l ])
+  | _ -> edit (fun k l -> if k = i then [ l; l ] else [ l ])
+
+let qcheck_mutations_never_raise =
+  QCheck.Test.make ~name:"parse and parse_multi never raise on mutated instances" ~count:300
+    QCheck.small_int (fun seed ->
+      let g = Prng.create ~seed:(7_000 + seed) in
+      let params =
+        {
+          Workload.Gen.n_stages = 1 + (seed mod 4);
+          n_procs = 4 + (seed mod 6);
+          comp_range = (0.5, 20.);
+          comm_range = (0.25, 10.);
+          max_rows = 40;
+        }
+      in
+      let single = Instance_io.to_string (Workload.Gen.random_mapping g params) in
+      let multi = Instance_io.multi_to_string (Workload.Gen.random_tenant_mix g Workload.Gen.default_mix) in
+      never_raises "parse" Instance_io.parse (mutate g single)
+      && never_raises "parse_multi" Instance_io.parse_multi (mutate g multi))
 
 let test_roundtrip () =
   let mapping = Workload.Scenarios.example_a in
@@ -111,6 +206,93 @@ let qcheck_render_roundtrip =
       match Instance_io.parse text with
       | Error msg -> QCheck.Test.fail_reportf "reparse failed: %s" msg
       | Ok mapping' -> String.equal text (Instance_io.to_string mapping'))
+
+(* The query service keys its cache on [add_key], not on the rendering;
+   the two must group mappings identically.  Pairs differ in at most one
+   value, often by one ulp, or only in what the printer drops (the
+   diagonal of a multi-processor platform). *)
+let key_of mapping =
+  let buf = Buffer.create 256 in
+  Instance_io.add_key buf mapping;
+  Buffer.contents buf
+
+let variant g mapping =
+  let app = Mapping.app mapping and platform = Mapping.platform mapping in
+  let n = Application.n_stages app and m = Platform.n_processors platform in
+  let work = Array.init n (Application.work app) in
+  let files = Array.init (n - 1) (Application.file_size app) in
+  let speeds = Array.init m (Platform.speed platform) in
+  let bandwidth =
+    Array.init m (fun p -> Array.init m (fun q -> Platform.bandwidth platform ~src:p ~dst:q))
+  in
+  let teams = Array.init n (Mapping.team mapping) in
+  let p = Prng.int g m and q = Prng.int g m and i = Prng.int g n in
+  (match Prng.int g 8 with
+  | 0 -> work.(i) <- Float.succ work.(i)
+  | 1 -> if n > 1 then files.(i mod (n - 1)) <- Float.succ files.(i mod (n - 1))
+  | 2 -> speeds.(p) <- Float.pred speeds.(p)
+  | 3 -> bandwidth.(p).(q) <- Float.succ bandwidth.(p).(q)
+  | 4 -> bandwidth.(p).(p) <- 2.0 *. bandwidth.(p).(p)
+  | 5 -> bandwidth.(p).(q) <- bandwidth.(0).(min 1 (m - 1))
+  | 6 ->
+      let team = teams.(i) in
+      let k = Array.length team - 1 in
+      if k > 0 then begin
+        let last = team.(k) in
+        team.(k) <- team.(k - 1);
+        team.(k - 1) <- last
+      end
+  | _ -> ());
+  Mapping.create ~app:(Application.create ~work ~files) ~platform:(Platform.create ~speeds ~bandwidth)
+    ~teams
+
+let qcheck_key_groups_as_rendering =
+  QCheck.Test.make ~name:"add_key equal iff to_string equal" ~count:300 QCheck.small_int
+    (fun seed ->
+      let g = Prng.create ~seed:(11_000 + seed) in
+      let n = 1 + (seed mod 4) in
+      let params =
+        {
+          Workload.Gen.n_stages = n;
+          n_procs = n + (seed mod 5);
+          comp_range = (0.5, 20.);
+          comm_range = (0.25, 10.);
+          max_rows = 40;
+        }
+      in
+      let a = Workload.Gen.random_mapping g params in
+      let b =
+        if seed mod 3 = 0 then Result.get_ok (Instance_io.parse (Instance_io.to_string a))
+        else variant g a
+      in
+      Bool.equal
+        (String.equal (key_of a) (key_of b))
+        (String.equal (Instance_io.to_string a) (Instance_io.to_string b)))
+
+(* a single processor's default bandwidth is its diagonal, and the
+   printer writes it: the key must see it too *)
+let test_key_single_processor () =
+  let text bw = Printf.sprintf "stages 1\nwork 1\nprocessors 1\nspeeds 1\nbandwidth default %s\nteam 0\n" bw in
+  let key t = key_of (Result.get_ok (Instance_io.parse t)) in
+  Alcotest.(check bool) "diagonal default in the key" false (key (text "1") = key (text "2"));
+  Alcotest.(check bool) "diagonal override in the key" false
+    (key (text "1") = key (text "1\nbandwidth 0 0 2"));
+  Alcotest.(check bool) "same value, other spelling" true (key (text "2") = key (text "2e0"))
+
+(* a floor may be -0, which renders as "-0": the key keeps the sign *)
+let test_key_signed_zero () =
+  let text floor =
+    Printf.sprintf
+      "tenancy 1\nprocessors 1\nspeeds 1\nbandwidth default 1\n\
+       tenant a weight 1 floor %s\nstages 1\nwork 1\nteam 0\n" floor
+  in
+  let key t =
+    let buf = Buffer.create 64 in
+    Instance_io.add_multi_key buf (Result.get_ok (Instance_io.parse_multi t));
+    Buffer.contents buf
+  in
+  Alcotest.(check bool) "-0 and 0 differ" false (key (text "0") = key (text "-0"));
+  Alcotest.(check bool) "0 and 0.0 agree" true (key (text "0") = key (text "0.0"))
 
 let test_parse_file_missing () =
   match Instance_io.parse_file "/nonexistent/instance.txt" with
@@ -169,6 +351,15 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_render_roundtrip;
           Alcotest.test_case "missing file" `Quick test_parse_file_missing;
+          QCheck_alcotest.to_alcotest qcheck_random_bytes_never_raise;
+          QCheck_alcotest.to_alcotest qcheck_token_soup_never_raises;
+          QCheck_alcotest.to_alcotest qcheck_mutations_never_raise;
+        ] );
+      ( "key",
+        [
+          QCheck_alcotest.to_alcotest qcheck_key_groups_as_rendering;
+          Alcotest.test_case "single processor" `Quick test_key_single_processor;
+          Alcotest.test_case "signed zero" `Quick test_key_signed_zero;
         ] );
       ("example C", [ Alcotest.test_case "structure" `Quick test_example_c_structure ]);
     ]

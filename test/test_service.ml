@@ -22,13 +22,18 @@ let config ?(cache = 8) ?(max_inflight = 4) ?(max_frame = 1 lsl 20) ?wall () =
    model solves instantly *)
 let instance =
   "stages 2\nwork 1 1\nfiles 1\nprocessors 3\nspeeds 1 1 1\nbandwidth default 1\n\
-   team 0\nteam 1 2\n"
+   bandwidth 1 0 2\nbandwidth 2 1 0.5\nteam 0\nteam 1 2\n"
 
-(* the same system, textually scrambled: comments, spacing, redundant
-   decimals.  Canonicalization must collapse both onto one cache key. *)
+(* the same system, textually scrambled: comments, spaces and tabs,
+   redundant decimals and exponents, lines and overrides reordered, an
+   override equal to the default and one on the diagonal (neither is
+   printed).  Both must share one cache key.  The overrides sit on links
+   the mapping never uses, so the solve stays as cheap as a homogeneous
+   one. *)
 let instance_messy =
-  "# same system, different bytes\nstages    2\nwork 1.0   1\nfiles 1.00\n\
-   processors 3\nspeeds 1 1.0 1.000\nbandwidth   default 1.0\nteam 0\nteam 1 2\n"
+  "# same system, different bytes\nstages    2\nwork 1.0\t  1\nfiles 1e0\n\
+   bandwidth 2 1 0.50   # reordered\nprocessors 3\nspeeds 1 1.0 1.000\nbandwidth 2 2 7\n\
+   bandwidth\tdefault 1e0\nbandwidth 1 2 1.0\nbandwidth 1 0 2e0\nteam 0\nteam 1 2\n"
 
 (* the four-stage system of the instance_io tests: big enough that the
    strict exponential ladder does real work, so a vanishing wall budget
@@ -94,6 +99,53 @@ let test_json_rejects () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" text))
     bad
+
+(* ---- framing ---- *)
+
+(* Framing depends on the bytes, not on how reads split them: any
+   chunking of a stream yields the events of splitting it at newlines,
+   with every line longer than [max_frame] reported once as oversized.
+   Each chunk sits in a larger buffer, so bytes past [n] must be
+   ignored. *)
+let qcheck_frames_chunking =
+  let max_frame = 8 in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '\n' ]) (int_bound 120))
+        (list_size (int_range 1 20) (int_range 1 16)))
+  in
+  let expected stream =
+    let rec go acc = function
+      | [] -> assert false
+      | [ last ] ->
+          let over = String.length last > max_frame in
+          (List.rev (if over then Frames.Oversized :: acc else acc), last <> "" && not over)
+      | l :: rest ->
+          go ((if String.length l > max_frame then Frames.Oversized else Frames.Line l) :: acc) rest
+    in
+    go [] (String.split_on_char '\n' stream)
+  in
+  let run stream sizes =
+    let t = Frames.create ~max_frame in
+    let events = ref [] in
+    let rec go pos sizes =
+      if pos < String.length stream then begin
+        let size, rest = match sizes with [] -> (String.length stream, []) | k :: r -> (k, r @ [ k ]) in
+        let n = min size (String.length stream - pos) in
+        let chunk = Bytes.of_string (String.sub stream pos n ^ "\nx\n") in
+        Frames.feed t chunk n (fun e -> events := e :: !events);
+        go (pos + n) rest
+      end
+    in
+    go 0 sizes;
+    (List.rev !events, Frames.pending t)
+  in
+  QCheck.Test.make ~name:"Frames.feed: any chunking gives the whole stream's events" ~count:500
+    (QCheck.make ~print:(fun (s, _) -> String.escaped s) gen)
+    (fun (stream, sizes) ->
+      let want = expected stream in
+      run stream [] = want && run stream sizes = want)
 
 (* ---- LRU ---- *)
 
@@ -186,6 +238,11 @@ let test_bad_request () =
   expect_error_kind server {|{"v":1,"cmd":"solve"}|} "bad_request";
   (* instance text the hardened parser rejects *)
   expect_error_kind server (solve_line "stages nonsense\n") "bad_request";
+  (* a negative processor count is a typed refusal, not a dead
+     connection thread *)
+  expect_error_kind server
+    (solve_line "stages 1\nwork 1\nprocessors -1\nspeeds 1\nbandwidth default 1\nteam 0\n")
+    "bad_request";
   (* well-formed instance, bogus law *)
   expect_error_kind server
     (Json.render
@@ -239,6 +296,26 @@ let test_cache_hit_byte_identical () =
         (Option.bind (Json.member "cache" stats) (fun c ->
              Option.bind (Json.member "hits" c) Json.to_int_opt))
 
+(* two tenants sharing processor 1: contention is real, floors are low
+   enough that both are admitted *)
+let multi_instance ?(floor_b = 0.01) () =
+  Printf.sprintf
+    "tenancy 1\nprocessors 3\nspeeds 1 1 1\nbandwidth default 1\n\
+     tenant a weight 1 floor 0.01\nstages 2\nwork 1 1\nfiles 1\nteam 0\nteam 1\n\
+     tenant b weight 3 floor %g\nstages 2\nwork 1 1\nfiles 1\nteam 1\nteam 2\n"
+    floor_b
+
+let multi_line ?floor_b ?(cmd = "solve_multi") () =
+  Json.render
+    (Json.Obj
+       [
+         ("v", Json.Int Protocol.version);
+         ("cmd", Json.String cmd);
+         ("instance", Json.String (multi_instance ?floor_b ()));
+         ("model", Json.String "overlap");
+         ("law", Json.String "exponential");
+       ])
+
 let test_cache_canonical_sharing () =
   let server = Server.create (config ()) in
   ignore (respond server (solve_line instance));
@@ -246,6 +323,69 @@ let test_cache_canonical_sharing () =
   Alcotest.(check bool) "messy text is a cache hit" true
     (Json.member "cached" reply = Some (Json.Bool true));
   Alcotest.(check int) "one shared entry" 1 (Lru.stats (Server.cache server)).Lru.entries
+
+(* every solve-relevant parameter is in the key; budgets bound effort,
+   not the value, so they are not *)
+let test_key_parameters () =
+  let key q =
+    match Engine.prepare q with Ok p -> p.Engine.key | Error msg -> Alcotest.fail msg
+  in
+  let base =
+    {
+      Engine.instance;
+      model = Streaming.Model.Overlap;
+      law = Engine.Exponential;
+      cap = Engine.default_cap;
+      wall = None;
+      sweeps = None;
+      states = None;
+      simulate = false;
+    }
+  in
+  let k0 = key base in
+  List.iter
+    (fun (label, q) -> Alcotest.(check bool) (label ^ " changes the key") false (key q = k0))
+    [
+      ("model", { base with model = Streaming.Model.Strict });
+      ("law", { base with law = Engine.Deterministic });
+      ("erlang law", { base with law = Engine.Erlang 1 });
+      ("cap", { base with cap = 1000 });
+      ("simulate", { base with simulate = true });
+    ];
+  List.iter
+    (fun (label, q) -> Alcotest.(check bool) (label ^ " keeps the key") true (key q = k0))
+    [
+      ("wall", { base with wall = Some 0.5 });
+      ("sweeps", { base with sweeps = Some 10 });
+      ("states", { base with states = Some 10 });
+      ("messy text", { base with instance = instance_messy });
+    ];
+  let multi_key q =
+    match Engine.prepare_multi q with Ok p -> p.Engine.m_key | Error msg -> Alcotest.fail msg
+  in
+  let mbase =
+    {
+      Engine.m_instance = multi_instance ();
+      m_model = Streaming.Model.Overlap;
+      m_law = Engine.Exponential;
+      m_cap = Engine.default_cap;
+      m_wall = None;
+    }
+  in
+  let m0 = multi_key mbase in
+  List.iter
+    (fun (label, q) ->
+      Alcotest.(check bool) ("multi " ^ label ^ " changes the key") false (multi_key q = m0))
+    [
+      ("model", { mbase with m_model = Streaming.Model.Strict });
+      ("law", { mbase with m_law = Engine.Deterministic });
+      ("cap", { mbase with m_cap = 1000 });
+      ("floor", { mbase with m_instance = multi_instance ~floor_b:0.02 () });
+    ];
+  Alcotest.(check bool) "multi wall keeps the key" true
+    (multi_key { mbase with m_wall = Some 0.5 } = m0);
+  Alcotest.(check bool) "single and multi keys never meet" false
+    (String.equal k0 m0)
 
 (* ---- trace-context propagation: the optional obs envelope ---- *)
 
@@ -399,26 +539,6 @@ let test_shutdown_command () =
 
 (* ---- multi-tenant requests ---- *)
 
-(* two tenants sharing processor 1: contention is real, floors are low
-   enough that both are admitted *)
-let multi_instance ?(floor_b = 0.01) () =
-  Printf.sprintf
-    "tenancy 1\nprocessors 3\nspeeds 1 1 1\nbandwidth default 1\n\
-     tenant a weight 1 floor 0.01\nstages 2\nwork 1 1\nfiles 1\nteam 0\nteam 1\n\
-     tenant b weight 3 floor %g\nstages 2\nwork 1 1\nfiles 1\nteam 1\nteam 2\n"
-    floor_b
-
-let multi_line ?floor_b ?(cmd = "solve_multi") () =
-  Json.render
-    (Json.Obj
-       [
-         ("v", Json.Int Protocol.version);
-         ("cmd", Json.String cmd);
-         ("instance", Json.String (multi_instance ?floor_b ()));
-         ("model", Json.String "overlap");
-         ("law", Json.String "exponential");
-       ])
-
 let test_solve_multi_ok_and_cached () =
   let server = Server.create (config ()) in
   let line = multi_line () in
@@ -497,7 +617,19 @@ let test_solve_multi_bad_instance () =
             ("instance", Json.String instance);
           ]))
     "bad_request";
-  expect_error_kind server {|{"v":1,"cmd":"solve_multi"}|} "bad_request"
+  expect_error_kind server {|{"v":1,"cmd":"solve_multi"}|} "bad_request";
+  expect_error_kind server
+    (Json.render
+       (Json.Obj
+          [
+            ("v", Json.Int 1);
+            ("cmd", Json.String "solve_multi");
+            ( "instance",
+              Json.String
+                "tenancy 1\nprocessors -1\nspeeds 1\nbandwidth default 1\n\
+                 tenant a weight 1 floor 0\nstages 1\nwork 1\nteam 0\n" );
+          ]))
+    "bad_request"
 
 let test_admit_audit () =
   let server = Server.create (config ()) in
@@ -877,6 +1009,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
         ] );
+      ("frames", [ QCheck_alcotest.to_alcotest qcheck_frames_chunking ]);
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
@@ -893,6 +1026,7 @@ let () =
           Alcotest.test_case "solve ok" `Quick test_solve_ok;
           Alcotest.test_case "cache hit byte-identical" `Quick test_cache_hit_byte_identical;
           Alcotest.test_case "canonical sharing" `Quick test_cache_canonical_sharing;
+          Alcotest.test_case "key parameters" `Quick test_key_parameters;
           Alcotest.test_case "obs envelope outside the cache key" `Quick
             test_obs_envelope_outside_cache_key;
           Alcotest.test_case "obs envelope threads into the span" `Quick

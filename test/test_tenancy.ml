@@ -190,6 +190,34 @@ let qcheck_multi_roundtrip =
       | Error _ -> false
       | Ok decls' -> Instance_io.multi_to_string decls' = text)
 
+(* The tenancy tier keys its cache on [add_multi_key]; it must group
+   blocks exactly as [multi_to_string] does.  Pairs differ in one
+   tenant's weight or floor by one ulp, in a floor's sign, in a tenant
+   id, only in the reparse, or not at all. *)
+let qcheck_multi_key_groups_as_rendering =
+  QCheck.Test.make ~name:"add_multi_key equal iff multi_to_string equal" ~count:60
+    QCheck.small_int (fun seed ->
+      let decls = mix ~seed:(seed + 401) ~tenants:(1 + (seed mod 4)) () in
+      let k = seed mod List.length decls in
+      let change f = List.mapi (fun i d -> if i = k then f d else d) decls in
+      let other =
+        match seed mod 6 with
+        | 0 -> change (fun d -> { d with Instance_io.weight = Float.succ d.Instance_io.weight })
+        | 1 -> change (fun d -> { d with Instance_io.floor = Float.succ d.Instance_io.floor })
+        | 2 -> change (fun d -> { d with Instance_io.floor = Float.neg d.Instance_io.floor })
+        | 3 -> change (fun d -> { d with Instance_io.tenant_id = d.Instance_io.tenant_id ^ "x" })
+        | 4 -> Result.get_ok (Instance_io.parse_multi (Instance_io.multi_to_string decls))
+        | _ -> decls
+      in
+      let key d =
+        let buf = Buffer.create 256 in
+        Instance_io.add_multi_key buf d;
+        Buffer.contents buf
+      in
+      Bool.equal
+        (String.equal (key decls) (key other))
+        (String.equal (Instance_io.multi_to_string decls) (Instance_io.multi_to_string other)))
+
 let test_parse_multi_errors () =
   let expect_error label text =
     match Instance_io.parse_multi text with
@@ -266,6 +294,7 @@ let () =
       ( "instance io",
         [
           QCheck_alcotest.to_alcotest qcheck_multi_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_multi_key_groups_as_rendering;
           Alcotest.test_case "parse errors" `Quick test_parse_multi_errors;
           Alcotest.test_case "worked example" `Quick test_parse_multi_example;
         ] );
