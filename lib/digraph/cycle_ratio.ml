@@ -2,154 +2,215 @@ exception Unbounded
 
 type result = { ratio : float; cycle : Digraph.edge list }
 
-(* Longest-path Bellman-Ford from an implicit super source (all distances
-   start at 0).  Returns a cycle whose reweighted cost exceeds [eps], if
-   any.  [lambda] reweights each edge to [weight - lambda * tokens].
-
-   Early exit: no simple path can accumulate more than the sum of the
-   positive edge costs, so crossing that threshold proves a positive cycle
-   without waiting for the n-th pass.  If the predecessor graph does not
-   yet expose the cycle (which the theory rules out, but floating point
-   does not), we fall back to the plain O(V.E) run. *)
-let rec positive_cycle ?(early = true) graph ~lambda ~eps =
-  let n = Digraph.n_nodes graph in
-  let dist = Array.make n 0.0 in
-  let pred = Array.make n None in
-  let all_edges = Digraph.edges graph in
-  let cost e = e.Digraph.weight -. (lambda *. float_of_int e.Digraph.tokens) in
-  let threshold =
-    if early then 1.0 +. List.fold_left (fun acc e -> acc +. max 0.0 (cost e)) 0.0 all_edges
-    else infinity
-  in
-  let overflow = ref None in
-  let changed = ref true in
-  let passes = ref 0 in
-  while !overflow = None && !changed && !passes < n do
-    changed := false;
-    incr passes;
-    List.iter
-      (fun e ->
-        let candidate = dist.(e.Digraph.src) +. cost e in
-        if candidate > dist.(e.Digraph.dst) +. eps then begin
-          dist.(e.Digraph.dst) <- candidate;
-          pred.(e.Digraph.dst) <- Some e;
-          if candidate > threshold && !overflow = None then overflow := Some e.Digraph.dst;
-          changed := true
-        end)
-      all_edges
-  done;
-  if !overflow = None && not !changed then None
-  else begin
-    let start = ref !overflow in
-    List.iter
-      (fun e ->
-        if !start = None && dist.(e.Digraph.src) +. cost e > dist.(e.Digraph.dst) +. eps then
-          start := Some e.Digraph.dst)
-      all_edges;
-    match !start with
-    | None -> None
-    | Some v0 -> (
-        (* walk the predecessor chain until a vertex repeats: that vertex
-           anchors a cycle of the predecessor graph *)
-        let visited = Array.make n false in
-        let rec find_repeat u steps =
-          if visited.(u) then Some u
-          else if steps > n then None
-          else begin
-            visited.(u) <- true;
-            match pred.(u) with None -> None | Some e -> find_repeat e.Digraph.src (steps + 1)
-          end
-        in
-        match find_repeat v0 0 with
-        | Some anchor ->
-            let rec collect u acc =
-              match pred.(u) with
-              | None -> acc
-              | Some e ->
-                  if e.Digraph.src = anchor then e :: acc else collect e.Digraph.src (e :: acc)
-            in
-            Some (collect anchor [])
-        | None ->
-            if early then positive_cycle ~early:false graph ~lambda ~eps
-            else None)
-  end
-
-let cycle_ratio_of edges =
-  let weight = List.fold_left (fun acc e -> acc +. e.Digraph.weight) 0.0 edges in
-  let tokens = List.fold_left (fun acc e -> acc + e.Digraph.tokens) 0 edges in
-  if tokens = 0 then raise Unbounded;
+(* Σweight / Σtokens, summed in list order. *)
+let ratio_of cycle =
+  let weight = List.fold_left (fun acc e -> acc +. e.Digraph.weight) 0.0 cycle in
+  let tokens = List.fold_left (fun acc e -> acc + e.Digraph.tokens) 0 cycle in
   weight /. float_of_int tokens
 
-(* Some cycle of the graph, used as the witness when the max ratio is 0. *)
-let any_cycle graph =
-  let n = Digraph.n_nodes graph in
-  let state = Array.make n 0 in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let found = ref None in
-  let rec visit path v =
-    if !found = None then begin
-      state.(v) <- 1;
-      List.iter
-        (fun e ->
-          if !found = None then
-            let w = e.Digraph.dst in
-            if state.(w) = 1 then begin
-              let rec unwind acc = function
-                | [] -> acc
-                | e' :: rest ->
-                    if e'.Digraph.src = w then e' :: acc else unwind (e' :: acc) rest
-              in
-              found := Some (unwind [] (e :: path))
-            end
-            else if state.(w) = 0 then visit (e :: path) w)
-        (Digraph.out_edges graph v);
-      state.(v) <- 2
-    end
+(* Howard's policy iteration on one strongly connected component.
+   [members] is sorted, and [local.(u)] is the position of node [u] in
+   its component.  A policy picks one out-edge per node inside the
+   component; its graph is functional, so every walk ends in a cycle.
+   Evaluation gives each node the ratio [eta] of the cycle it reaches and
+   a potential [value] (0 at the cycle's smallest node).  Improvement
+   first moves nodes towards larger ratios; only when none can move does
+   it raise potentials among equal ratios, which closes a new cycle only
+   if that cycle has a strictly larger ratio.  A pass that switches no
+   edge certifies the maximum.  Returns the best cycle of the final
+   policy graph, starting at its smallest node. *)
+let solve_component graph ~component ~local ~tol members =
+  let k = Array.length members in
+  let rows =
+    Array.map
+      (fun u ->
+        Digraph.out_edges graph u
+        |> List.filter (fun e -> component.(e.Digraph.dst) = component.(u))
+        |> List.rev |> Array.of_list)
+      members
   in
-  let v = ref 0 in
-  while !found = None && !v < n do
-    if state.(!v) = 0 then visit [] !v;
-    incr v
-  done;
-  !found
+  if Array.length rows.(0) = 0 then None (* a single node without a self-loop *)
+  else begin
+    (* the component's edges in flat arrays; node [i]'s out-edges are
+       [first.(i) .. first.(i + 1) - 1], and a policy holds edge indices *)
+    let first = Array.make (k + 1) 0 in
+    Array.iteri (fun i row -> first.(i + 1) <- first.(i) + Array.length row) rows;
+    let edges = Array.concat (Array.to_list rows) in
+    let dst = Array.map (fun e -> local.(e.Digraph.dst)) edges in
+    let weight = Array.map (fun e -> e.Digraph.weight) edges in
+    let tokens = Array.map (fun e -> float_of_int e.Digraph.tokens) edges in
+    (* start from each node's heaviest edge *)
+    let policy =
+      Array.init k (fun i ->
+          let best = ref first.(i) in
+          for e = first.(i) + 1 to first.(i + 1) - 1 do
+            if weight.(e) > weight.(!best) then best := e
+          done;
+          !best)
+    in
+    let eta = Array.make k 0.0 and value = Array.make k 0.0 in
+    let state = Array.make k 0 (* 0 unseen, 1 on the current walk, 2 evaluated *) in
+    let path = Array.make k 0 in
+    (* the best cycle of the last evaluation, by its smallest node; the
+       first one found wins a tie *)
+    let best_root = ref 0 and best_ratio = ref neg_infinity in
+    let evaluate () =
+      Array.fill state 0 k 0;
+      best_ratio := neg_infinity;
+      for s = 0 to k - 1 do
+        if state.(s) = 0 then begin
+          let len = ref 0 and u = ref s in
+          while state.(!u) = 0 do
+            state.(!u) <- 1;
+            path.(!len) <- !u;
+            incr len;
+            u := dst.(policy.(!u))
+          done;
+          if state.(!u) = 1 then begin
+            (* the walk closed a new cycle: path.(start .. len-1) *)
+            let start = ref (!len - 1) in
+            while path.(!start) <> !u do decr start done;
+            let start = !start in
+            let size = !len - start in
+            let rpos = ref start in
+            for p = start + 1 to !len - 1 do
+              if path.(p) < path.(!rpos) then rpos := p
+            done;
+            let root = path.(!rpos) in
+            (* summed from the root, as [ratio_of] sums the witness *)
+            let w = ref 0.0 and t = ref 0.0 and v = ref root in
+            for _ = 1 to size do
+              let e = policy.(!v) in
+              w := !w +. weight.(e);
+              t := !t +. tokens.(e);
+              v := dst.(e)
+            done;
+            let lam = !w /. !t in
+            if lam > !best_ratio then begin
+              best_root := root;
+              best_ratio := lam
+            end;
+            eta.(root) <- lam;
+            value.(root) <- 0.0;
+            state.(root) <- 2;
+            (* backwards around the cycle from the node before the root *)
+            for d = 1 to size - 1 do
+              let j = path.(start + ((!rpos - start - d + size) mod size)) in
+              let e = policy.(j) in
+              eta.(j) <- lam;
+              value.(j) <- weight.(e) -. (lam *. tokens.(e)) +. value.(dst.(e));
+              state.(j) <- 2
+            done;
+            len := start
+          end;
+          (* the rest of the walk hangs off evaluated nodes *)
+          for p = !len - 1 downto 0 do
+            let j = path.(p) in
+            let e = policy.(j) in
+            let nj = dst.(e) in
+            eta.(j) <- eta.(nj);
+            value.(j) <- weight.(e) -. (eta.(nj) *. tokens.(e)) +. value.(nj);
+            state.(j) <- 2
+          done
+        end
+      done
+    in
+    (* the largest gain a switch of the last improvement pass offered *)
+    let gain = ref 0.0 in
+    let switch i e best here =
+      gain := Float.max !gain (best -. here);
+      policy.(i) <- e
+    in
+    let improve_ratio () =
+      let changed = ref false in
+      for i = 0 to k - 1 do
+        let best = ref (eta.(i) +. tol) and choice = ref (-1) in
+        for e = first.(i) to first.(i + 1) - 1 do
+          if eta.(dst.(e)) > !best then begin
+            best := eta.(dst.(e));
+            choice := e
+          end
+        done;
+        if !choice >= 0 then begin
+          switch i !choice !best eta.(i);
+          changed := true
+        end
+      done;
+      !changed
+    in
+    let improve_value () =
+      let changed = ref false in
+      for i = 0 to k - 1 do
+        let lam = eta.(i) in
+        let best = ref (value.(i) +. tol) and choice = ref (-1) in
+        for e = first.(i) to first.(i + 1) - 1 do
+          let j = dst.(e) in
+          if abs_float (eta.(j) -. lam) <= tol then begin
+            let offer = weight.(e) -. (lam *. tokens.(e)) +. value.(j) in
+            if offer > !best then begin
+              best := offer;
+              choice := e
+            end
+          end
+        done;
+        if !choice >= 0 then begin
+          switch i !choice !best value.(i);
+          changed := true
+        end
+      done;
+      !changed
+    in
+    let cap = 4 * ((k * k) + Array.length edges) in
+    let rec iterate passes =
+      evaluate ();
+      gain := 0.0;
+      if improve_ratio () || improve_value () then
+        if passes >= cap then
+          Supervise.Error.raise_
+            (Supervise.Error.No_convergence { sweeps = passes; residual = !gain })
+        else iterate (passes + 1)
+    in
+    iterate 1;
+    let rec walk v acc =
+      let e = policy.(v) in
+      let acc = edges.(e) :: acc in
+      if dst.(e) = !best_root then List.rev acc else walk dst.(e) acc
+    in
+    let cycle = walk !best_root [] in
+    Some { ratio = ratio_of cycle; cycle }
+  end
 
 let max_cycle_ratio graph =
   if not (Digraph.zero_token_acyclic graph) then raise Unbounded;
+  let n = Digraph.n_nodes graph in
   let scale =
     List.fold_left (fun acc e -> max acc (abs_float e.Digraph.weight)) 1.0 (Digraph.edges graph)
   in
-  let eps = 1e-9 *. scale in
-  match positive_cycle graph ~lambda:0.0 ~eps with
-  | None -> (
-      match any_cycle graph with
-      | None -> None
-      | Some cycle -> Some { ratio = 0.0; cycle })
-  | Some first_cycle ->
-      let hi =
-        1.0
-        +. List.fold_left
-             (fun acc e -> acc +. max 0.0 e.Digraph.weight)
-             0.0 (Digraph.edges graph)
-      in
-      (* Invariant: a positive cycle exists at [lo], none at [hi]. *)
-      let rec search lo hi witness iterations =
-        if iterations = 0 || hi -. lo <= 1e-12 *. scale then (lo, witness)
-        else
-          let mid = 0.5 *. (lo +. hi) in
-          match positive_cycle graph ~lambda:mid ~eps with
-          | Some cycle -> search mid hi cycle (iterations - 1)
-          | None -> search lo mid witness (iterations - 1)
-      in
-      let _, witness = search 0.0 hi first_cycle 200 in
-      (* Snap to the exact ratio of the witness cycle, then keep improving
-         while a strictly better cycle exists. *)
-      let rec improve cycle =
-        let r = cycle_ratio_of cycle in
-        match positive_cycle graph ~lambda:r ~eps with
-        | None -> { ratio = r; cycle }
-        | Some better -> if cycle_ratio_of better > r then improve better else { ratio = r; cycle }
-      in
-      Some (improve witness)
+  let tol = 1e-10 *. scale in
+  let components =
+    List.map
+      (fun nodes ->
+        let a = Array.of_list nodes in
+        Array.sort Int.compare a;
+        a)
+      (Digraph.sccs graph)
+  in
+  let component = Array.make n 0 and local = Array.make n 0 in
+  List.iteri
+    (fun c members ->
+      Array.iteri
+        (fun i u ->
+          component.(u) <- c;
+          local.(u) <- i)
+        members)
+    components;
+  List.fold_left
+    (fun best members ->
+      match (solve_component graph ~component ~local ~tol members, best) with
+      | Some r, Some b when r.ratio <= b.ratio -> best
+      | None, _ -> best
+      | found, _ -> found)
+    None components
 
 let karp_max_cycle_mean graph =
   let n = Digraph.n_nodes graph in

@@ -3,23 +3,38 @@
     For a timed event graph, the steady-state period is
     max over cycles C of (sum of firing times on C) / (sum of tokens on C)
     (Baccelli et al., "Synchronization and Linearity").  This module solves
-    that maximisation with Lawler's parametric search — λ is feasible iff
-    the reweighted graph (weight − λ·tokens) has no positive cycle — and
-    snaps the binary-search answer to the exact rational ratio of a witness
-    cycle. *)
+    that maximisation with Howard's policy iteration, run on each strongly
+    connected component (Cochet-Terrasson et al., "Numerical computation
+    of spectral elements in max-plus algebra"): keep one out-edge per node,
+    evaluate the cycles of that policy graph, and switch a node's edge
+    while a neighbour offers a larger ratio, or an equal ratio with a
+    larger potential.  The answer is the exact rational ratio of a cycle
+    of the final policy graph. *)
 
 exception Unbounded
-(** Raised when a cycle carries positive weight but no token: the event
-    graph is not live and the ratio is +∞. *)
+(** Raised when a cycle carries no token: the event graph is not live
+    and the ratio is unbounded. *)
 
 type result = {
-  ratio : float;  (** the maximum cycle ratio *)
-  cycle : Digraph.edge list;  (** a critical cycle achieving it *)
+  ratio : float;
+      (** the maximum cycle ratio: Σweight / Σtokens over [cycle], summed
+          in its order *)
+  cycle : Digraph.edge list;
+      (** a critical cycle achieving it, starting at the edge with the
+          smallest source node.  When several cycles tie, the first one in
+          {!Digraph.sccs} order wins. *)
 }
 
 val max_cycle_ratio : Digraph.t -> result option
 (** [None] when the graph has no cycle at all.  Raises {!Unbounded} if a
-    zero-token cycle with positive weight exists. *)
+    zero-token cycle exists.  The ratio is certified: the iteration stops
+    only when an improvement pass switches no edge, so a cycle can beat
+    the answer by at most about 1e-10 · max(1, max |weight|) per edge of
+    that cycle, the switching tolerance.  An
+    iteration that does not settle within 4·(k² + e) passes on a
+    component of k nodes and e edges raises
+    [Supervise.Error.Solver_error (No_convergence _)] rather than return a
+    ratio below the maximum. *)
 
 val karp_max_cycle_mean : Digraph.t -> float option
 (** Karp's algorithm for the maximum cycle *mean* (every edge counted as

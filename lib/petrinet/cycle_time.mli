@@ -13,7 +13,11 @@ type analysis = {
 
 val analyse : Teg.t -> analysis option
 (** [None] for an acyclic net (unbounded rate).  Raises
-    [Graphs.Cycle_ratio.Unbounded] on a deadlocked net. *)
+    [Graphs.Cycle_ratio.Unbounded] on a deadlocked net (a cycle of places
+    without a token), and [Supervise.Error.Solver_error (No_convergence _)]
+    if the policy iteration of {!Graphs.Cycle_ratio.max_cycle_ratio} does
+    not settle within its pass cap.  The critical cycle starts at its
+    smallest transition index. *)
 
 val period : Teg.t -> float
 (** Shortcut; 0 for an acyclic net. *)

@@ -154,14 +154,22 @@ let read_pipeline_line t lineno l =
       | Some a when Array.length a > 0 -> t.teams <- a :: t.teams
       | _ -> fail lineno "bad team")
 
+let max_processors = 1024
+
 (* The platform, once every line is read.  The processor count and the
    number of speeds are checked before the m x m bandwidth matrix is
-   allocated, so a short text cannot ask for gigabytes. *)
+   allocated, so a short text cannot ask for gigabytes: even a text that
+   lists all its speeds gets at most two 8 MiB matrices (the parse and
+   the [Platform.create] copy). *)
 let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default overrides =
   if m < 1 then Error (Printf.sprintf "line %d: processor count must be positive" procs_line)
   else if Array.length speeds <> m then
     Error
       (Printf.sprintf "line %d: %d speeds for %d processors" speeds_line (Array.length speeds) m)
+  else if m > max_processors then
+    Error
+      (Printf.sprintf "line %d: %d processors exceed the limit of %d" procs_line m
+         max_processors)
   else
     let overrides = List.rev overrides in
     match List.find_opt (fun (_, p, q, _) -> p < 0 || p >= m || q < 0 || q >= m) overrides with

@@ -25,8 +25,14 @@ val parse : string -> (Mapping.t, string) result
     finite and positive, file sizes finite and non-negative, and a
     bandwidth override must name processors that exist — violations are
     reported with the offending line number.  The processor count must be
-    positive and match the number of speeds; both are checked before the
-    bandwidth matrix is allocated.  Never raises. *)
+    positive, match the number of speeds and stay within
+    {!max_processors}; all three are checked before the bandwidth matrix
+    is allocated.  Never raises. *)
+
+val max_processors : int
+(** The largest processor count {!parse} and {!parse_multi} accept
+    (1024).  It bounds the m × m bandwidth matrix a text can make them
+    allocate at 8 MiB. *)
 
 val parse_file : string -> (Mapping.t, string) result
 

@@ -150,6 +150,19 @@ let test_critical_transitions_nonempty () =
   let a = Deterministic.analyse Workload.Scenarios.example_a Model.Overlap in
   Alcotest.(check bool) "has critical cycle" true (List.length a.Deterministic.critical_transitions > 0)
 
+(* Table 1 at full size (60 instances per row, up to 60 rows each) must
+   reproduce the committed reference output: the Table 1 block, the first
+   16 lines of full_experiments.txt *)
+let test_table1_full_matches_reference () =
+  let first_16 text = String.split_on_char '\n' text |> List.filteri (fun i _ -> i < 16) in
+  let reference = In_channel.with_open_text "../full_experiments.txt" In_channel.input_all in
+  let table1 = Option.get (Experiments.Registry.find "table1") in
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  table1.Experiments.Registry.run ~quick:false ppf;
+  Format.pp_print_flush ppf ();
+  Alcotest.(check (list string)) "Table 1 block" (first_16 reference) (first_16 (Buffer.contents buf))
+
 let () =
   Alcotest.run "deterministic"
     [
@@ -171,6 +184,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_strict_slower_than_overlap;
           QCheck_alcotest.to_alcotest qcheck_decomposition_matches_full_tpn;
         ] );
+      ( "reproduction",
+        [ Alcotest.test_case "Table 1 at full size" `Quick test_table1_full_matches_reference ] );
       ( "simulation agreement",
         [ Alcotest.test_case "eg_sim matches theory" `Slow test_eg_sim_matches_theory ] );
     ]

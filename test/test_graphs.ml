@@ -123,6 +123,22 @@ let test_witness_consistency () =
       check_float 1e-9 "witness ratio matches" ratio (weight /. float_of_int tokens);
       check_float 1e-9 "ratio value" 3.25 ratio
 
+(* equal ratios in two components: the witness comes from the first
+   component in [Digraph.sccs] order, rotated to its smallest node *)
+let test_tie_first_component () =
+  let g = Digraph.create 4 in
+  add g 0 1 1.0 1;
+  add g 1 0 2.0 0;
+  add g 2 3 2.0 0;
+  add g 3 2 1.0 1;
+  match Cycle_ratio.max_cycle_ratio g with
+  | None -> Alcotest.fail "expected a cycle"
+  | Some { Cycle_ratio.ratio; cycle } ->
+      check_float 0.0 "ratio" 3.0 ratio;
+      Alcotest.(check (list int))
+        "witness sources" (List.sort Int.compare (List.hd (Digraph.sccs g)))
+        (List.map (fun e -> e.Digraph.src) cycle)
+
 let random_unit_token_graph rng n =
   let g = Digraph.create n in
   (* guarantee at least one cycle *)
@@ -134,8 +150,8 @@ let random_unit_token_graph rng n =
   done;
   g
 
-let qcheck_karp_matches_lawler =
-  QCheck.Test.make ~name:"Karp cycle mean = Lawler ratio on unit-token graphs" ~count:150
+let qcheck_karp_matches_ratio =
+  QCheck.Test.make ~name:"Karp cycle mean = max cycle ratio" ~count:150
     QCheck.(pair (int_range 2 12) small_int)
     (fun (n, seed) ->
       let rng = Prng.create ~seed:(seed + 31) in
@@ -161,28 +177,30 @@ let qcheck_ratio_scale_invariance =
       | Some a, Some b -> abs_float ((factor *. a.Cycle_ratio.ratio) -. b.Cycle_ratio.ratio) < 1e-6
       | _ -> false)
 
-(* -- Howard policy iteration -- *)
+(* -- Howard policy iteration against independent oracles -- *)
 
 let howard_check = Alcotest.(check (float 1e-6))
+
+let howard_ratio g = Option.map (fun r -> r.Cycle_ratio.ratio) (Cycle_ratio.max_cycle_ratio g)
 
 let test_howard_self_loop () =
   let g = Digraph.create 1 in
   add g 0 0 5.0 1;
-  match Howard.max_cycle_ratio g with
+  match howard_ratio g with
   | None -> Alcotest.fail "expected a cycle"
   | Some r -> howard_check "self loop" 5.0 r
 
 let test_howard_acyclic () =
   let g = Digraph.create 2 in
   add g 0 1 3.0 1;
-  Alcotest.(check bool) "acyclic" true (Howard.max_cycle_ratio g = None)
+  Alcotest.(check bool) "acyclic" true (howard_ratio g = None)
 
 let test_howard_unbounded () =
   let g = Digraph.create 2 in
   add g 0 1 1.0 0;
   add g 1 0 1.0 0;
   Alcotest.check_raises "zero-token cycle" Cycle_ratio.Unbounded (fun () ->
-      ignore (Howard.max_cycle_ratio g))
+      ignore (howard_ratio g))
 
 let test_howard_two_components () =
   let g = Digraph.create 4 in
@@ -190,51 +208,142 @@ let test_howard_two_components () =
   add g 1 0 2.0 1;
   add g 2 3 9.0 1;
   add g 3 2 1.0 1;
-  match Howard.max_cycle_ratio g with
+  match howard_ratio g with
   | None -> Alcotest.fail "expected cycles"
   | Some r -> howard_check "max over components" 5.0 r
 
-let qcheck_howard_matches_lawler =
-  QCheck.Test.make ~name:"Howard = Lawler on random token graphs" ~count:200
-    QCheck.(pair (int_range 2 14) small_int)
+(* a tokened backbone cycle plus random chords carrying 0-2 tokens; [None]
+   when a chord closes a zero-token cycle *)
+let random_token_graph n seed =
+  let rng = Prng.create ~seed:(seed + 77) in
+  let g = Digraph.create n in
+  for v = 0 to n - 1 do
+    add g v ((v + 1) mod n) (Prng.uniform rng 0.0 10.0) 1
+  done;
+  for _ = 1 to 3 * n do
+    add g (Prng.int rng n) (Prng.int rng n) (Prng.uniform rng 0.0 10.0) (Prng.int rng 3)
+  done;
+  if Digraph.zero_token_acyclic g then Some g else None
+
+(* the largest Σweight / Σtokens over every simple cycle, each enumerated
+   once from its smallest node *)
+let brute_force_ratio g =
+  let best = ref None in
+  let on_path = Array.make (Digraph.n_nodes g) false in
+  let rec extend start u weight tokens =
+    List.iter
+      (fun e ->
+        let weight = weight +. e.Digraph.weight and tokens = tokens + e.Digraph.tokens in
+        let v = e.Digraph.dst in
+        if v = start then begin
+          let r = weight /. float_of_int tokens in
+          match !best with Some b when b >= r -> () | _ -> best := Some r
+        end
+        else if v > start && not on_path.(v) then begin
+          on_path.(v) <- true;
+          extend start v weight tokens;
+          on_path.(v) <- false
+        end)
+      (Digraph.out_edges g u)
+  in
+  for start = 0 to Digraph.n_nodes g - 1 do
+    extend start start 0.0 0
+  done;
+  !best
+
+let qcheck_howard_matches_brute_force =
+  QCheck.Test.make ~name:"max_cycle_ratio = brute-force cycles" ~count:200
+    QCheck.(pair (int_range 1 8) small_int)
     (fun (n, seed) ->
-      let rng = Prng.create ~seed:(seed + 77) in
-      let g = Digraph.create n in
-      (* a tokened backbone cycle plus random chords *)
-      for v = 0 to n - 1 do
-        add g v ((v + 1) mod n) (Prng.uniform rng 0.0 10.0) 1
-      done;
-      for _ = 1 to 3 * n do
-        add g (Prng.int rng n) (Prng.int rng n) (Prng.uniform rng 0.0 10.0) (Prng.int rng 3)
-      done;
-      if not (Digraph.zero_token_acyclic g) then QCheck.assume_fail ()
+      match random_token_graph n seed with
+      | None -> QCheck.assume_fail ()
+      | Some g -> (
+          match (howard_ratio g, brute_force_ratio g) with
+          | Some h, Some b -> abs_float (h -. b) <= 1e-9 *. abs_float b
+          | None, None -> true
+          | _ -> false))
+
+let random_tpn_graphs seed =
+  let rng = Prng.create ~seed:(seed + 3000) in
+  let mapping =
+    Workload.Gen.random_mapping rng
+      {
+        Workload.Gen.n_stages = 2 + Prng.int rng 3;
+        n_procs = 6 + Prng.int rng 5;
+        comp_range = (5.0, 15.0);
+        comm_range = (5.0, 15.0);
+        max_rows = 40;
+      }
+  in
+  List.map (fun model -> Streaming.Tpn.teg (Streaming.Tpn.build mapping model)) Streaming.Model.all
+
+(* the maximum cycle mean of a (max,+) matrix: the largest eigenvalue of
+   its irreducible diagonal blocks, which the power algorithm finds *)
+let maxplus_max_cycle_mean a =
+  let n = Array.length a in
+  let precedence = Digraph.create n in
+  Array.iteri
+    (fun i row -> Array.iteri (fun j w -> if w > Maxplus.epsilon then add precedence j i w 1) row)
+    a;
+  List.fold_left
+    (fun best nodes ->
+      let block = Array.of_list nodes in
+      let sub = Array.map (fun i -> Array.map (fun j -> a.(i).(j)) block) block in
+      if Array.for_all (Array.for_all (fun w -> w = Maxplus.epsilon)) sub then best
       else
-        match (Howard.max_cycle_ratio g, Cycle_ratio.max_cycle_ratio g) with
-        | Some h, Some { Cycle_ratio.ratio; _ } -> abs_float (h -. ratio) < 1e-6 *. (1.0 +. ratio)
-        | None, None -> true
-        | _ -> false)
+        match (Maxplus.eigenvalue sub, best) with
+        | None, _ -> QCheck.Test.fail_report "no eigenvalue for an irreducible block"
+        | Some ev, Some b when b >= ev -> best
+        | Some ev, _ -> Some ev)
+    None (Digraph.sccs precedence)
 
 let qcheck_howard_on_tpns =
-  QCheck.Test.make ~name:"Howard agrees with Lawler on mapping TPNs" ~count:20 QCheck.small_int
-    (fun seed ->
-      let rng = Prng.create ~seed:(seed + 3000) in
-      let mapping =
-        Workload.Gen.random_mapping rng
-          {
-            Workload.Gen.n_stages = 2 + Prng.int rng 3;
-            n_procs = 6 + Prng.int rng 5;
-            comp_range = (5.0, 15.0);
-            comm_range = (5.0, 15.0);
-            max_rows = 40;
-          }
-      in
+  QCheck.Test.make ~name:"TPNs: max ratio = (max,+) eigenvalue" ~count:20
+    QCheck.small_int (fun seed ->
       List.for_all
-        (fun model ->
-          let g = Petrinet.Teg.to_digraph (Streaming.Tpn.teg (Streaming.Tpn.build mapping model)) in
-          match (Howard.max_cycle_ratio g, Cycle_ratio.max_cycle_ratio g) with
-          | Some h, Some { Cycle_ratio.ratio; _ } -> abs_float (h -. ratio) < 1e-6 *. ratio
+        (fun teg ->
+          (* TPN places carry 0 or 1 token: x(k) = A0* (x) A1 (x) x(k-1) *)
+          let a0, a1 = Petrinet.Teg.to_maxplus teg in
+          match
+            ( howard_ratio (Petrinet.Teg.to_digraph teg),
+              maxplus_max_cycle_mean (Maxplus.mul (Maxplus.star a0) a1) )
+          with
+          | Some h, Some ev -> abs_float (h -. ev) < 1e-9 *. ev
           | _ -> false)
-        Streaming.Model.all)
+        (random_tpn_graphs seed))
+
+(* the witness is a simple closed walk of the graph's own edges, starts at
+   its smallest source node, and its Σweight / Σtokens is [ratio] bit for
+   bit *)
+let witness_ok g =
+  match Cycle_ratio.max_cycle_ratio g with
+  | None -> false
+  | Some { Cycle_ratio.ratio; cycle } ->
+      let edges = Digraph.edges g in
+      let srcs = List.map (fun e -> e.Digraph.src) cycle in
+      let first = List.hd cycle in
+      let rec closed = function
+        | a :: (b :: _ as rest) -> a.Digraph.dst = b.Digraph.src && closed rest
+        | [ last ] -> last.Digraph.dst = first.Digraph.src
+        | [] -> false
+      in
+      let weight = List.fold_left (fun acc e -> acc +. e.Digraph.weight) 0.0 cycle in
+      let tokens = List.fold_left (fun acc e -> acc + e.Digraph.tokens) 0 cycle in
+      List.for_all (fun e -> List.memq e edges) cycle
+      && closed cycle
+      && List.length (List.sort_uniq Int.compare srcs) = List.length srcs
+      && first.Digraph.src = List.fold_left min max_int srcs
+      && Int64.equal (Int64.bits_of_float ratio)
+           (Int64.bits_of_float (weight /. float_of_int tokens))
+
+let qcheck_witness =
+  QCheck.Test.make ~name:"critical cycle: closed, rotated, exact" ~count:200
+    QCheck.(pair (int_range 1 8) small_int)
+    (fun (n, seed) ->
+      (match random_token_graph n seed with None -> true | Some g -> witness_ok g)
+      && List.for_all
+           (fun teg -> witness_ok (Petrinet.Teg.to_digraph teg))
+           (random_tpn_graphs seed))
 
 let () =
   Alcotest.run "graphs"
@@ -256,7 +365,8 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_unbounded;
           Alcotest.test_case "acyclic" `Quick test_acyclic_none;
           Alcotest.test_case "witness consistency" `Quick test_witness_consistency;
-          QCheck_alcotest.to_alcotest qcheck_karp_matches_lawler;
+          Alcotest.test_case "tie: first component" `Quick test_tie_first_component;
+          QCheck_alcotest.to_alcotest qcheck_karp_matches_ratio;
           QCheck_alcotest.to_alcotest qcheck_ratio_scale_invariance;
         ] );
       ( "howard",
@@ -265,7 +375,8 @@ let () =
           Alcotest.test_case "acyclic" `Quick test_howard_acyclic;
           Alcotest.test_case "unbounded" `Quick test_howard_unbounded;
           Alcotest.test_case "two components" `Quick test_howard_two_components;
-          QCheck_alcotest.to_alcotest qcheck_howard_matches_lawler;
+          QCheck_alcotest.to_alcotest qcheck_howard_matches_brute_force;
           QCheck_alcotest.to_alcotest qcheck_howard_on_tpns;
+          QCheck_alcotest.to_alcotest qcheck_witness;
         ] );
     ]

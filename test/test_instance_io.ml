@@ -46,6 +46,11 @@ let test_parse_errors () =
   expect_error "team" "stages 2\nwork 1 1\nfiles 1\nprocessors 2\nspeeds 1 1\nbandwidth default 1\nteam 0\n";
   expect_error "bad speeds" "stages 1\nwork 1\nprocessors 1\nspeeds abc\nbandwidth default 1\nteam 0\n"
 
+(* the platform lines of [m] processors that list all [m] speeds *)
+let over_cap_platform m =
+  Printf.sprintf "processors %d\nspeeds%s\nbandwidth default 1\n" m
+    (String.concat "" (List.init m (fun _ -> " 1")))
+
 (* numeric sanity: NaN, infinities, wrong signs and dangling overrides are
    rejected with the offending line number *)
 let test_parse_insane_numbers () =
@@ -77,6 +82,13 @@ let test_parse_insane_numbers () =
     "stages 1\nwork 1\nprocessors -1\nspeeds 1\nbandwidth default 1\nteam 0\n";
   expect_error "line 4: 1 speeds for 4000 processors"
     "stages 1\nwork 1\nprocessors 4000\nspeeds 1\nbandwidth default 1\nteam 0\n";
+  (* a text that really lists its speeds is capped too: 20 000 of them fit
+     in 40 KB but would ask for two 3.2 GB matrices *)
+  let over = Instance_io.max_processors + 1 in
+  let listed = over_cap_platform over in
+  expect_error
+    (Printf.sprintf "line 3: %d processors exceed the limit of %d" over Instance_io.max_processors)
+    ("stages 1\nwork 1\n" ^ listed ^ "team 0\n");
   let expect_multi_error fragment text =
     match Instance_io.parse_multi text with
     | Ok _ -> Alcotest.fail ("expected parse_multi error mentioning " ^ fragment)
@@ -88,7 +100,9 @@ let test_parse_insane_numbers () =
   expect_multi_error "line 2: processor count must be positive"
     ("tenancy 1\nprocessors -1\nspeeds 1\nbandwidth default 1\n" ^ tenant);
   expect_multi_error "line 3: 1 speeds for 4000 processors"
-    ("tenancy 1\nprocessors 4000\nspeeds 1\nbandwidth default 1\n" ^ tenant)
+    ("tenancy 1\nprocessors 4000\nspeeds 1\nbandwidth default 1\n" ^ tenant);
+  expect_multi_error (Printf.sprintf "line 2: %d processors exceed the limit" over)
+    ("tenancy 1\n" ^ listed ^ tenant)
 
 (* ---- the parsers never raise ---- *)
 
@@ -118,8 +132,9 @@ let qcheck_token_soup_never_raises =
     (QCheck.make ~print:String.escaped gen) both_never_raise
 
 (* one mutation of a valid text: a bad count on its first processors or
-   stages line, a bad number in place of any token, or one line dropped
-   or duplicated *)
+   stages line, a processor count above the cap that lists all its
+   speeds, a bad number in place of any token, or one line dropped or
+   duplicated *)
 let mutate g text =
   let lines = String.split_on_char '\n' text in
   let pick a = a.(Prng.int g (Array.length a)) in
@@ -135,17 +150,25 @@ let mutate g text =
     go 0 lines
   in
   let i = Prng.int g (List.length lines) in
-  match Prng.int g 4 with
+  match Prng.int g 5 with
   | 0 ->
       let target = first (if Prng.int g 2 = 0 then "processors " else "stages ") in
       let count = pick [| "-1"; "0"; "4000"; string_of_int max_int |] in
       edit (fun k l -> [ (if k = target then replace_token 1 count l else l) ])
   | 1 ->
+      let m = Instance_io.max_processors + 1 + Prng.int g 64 in
+      let platform = String.split_on_char '\n' (over_cap_platform m) in
+      let procs = first "processors " and speeds = first "speeds " in
+      edit (fun k l ->
+          if k = procs then [ List.nth platform 0 ]
+          else if k = speeds then [ List.nth platform 1 ]
+          else [ l ])
+  | 2 ->
       let number = pick [| "-1"; "0"; "nan"; "inf"; "-inf"; "-0"; "1e308" |] in
       edit (fun k l ->
           [ (if k = i then replace_token (Prng.int g (List.length (String.split_on_char ' ' l))) number l
              else l) ])
-  | 2 -> edit (fun k l -> if k = i then [] else [ l ])
+  | 3 -> edit (fun k l -> if k = i then [] else [ l ])
   | _ -> edit (fun k l -> if k = i then [ l; l ] else [ l ])
 
 let qcheck_mutations_never_raise =

@@ -120,8 +120,8 @@ let qcheck_eigenvalue_matches_howard =
                 Graphs.Digraph.add_edge graph ~src:j ~dst:i ~weight:w ~tokens:1 ())
             row)
         a;
-      match (Maxplus.eigenvalue a, Graphs.Howard.max_cycle_ratio graph) with
-      | Some ev, Some howard -> abs_float (ev -. howard) < 1e-6
+      match (Maxplus.eigenvalue a, Graphs.Cycle_ratio.max_cycle_ratio graph) with
+      | Some ev, Some { Graphs.Cycle_ratio.ratio; _ } -> abs_float (ev -. ratio) < 1e-6
       | _ -> false)
 
 let () =

@@ -243,6 +243,14 @@ let test_bad_request () =
   expect_error_kind server
     (solve_line "stages 1\nwork 1\nprocessors -1\nspeeds 1\nbandwidth default 1\nteam 0\n")
     "bad_request";
+  (* so is a processor count above the parser's cap, even when the text
+     lists every speed: the m x m bandwidth matrix is never allocated *)
+  let m = Streaming.Instance_io.max_processors + 1 in
+  expect_error_kind server
+    (solve_line
+       (Printf.sprintf "stages 1\nwork 1\nprocessors %d\nspeeds%s\nbandwidth default 1\nteam 0\n" m
+          (String.concat "" (List.init m (fun _ -> " 1")))))
+    "bad_request";
   (* well-formed instance, bogus law *)
   expect_error_kind server
     (Json.render
