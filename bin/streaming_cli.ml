@@ -900,14 +900,16 @@ let statespace_run u v phases cap wall domains check_serial =
       let serial = Petrinet.Marking.explore_graph ?cap ~budget teg in
       let sharded = Petrinet.Marking.explore_graph ?cap ~budget ~pool teg in
       let same =
-        serial.Petrinet.Marking.markings = sharded.Petrinet.Marking.markings
+        Petrinet.Marking.words serial.Petrinet.Marking.codec
+        = Petrinet.Marking.words sharded.Petrinet.Marking.codec
+        && serial.Petrinet.Marking.codes = sharded.Petrinet.Marking.codes
         && serial.Petrinet.Marking.row_ptr = sharded.Petrinet.Marking.row_ptr
         && serial.Petrinet.Marking.succ = sharded.Petrinet.Marking.succ
         && serial.Petrinet.Marking.via = sharded.Petrinet.Marking.via
       in
       Format.printf "serial vs sharded (%d domains): %s (%d states, %d edges)@." domains
         (if same then "identical" else "DIVERGED")
-        (Array.length serial.Petrinet.Marking.markings)
+        (Petrinet.Marking.n_states serial)
         (Array.length serial.Petrinet.Marking.succ);
       same
     end

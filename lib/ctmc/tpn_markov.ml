@@ -3,8 +3,7 @@ open Petrinet
 type t = {
   teg : Teg.t;
   rates : float array;
-  recurrent : Marking.t array;  (** markings of the recurrent class *)
-  pi : float array;  (** stationary distribution over [recurrent] *)
+  pi : float array;  (** stationary distribution over the recurrent class *)
   total_markings : int;
   chain : Ctmc.t;  (** generator restricted to the recurrent class *)
   initial_state : int option;  (** local index of the initial marking *)
@@ -17,14 +16,11 @@ type t = {
    structure of the net (places, tokens), never on the transition rates, so
    they can be computed once and reused across rate assignments — this is
    what [Young.Pattern]'s per-shape cache shares between sweep points.
-   The graph is kept in the CSR form [Marking.explore_graph] produces:
-   three flat int arrays instead of a list of pairs per state. *)
+   The graph is kept as [Marking.explore_graph] produces it: packed codes
+   and three flat CSR int arrays. *)
 type structure = {
   s_teg : Teg.t;
-  markings : Marking.t array;
-  row_ptr : int array;  (** per state, slice of [succ]/[via] *)
-  succ : int array;  (** successor state id per edge *)
-  via : int array;  (** transition fired per edge *)
+  graph : Marking.graph;
   s_recurrent : int array;  (** global state ids of the recurrent class *)
   local : int array;  (** global id -> recurrent index, -1 if transient *)
 }
@@ -98,8 +94,8 @@ let scc_components ~n ~row_ptr ~succ =
   (comp, !n_comps)
 
 let structure_of_graph teg (g : Marking.graph) =
-  let { Marking.markings; row_ptr; succ; via } = g in
-  let n = Array.length markings in
+  let { Marking.row_ptr; succ; _ } = g in
+  let n = Marking.n_states g in
   (* Bottom SCCs = recurrent classes. *)
   let component_of, n_comps = scc_components ~n ~row_ptr ~succ in
   let is_bottom = Array.make n_comps true in
@@ -137,13 +133,13 @@ let structure_of_graph teg (g : Marking.graph) =
   done;
   let local = Array.make n (-1) in
   Array.iteri (fun k s -> local.(s) <- k) s_recurrent;
-  { s_teg = teg; markings; row_ptr; succ; via; s_recurrent; local }
+  { s_teg = teg; graph = g; s_recurrent; local }
 
 let structure ?cap ?budget ?pool teg =
   structure_of_graph teg (Marking.explore_graph ?cap ?budget ?pool teg)
 
-let structure_states s = Array.length s.markings
-let structure_edges s = Array.length s.succ
+let structure_states s = Marking.n_states s.graph
+let structure_edges s = Array.length s.graph.Marking.succ
 
 let build_chain s ~rates =
   let teg = s.s_teg in
@@ -152,7 +148,7 @@ let build_chain s ~rates =
   Array.iteri
     (fun v r -> if r <= 0.0 then invalid_arg (Printf.sprintf "Tpn_markov: rate of t%d not positive" v))
     rate_array;
-  let { row_ptr; succ; via; s_recurrent = recurrent; local; _ } = s in
+  let { Marking.row_ptr; succ; via; _ } = s.graph and recurrent = s.s_recurrent and local = s.local in
   let chain = Ctmc.create (Array.length recurrent) in
   Array.iter
     (fun st ->
@@ -168,7 +164,7 @@ let build_chain s ~rates =
   (rate_array, chain)
 
 let assemble s ~rate_array ~chain ~pi =
-  let { markings; row_ptr; via; s_recurrent = recurrent; local; _ } = s in
+  let { Marking.row_ptr; via; _ } = s.graph and recurrent = s.s_recurrent and local = s.local in
   (* Per-recurrent-state enabled-transition slices, extracted from the CSR
      rows (exactly one edge per enabled firing), so the throughput queries
      below never rescan markings.  The per-transition stationary enabled
@@ -194,9 +190,8 @@ let assemble s ~rate_array ~chain ~pi =
   {
     teg = s.s_teg;
     rates = rate_array;
-    recurrent = Array.map (fun st -> markings.(st)) recurrent;
     pi;
-    total_markings = Array.length markings;
+    total_markings = Marking.n_states s.graph;
     chain;
     initial_state = (if local.(0) >= 0 then Some local.(0) else None);
     rec_row;
@@ -227,38 +222,25 @@ let analyse_with_supervised ?budget ?ladder s ~rates =
    which makes the uniform lift of [Ctmc.lift] exact, not just
    class-sum-correct. *)
 
-module Mtable = Hashtbl.Make (struct
-  type t = Marking.t
-
-  let equal = Marking.equal
-  let hash = Marking.hash
-end)
-
 let state_permutation s ~place_perm =
-  let markings = s.markings in
-  let n = Array.length markings in
-  let np = Array.length place_perm in
-  let index = Mtable.create (2 * n) in
-  Array.iteri (fun i m -> Mtable.replace index m i) markings;
-  let perm = Array.make n (-1) in
-  let image = Array.make np 0 in
-  for i = 0 to n - 1 do
-    let m = markings.(i) in
-    for p = 0 to np - 1 do
-      image.(place_perm.(p)) <- m.(p)
-    done;
-    match Mtable.find_opt index image with
-    | Some j -> perm.(i) <- j
-    | None ->
+  let g = s.graph in
+  let c = g.Marking.codec in
+  let w = Marking.words c in
+  let index = Marking.index g in
+  let image = Array.make w 0 in
+  Array.init (Marking.n_states g) (fun i ->
+      let j =
+        if Marking.permute c ~place_perm g.Marking.codes (i * w) ~into:image then Marking.find index image
+        else -1
+      in
+      if j < 0 then
         Supervise.Error.raise_
           (Supervise.Error.Numerical
              {
-               what =
-                 Printf.sprintf "place permutation maps marking %d outside the reachable set" i;
+               what = Printf.sprintf "place permutation maps marking %d outside the reachable set" i;
                where = "Tpn_markov.state_permutation";
-             })
-  done;
-  perm
+             });
+      j)
 
 let orbit_partition s ~state_perm =
   let { s_recurrent = recurrent; local; _ } = s in
@@ -317,7 +299,7 @@ let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
       done;
       let state_perm = state_permutation s ~place_perm in
       let classes, n_classes = orbit_partition s ~state_perm in
-      let { row_ptr; succ; via; s_recurrent = recurrent; local; _ } = s in
+      let { Marking.row_ptr; succ; via; _ } = s.graph and recurrent = s.s_recurrent and local = s.local in
       let n_rec = Array.length recurrent in
       (* quotient generator straight from class-representative CSR rows —
          the full n_rec-state chain is never materialised *)
@@ -366,7 +348,7 @@ let analyse_supervised ?cap ?budget ?ladder ~rates teg =
   analyse_with_supervised ?budget ?ladder (structure ?cap ?budget teg) ~rates
 
 let n_markings t = t.total_markings
-let n_recurrent t = Array.length t.recurrent
+let n_recurrent t = Array.length t.pi
 let enabled_probability t v = t.enab.(v)
 let firing_rate t v = t.rates.(v) *. enabled_probability t v
 let throughput_of t vs = List.fold_left (fun acc v -> acc +. firing_rate t v) 0.0 vs

@@ -51,7 +51,7 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
-let find t key =
+let lookup t key ~count_miss =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some node ->
@@ -60,8 +60,11 @@ let find t key =
           push_front t node;
           Some node.value
       | None ->
-          t.misses <- t.misses + 1;
+          if count_miss then t.misses <- t.misses + 1;
           None)
+
+let find t key = lookup t key ~count_miss:true
+let hit t key = lookup t key ~count_miss:false
 
 let add t key value =
   locked t (fun () ->

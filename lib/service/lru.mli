@@ -17,6 +17,11 @@ val find : 'a t -> string -> 'a option
 (** Looks up and promotes the entry to most-recently-used; counts a hit
     or a miss. *)
 
+val hit : 'a t -> string -> 'a option
+(** Like {!find} on a present key; an absent key returns [None] and counts
+    nothing, so that a later {!find} settles the lookup as one hit or one
+    miss. *)
+
 val add : 'a t -> string -> 'a -> unit
 (** Inserts (or refreshes) the entry as most-recently-used, evicting the
     least-recently-used one when the cache is full. *)

@@ -74,6 +74,9 @@ type t = {
   config : config;
   metrics : Metrics.t;
   cache : entry Lru.t;
+  flight_mutex : Mutex.t;
+  flight_done : Condition.t;
+  flights : (string, unit) Hashtbl.t;  (* keys being solved by a leader *)
   admit_mutex : Mutex.t;
   mutable inflight : int;
   stop : bool Atomic.t;
@@ -90,6 +93,9 @@ let create config =
       config;
       metrics = Metrics.create ();
       cache = Lru.create ~capacity:config.cache_capacity;
+      flight_mutex = Mutex.create ();
+      flight_done = Condition.create ();
+      flights = Hashtbl.create 16;
       admit_mutex = Mutex.create ();
       inflight = 0;
       stop = Atomic.make false;
@@ -202,37 +208,90 @@ let stats_json t =
    must not record a negative or inflated latency *)
 let seconds_since t0 = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0)
 
+(* Single flight: concurrent misses on one key share one solve.  The
+   first to miss leads — it registers the key in [flights] and solves —
+   and later ones wait for it, then read the LRU.  A failed solve caches
+   nothing, so its waiters then solve for themselves: errors are not
+   shared.  The lock-free lookup ([Lru.hit]) counts only hits; the lookup
+   under [flight_mutex] settles every request as exactly one hit or one
+   miss, and a hit never takes [flight_mutex]. *)
+type role = Cached of entry | Lead | Alone
+
+let join_flight t key =
+  Mutex.lock t.flight_mutex;
+  let waited = Hashtbl.mem t.flights key in
+  while Hashtbl.mem t.flights key do
+    Condition.wait t.flight_done t.flight_mutex
+  done;
+  let role =
+    match Lru.find t.cache key with
+    | Some entry -> Cached entry
+    | None when waited -> Alone
+    | None ->
+        Hashtbl.replace t.flights key ();
+        Lead
+  in
+  Mutex.unlock t.flight_mutex;
+  role
+
+let land_flight t key =
+  Mutex.lock t.flight_mutex;
+  Hashtbl.remove t.flights key;
+  Condition.broadcast t.flight_done;
+  Mutex.unlock t.flight_mutex
+
+let cached_reply t t0 entry =
+  Metrics.record_solve t.metrics ~cached:true ~quality:entry.quality ~latency:(seconds_since t0)
+    ~states:entry.states;
+  Ok (entry.rendered, true)
+
+let solve_and_cache t prepared q t0 =
+  (* the server-side wall ceiling protects the daemon from budget-less
+     requests; an explicit client budget wins *)
+  let q =
+    match (q.Engine.wall, t.config.default_wall) with
+    | None, Some _ -> { q with Engine.wall = t.config.default_wall }
+    | _ -> q
+  in
+  match Engine.solve prepared q with
+  | Ok outcome ->
+      let rendered = Json.render (Engine.outcome_json outcome) in
+      Lru.add t.cache prepared.Engine.key
+        { rendered; quality = outcome.Engine.quality; states = outcome.Engine.pattern_states };
+      Metrics.record_solve t.metrics ~cached:false ~quality:outcome.Engine.quality
+        ~latency:(seconds_since t0) ~states:outcome.Engine.pattern_states;
+      Ok (rendered, false)
+  | Error err -> Error (Protocol.Solver err)
+
 let solve_one t q =
+  match Engine.prepare q with
+  | Error msg -> Error (Protocol.Bad_request msg)
+  | Ok prepared -> (
+      let key = prepared.Engine.key in
+      let t0 = Obs.Clock.now_ns () in
+      match Lru.hit t.cache key with
+      | Some entry -> cached_reply t t0 entry
+      | None -> (
+          match join_flight t key with
+          | Cached entry -> cached_reply t t0 entry
+          | Alone -> solve_and_cache t prepared q t0
+          | Lead ->
+              Fun.protect
+                ~finally:(fun () -> land_flight t key)
+                (fun () -> solve_and_cache t prepared q t0)))
+
+(* Batch items run as pool tasks, and a pool task that waits for nested
+   work runs other queued tasks on its own stack: a batch item that
+   blocked on a flight could sit above its own leader and never wake.
+   Batch items therefore never wait on a flight. *)
+let solve_batch_item t q =
   match Engine.prepare q with
   | Error msg -> Error (Protocol.Bad_request msg)
   | Ok prepared -> (
       let t0 = Obs.Clock.now_ns () in
       match Lru.find t.cache prepared.Engine.key with
-      | Some entry ->
-          Metrics.record_solve t.metrics ~cached:true ~quality:entry.quality
-            ~latency:(seconds_since t0) ~states:entry.states;
-          Ok (entry.rendered, true)
-      | None -> (
-          (* the server-side wall ceiling protects the daemon from
-             budget-less requests; an explicit client budget wins *)
-          let q =
-            match (q.Engine.wall, t.config.default_wall) with
-            | None, Some _ -> { q with Engine.wall = t.config.default_wall }
-            | _ -> q
-          in
-          match Engine.solve prepared q with
-          | Ok outcome ->
-              let rendered = Json.render (Engine.outcome_json outcome) in
-              Lru.add t.cache prepared.Engine.key
-                {
-                  rendered;
-                  quality = outcome.Engine.quality;
-                  states = outcome.Engine.pattern_states;
-                };
-              Metrics.record_solve t.metrics ~cached:false ~quality:outcome.Engine.quality
-                ~latency:(seconds_since t0) ~states:outcome.Engine.pattern_states;
-              Ok (rendered, false)
-          | Error err -> Error (Protocol.Solver err)))
+      | Some entry -> cached_reply t t0 entry
+      | None -> solve_and_cache t prepared q t0)
 
 (* ---- one multi-tenant solve, cache-first ---- *)
 
@@ -493,7 +552,7 @@ let respond t line =
                         match item with
                         | Error e -> item_error e
                         | Ok q -> (
-                            match solve_one t q with
+                            match solve_batch_item t q with
                             | Ok (rendered, cached) ->
                                 Printf.sprintf "{\"ok\":true,\"cached\":%b,\"result\":%s}" cached
                                   rendered

@@ -48,9 +48,10 @@ let build ~u ~v ~time =
    transition k is enabled iff sender ring [k mod u] sits one slot before k
    and receiver ring [k mod v] likewise, and firing k advances both rings.
    Traversal order (breadth-first, transitions in increasing k) matches
-   [Marking.explore_graph] exactly, so the resulting graph — markings,
-   order, and edges — is identical to the generic one, just cheaper to
-   produce. *)
+   [Marking.explore_graph] exactly, and the states are emitted in the
+   generic explorer's marking codes, so the resulting graph — codec,
+   codes, order and edges — is identical to the generic one, just cheaper
+   to produce. *)
 
 let nbits bound =
   let rec go b acc = if b = 0 then max acc 1 else go (b lsr 1) (acc + 1) in
@@ -66,7 +67,7 @@ let m_lattice_fallback =
     ~help:"Young-lattice direct enumerations that fell back to generic BFS"
     "young_lattice_fallback_total"
 
-let young_graph ?(cap = 200_000) ~u ~v () =
+let young_graph ?(cap = 200_000) ?budget ~u ~v () =
   check u v;
   let n = u * v in
   let pw = nbits (v - 1) and qw = nbits (u - 1) in
@@ -75,6 +76,7 @@ let young_graph ?(cap = 200_000) ~u ~v () =
     None
   end
   else begin
+    let cap = match budget with None -> cap | Some b -> Supervise.Budget.cap_allowed b cap in
     let p_shift = Array.init u (fun s -> s * pw) in
     let q_shift = Array.init v (fun r -> (u * pw) + (r * qw)) in
     let p_mask = (1 lsl pw) - 1 and q_mask = (1 lsl qw) - 1 in
@@ -110,6 +112,11 @@ let young_graph ?(cap = 200_000) ~u ~v () =
           if !count >= cap then
             Supervise.Error.raise_
               (Supervise.Error.State_space_exceeded { cap; explored = !count });
+          (* the explorers' wall-deadline cadence *)
+          (match budget with
+          | Some b when !count land (Petrinet.Marking.budget_poll_stride - 1) = 0 ->
+              Supervise.Budget.check b
+          | _ -> ());
           let id = !count in
           if id = Array.length !codes then begin
             let a = Array.make (2 * id) 0 in
@@ -158,24 +165,29 @@ let young_graph ?(cap = 200_000) ~u ~v () =
       incr head
     done;
     !row_ptr.(!count) <- !n_edges;
-    (* decode ring positions back to the 2·u·v-place marking vector, in the
-       place order [build] creates: sender ring s occupies places
+    (* ring positions to the marking code of the 2·u·v-place net, one bit
+       per place (every ring holds one token) as the generic BFS packs it,
+       in the place order [build] creates: sender ring s occupies places
        [s·v .. s·v+v-1], receiver ring r places [u·v + r·u .. + u-1] *)
-    let markings =
-      Array.init !count (fun id ->
-          let code = !codes.(id) in
-          let m = Array.make (2 * n) 0 in
-          for s = 0 to u - 1 do
-            m.((s * v) + ((code lsr p_shift.(s)) land p_mask)) <- 1
-          done;
-          for r = 0 to v - 1 do
-            m.(n + (r * u) + ((code lsr q_shift.(r)) land q_mask)) <- 1
-          done;
-          m)
-    in
+    let codec = Petrinet.Marking.codec_of_widths (Array.make (2 * n) 1) in
+    let w = Petrinet.Marking.words codec in
+    let out = Array.make (!count * w) 0 in
+    let m = Array.make (2 * n) 0 in
+    for id = 0 to !count - 1 do
+      let code = !codes.(id) in
+      Array.fill m 0 (2 * n) 0;
+      for s = 0 to u - 1 do
+        m.((s * v) + ((code lsr p_shift.(s)) land p_mask)) <- 1
+      done;
+      for r = 0 to v - 1 do
+        m.(n + (r * u) + ((code lsr q_shift.(r)) land q_mask)) <- 1
+      done;
+      Petrinet.Marking.encode codec m out (id * w)
+    done;
     Some
       {
-        Petrinet.Marking.markings;
+        Petrinet.Marking.codec;
+        codes = out;
         row_ptr = Array.sub !row_ptr 0 (!count + 1);
         succ = Array.sub !succ 0 !n_edges;
         via = Array.sub !via 0 !n_edges;
@@ -357,10 +369,9 @@ let shape_of ?budget ?pool ~u ~v ~phases ~cap () =
       let shape =
         if phases = 1 then
           (* the direct lattice walk produces the same graph as the generic
-             BFS; fall back when the position code would not fit an int.
-             A wall budget forces the generic path, which polls it. *)
+             BFS; fall back when the position code would not fit an int *)
           let structure =
-            match (if Option.is_none budget then young_graph ?cap ~u ~v () else None) with
+            match young_graph ?cap ?budget ~u ~v () with
             | Some g -> Markov.Tpn_markov.structure_of_graph base g
             | None -> Markov.Tpn_markov.structure ?cap ?budget ?pool base
           in

@@ -19,18 +19,22 @@ val build : u:int -> v:int -> time:(sender:int -> receiver:int -> float) -> Petr
 val transition_of : u:int -> v:int -> int -> int * int
 (** [transition_of ~u ~v k] = (sender slot, receiver slot) of transition k. *)
 
-val young_graph : ?cap:int -> u:int -> v:int -> unit -> Petrinet.Marking.graph option
+val young_graph :
+  ?cap:int -> ?budget:Supervise.Budget.t -> u:int -> v:int -> unit -> Petrinet.Marking.graph option
 (** Direct enumeration of the reachable marking graph of {!build}'s net:
     a marking is the token position in each of the u+v serialisation
     rings (a pair of Young-diagram paths, Theorem 3), and the enumerator
     walks those position tuples combinatorially instead of firing the
-    generic breadth-first search.  The result — marking set, discovery
-    order and edge lists — is identical to
+    generic breadth-first search.  The result — codec (one bit per
+    place), packed codes, discovery order and edge lists — is identical to
     [Petrinet.Marking.explore_graph (build ~u ~v ...)].  Returns [None]
-    when the packed position code would exceed one machine int (the
-    caller then falls back to the generic exploration); raises
+    when the position tuple would not pack into one machine int (the
+    caller then falls back to the generic exploration).  Raises
     [Supervise.Error.Solver_error (State_space_exceeded _)] beyond [cap]
-    states. *)
+    states, tightened by the [budget]'s state ceiling, and
+    [Budget_exhausted] once the budget's wall deadline has passed, polled
+    every {!Petrinet.Marking.budget_poll_stride} registered states as in
+    the generic explorer. *)
 
 (** {1 Rotation symmetry}
 

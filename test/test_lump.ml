@@ -168,28 +168,65 @@ let test_invariant_shift () =
 (* ---- sharded exploration: byte identity with the serial BFS ---- *)
 
 let graphs_equal (a : Petrinet.Marking.graph) (b : Petrinet.Marking.graph) =
-  a.Petrinet.Marking.markings = b.Petrinet.Marking.markings
+  Petrinet.Marking.words a.Petrinet.Marking.codec = Petrinet.Marking.words b.Petrinet.Marking.codec
+  && a.Petrinet.Marking.codes = b.Petrinet.Marking.codes
   && a.Petrinet.Marking.row_ptr = b.Petrinet.Marking.row_ptr
   && a.Petrinet.Marking.succ = b.Petrinet.Marking.succ
   && a.Petrinet.Marking.via = b.Petrinet.Marking.via
 
+(* patterns and their Erlang expansions, plus (index [Array.length
+   pairs]) the random multi-word nets of [Ref_bfs.random_teg]; the serial
+   graph is checked against the reference BFS, the sharded ones against
+   the serial graph *)
 let qcheck_sharded_identity =
   let pairs = [| (2, 3); (3, 4); (2, 5); (4, 5); (5, 6) |] in
   QCheck.Test.make ~name:"sharded explore = serial (pools 1/2/4)" ~count:12
-    QCheck.(triple (int_range 0 (Array.length pairs - 1)) (int_range 1 2) bool)
-    (fun (pi, phases, packed) ->
-      let u, v = pairs.(pi) in
-      let teg0 = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
+    QCheck.(triple (int_range 0 (Array.length pairs)) (int_range 1 2) small_int)
+    (fun (pi, phases, seed) ->
       let teg =
-        if phases = 1 then teg0
-        else Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) teg0)
+        if pi = Array.length pairs then Ref_bfs.random_teg (Random.State.make [| 43; seed |])
+        else
+          let u, v = pairs.(pi) in
+          let teg0 = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
+          if phases = 1 then teg0
+          else Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) teg0)
       in
-      let serial = Petrinet.Marking.explore_graph ~packed teg in
-      List.for_all
-        (fun domains ->
-          Parallel.Pool.with_pool ~domains (fun pool ->
-              graphs_equal serial (Petrinet.Marking.explore_graph ~packed ~pool teg)))
-        [ 1; 2; 4 ])
+      let serial = Petrinet.Marking.explore_graph teg in
+      Ref_bfs.mismatch (Ref_bfs.explore teg) serial = None
+      && List.for_all
+           (fun domains ->
+             Parallel.Pool.with_pool ~domains (fun pool ->
+                 graphs_equal serial (Petrinet.Marking.explore_graph ~pool teg)))
+           [ 1; 2; 4 ])
+
+(* the code-level permutation against one computed on decoded markings *)
+let test_state_permutation_decoded () =
+  List.iter
+    (fun (u, v, phases, shifts) ->
+      let base = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
+      let teg = Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) base) in
+      let g = Petrinet.Marking.explore_graph teg in
+      let s = Tpn_markov.structure_of_graph teg g in
+      let markings = Array.init (Petrinet.Marking.n_states g) (Petrinet.Marking.marking g) in
+      let ids = Ref_bfs.H.create (Array.length markings) in
+      Array.iteri (fun i m -> Ref_bfs.H.replace ids m i) markings;
+      List.iter
+        (fun shift ->
+          let place_perm, _ = Young.Pattern.rotation_perms ~u ~v ~phases ~shift in
+          let expected =
+            Array.map
+              (fun m ->
+                let image = Array.make (Array.length m) 0 in
+                Array.iteri (fun p x -> image.(place_perm.(p)) <- x) m;
+                Ref_bfs.H.find ids image)
+              markings
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%dx%d ph%d shift %d" u v phases shift)
+            expected
+            (Tpn_markov.state_permutation s ~place_perm))
+        shifts)
+    [ (4, 5, 2, List.init 20 (fun d -> d + 1)); (3, 7, 3, List.init 21 (fun d -> d + 1)) ]
 
 let test_sharded_honours_cap () =
   let teg = Young.Pattern.build ~u:4 ~v:5 ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
@@ -271,6 +308,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_lumped_matches_unlumped;
           Alcotest.test_case "lifted stationary = full" `Slow test_lumped_stationary_lifts_exactly;
           Alcotest.test_case "rejects shift-variant rates" `Quick test_lump_rejects_shifted_rates;
+          Alcotest.test_case "state permutation = decoded permutation" `Quick
+            test_state_permutation_decoded;
         ] );
       ( "sharded-explore",
         [

@@ -276,6 +276,43 @@ let test_solve_ok () =
       Alcotest.(check (option string)) "quality" (Some "exact")
         (Option.bind (Json.member "quality" result) Json.to_string_opt)
 
+(* a (2,7)-replicated communication: its Strict exponential solve explores
+   thousands of markings, long enough for concurrent requests to overlap
+   it *)
+let slow_strict_instance =
+  "stages 2\nwork 1 1\nfiles 1\nprocessors 9\nspeeds 1 1 1 1 1 1 1 1 1\nbandwidth default 1\n\
+   team 0 1\nteam 2 3 4 5 6 7 8\n"
+
+(* four connection threads miss on one slow solve at the same moment:
+   one leads, the other three wait for its result and read it from the
+   cache *)
+let test_single_flight () =
+  let server = Server.create (config ()) in
+  let line = solve_line ~model:Streaming.Model.Strict slow_strict_instance in
+  let arrived = Atomic.make 0 in
+  let replies = Array.make 4 "" in
+  let threads =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < 4 do
+              Thread.yield ()
+            done;
+            replies.(i) <- respond server line)
+          ())
+  in
+  List.iter Thread.join threads;
+  let result r =
+    match Client.reply_result (parse_reply r) with
+    | Some j -> Json.render j
+    | None -> Alcotest.fail ("no result in " ^ r)
+  in
+  Array.iter (fun r -> Alcotest.(check string) "same result" (result replies.(0)) (result r)) replies;
+  let s = Lru.stats (Server.cache server) in
+  Alcotest.(check int) "misses" 1 s.Lru.misses;
+  Alcotest.(check int) "hits" 3 s.Lru.hits
+
 let test_cache_hit_byte_identical () =
   let server = Server.create (config ()) in
   let line = solve_line instance in
@@ -1064,6 +1101,7 @@ let () =
           Alcotest.test_case "torn obs envelope" `Quick test_socket_torn_envelope;
           Alcotest.test_case "client deadline on a mute peer" `Quick test_client_deadline;
           Alcotest.test_case "interleaved chaos" `Quick test_socket_interleaved_chaos;
+          Alcotest.test_case "single flight" `Quick test_single_flight;
         ] );
       ("cli", [ Alcotest.test_case "serve/query/SIGTERM" `Quick test_cli_serve_query_sigterm ]);
     ]

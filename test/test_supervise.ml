@@ -96,7 +96,8 @@ let test_non_ergodic_two_classes () =
   (* two isolated states: two bottom SCCs, nothing transient *)
   let g =
     {
-      Petrinet.Marking.markings = [| [| 0 |]; [| 1 |] |];
+      Petrinet.Marking.codec = Petrinet.Marking.codec_of_widths [| 2 |];
+      codes = [| 0; 1 |];
       row_ptr = [| 0; 0; 0 |];
       succ = [||];
       via = [||];
@@ -110,7 +111,8 @@ let test_non_ergodic_with_transient () =
   (* state 0 leads to the absorbing states 1 and 2 *)
   let g =
     {
-      Petrinet.Marking.markings = [| [| 0 |]; [| 1 |]; [| 2 |] |];
+      Petrinet.Marking.codec = Petrinet.Marking.codec_of_widths [| 2 |];
+      codes = [| 0; 1; 2 |];
       row_ptr = [| 0; 2; 2; 2 |];
       succ = [| 1; 2 |];
       via = [| 0; 0 |];

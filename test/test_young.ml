@@ -213,30 +213,60 @@ let test_young_graph_matches_bfs () =
       | None -> Alcotest.failf "young_graph (%d,%d) should fit one int" u v
       | Some direct ->
           let tag fmt = Printf.sprintf ("%d,%d: " ^^ fmt) u v in
-          Alcotest.(check int)
-            (tag "states")
-            (Array.length generic.Petrinet.Marking.markings)
-            (Array.length direct.Petrinet.Marking.markings);
-          Array.iteri
-            (fun i m ->
-              Alcotest.(check (array int))
-                (tag "marking %d" i)
-                m
-                direct.Petrinet.Marking.markings.(i))
-            generic.Petrinet.Marking.markings;
+          Alcotest.(check int) (tag "words")
+            (Petrinet.Marking.words generic.Petrinet.Marking.codec)
+            (Petrinet.Marking.words direct.Petrinet.Marking.codec);
+          Alcotest.(check (array int)) (tag "codes") generic.Petrinet.Marking.codes
+            direct.Petrinet.Marking.codes;
           Alcotest.(check (array int)) (tag "row_ptr") generic.Petrinet.Marking.row_ptr
             direct.Petrinet.Marking.row_ptr;
           Alcotest.(check (array int)) (tag "succ") generic.Petrinet.Marking.succ
             direct.Petrinet.Marking.succ;
           Alcotest.(check (array int)) (tag "via") generic.Petrinet.Marking.via
-            direct.Petrinet.Marking.via)
+            direct.Petrinet.Marking.via;
+          for i = 0 to Petrinet.Marking.n_states generic - 1 do
+            Alcotest.(check (array int)) (tag "marking %d" i) (Petrinet.Marking.marking generic i)
+              (Petrinet.Marking.marking direct i)
+          done)
     coprime_cases
 
 let test_young_graph_cap () =
   Alcotest.check_raises "cap"
     (Supervise.Error.Solver_error
        (Supervise.Error.State_space_exceeded { cap = 5; explored = 5 }))
-    (fun () -> ignore (Pattern.young_graph ~cap:5 ~u:3 ~v:4 ()))
+    (fun () -> ignore (Pattern.young_graph ~cap:5 ~u:3 ~v:4 ()));
+  Alcotest.check_raises "budget state ceiling"
+    (Supervise.Error.Solver_error
+       (Supervise.Error.State_space_exceeded { cap = 7; explored = 7 }))
+    (fun () -> ignore (Pattern.young_graph ~budget:(Supervise.Budget.create ~states:7 ()) ~u:3 ~v:4 ()))
+
+let test_young_graph_wall_budget () =
+  let budget = Supervise.Budget.create ~wall:1e-9 () in
+  ignore (Unix.select [] [] [] 0.01);
+  match Pattern.young_graph ~budget ~u:3 ~v:4 () with
+  | _ -> Alcotest.fail "expected Budget_exhausted"
+  | exception Supervise.Error.Solver_error (Supervise.Error.Budget_exhausted _) -> ()
+
+(* a budgeted 1-phase solve takes the lattice walk, as an unbudgeted one
+   does: the generic explorer never runs, and the result is the same *)
+let test_budgeted_shape () =
+  let explored = Obs.Metrics.Counter.create "marking_states_explored_total" in
+  let solve budget =
+    Pattern.clear_caches ();
+    let before = Obs.Metrics.Counter.value explored in
+    let r =
+      Pattern.supervised_inner_throughput ?budget ~phases:1 ~u:3 ~v:5
+        ~rate:(fun ~sender ~receiver -> 1.0 +. float_of_int (sender + (2 * receiver)))
+        ()
+    in
+    Alcotest.(check int) "no generic exploration" before (Obs.Metrics.Counter.value explored);
+    r
+  in
+  let plain = solve None and budgeted = solve (Some (Supervise.Budget.create ~wall:60.0 ())) in
+  Alcotest.(check int) "states" plain.Pattern.states budgeted.Pattern.states;
+  Alcotest.(check int) "edges" plain.Pattern.edges budgeted.Pattern.edges;
+  check_float 0.0 "throughput" plain.Pattern.throughput budgeted.Pattern.throughput;
+  Pattern.clear_caches ()
 
 let () =
   Alcotest.run "young"
@@ -265,5 +295,8 @@ let () =
           Alcotest.test_case "solve caches" `Quick test_cache_hits;
           Alcotest.test_case "young lattice walk = generic BFS" `Quick test_young_graph_matches_bfs;
           Alcotest.test_case "young lattice walk honours cap" `Quick test_young_graph_cap;
+          Alcotest.test_case "young lattice walk polls the wall budget" `Quick
+            test_young_graph_wall_budget;
+          Alcotest.test_case "budgeted 1-phase solve walks the lattice" `Quick test_budgeted_shape;
         ] );
     ]
