@@ -36,6 +36,22 @@ val max_cycle_ratio : Digraph.t -> result option
     [Supervise.Error.Solver_error (No_convergence _)] rather than return a
     ratio below the maximum. *)
 
+val max_cycle_ratio_flat :
+  first:int array -> dst:int array -> weight:float array -> tokens:int array -> float
+(** The same Howard iteration on a graph held in flat arrays, for callers
+    that would otherwise build a {!Digraph.t} per solve: node [i]'s
+    out-edges are [first.(i) .. first.(i + 1) - 1] (so [first] has one
+    more entry than there are nodes), and edge [e] goes to node [dst.(e)]
+    with [weight.(e)] and [tokens.(e)].
+
+    Precondition, not checked: the graph is strongly connected, has at
+    least one edge, and every cycle carries a token.  No Tarjan pass or
+    liveness check runs.  Under it the result is {!max_cycle_ratio}'s
+    ratio, bit for bit, on the {!Digraph.t} that adds node 0's edges in
+    order, then node 1's, and so on: the tolerance, tie rules and pass
+    cap are shared, and the ratio is summed along the witness from its
+    smallest node. *)
+
 val karp_max_cycle_mean : Digraph.t -> float option
 (** Karp's algorithm for the maximum cycle *mean* (every edge counted as
     one token); used as an independent cross-check when all edges carry

@@ -57,24 +57,41 @@ let components mapping =
   in
   List.concat_map per_stage (List.init n Fun.id)
 
-let rows_of mapping = function
+(* A component's rows are [first], [first + step], ... below
+   [Mapping.rows]: its processor's share of a computation column, or its
+   residue class mod g of a communication column.  [replication] is
+   [Mapping.replication]. *)
+let row_class mapping replication = function
   | Compute { stage; proc } ->
-      let team = Mapping.team mapping stage in
-      let r_i = Array.length team in
-      let idx =
-        match Array.find_index (Int.equal proc) team with
-        | Some idx -> idx
-        | None -> invalid_arg "Columns: processor not in team"
+      let r_i = replication.(stage) in
+      let rec find idx =
+        if idx = r_i then invalid_arg "Columns: processor not in team"
+        else if Mapping.proc_at mapping ~stage ~row:idx = proc then idx
+        else find (idx + 1)
       in
-      let m = Mapping.rows mapping in
-      List.init (m / r_i) (fun k -> idx + (k * r_i))
-  | Communication { file; residue; u; v; _ } ->
-      let g =
-        gcd (Array.length (Mapping.team mapping file)) (Array.length (Mapping.team mapping (file + 1)))
-      in
-      ignore (u, v);
-      let m = Mapping.rows mapping in
-      List.init (m / g) (fun k -> residue + (k * g))
+      (find 0, r_i)
+  | Communication { file; residue; _ } ->
+      (residue, gcd replication.(file) replication.(file + 1))
+
+let propagate mapping comps inners =
+  let m = Mapping.rows mapping in
+  let replication = Mapping.replication mapping in
+  let row_rate = Array.make m infinity in
+  Array.iteri
+    (fun k component ->
+      let first, step = row_class mapping replication component in
+      let count = m / step in
+      let inner_per_row = inners.(k) /. float_of_int count in
+      let input_rate = ref infinity in
+      for i = 0 to count - 1 do
+        input_rate := min !input_rate row_rate.(first + (i * step))
+      done;
+      let rate = min inner_per_row !input_rate in
+      for i = 0 to count - 1 do
+        row_rate.(first + (i * step)) <- rate
+      done)
+    comps;
+  Array.fold_left ( +. ) 0.0 row_rate
 
 let fold_throughput ?pool mapping ~inner =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.get () in
@@ -82,16 +99,4 @@ let fold_throughput ?pool mapping ~inner =
   (* the inner solves (one CTMC per communication component) are
      independent and dominate the cost: run them on the pool, then do the
      cheap rate propagation sequentially in column order *)
-  let inners = Parallel.Pool.map pool inner comps in
-  let m = Mapping.rows mapping in
-  let row_rate = Array.make m infinity in
-  Array.iteri
-    (fun k component ->
-      let rows = rows_of mapping component in
-      let count = float_of_int (List.length rows) in
-      let inner_per_row = inners.(k) /. count in
-      let input_rate = List.fold_left (fun acc j -> min acc row_rate.(j)) infinity rows in
-      let rate = min inner_per_row input_rate in
-      List.iter (fun j -> row_rate.(j) <- rate) rows)
-    comps;
-  Array.fold_left ( +. ) 0.0 row_rate
+  propagate mapping comps (Parallel.Pool.map pool inner comps)

@@ -35,10 +35,19 @@ val is_homogeneous : Mapping.t -> communication -> bool
 val components : Mapping.t -> component list
 (** All components, column by column from the first stage to the last. *)
 
+val propagate : Mapping.t -> component array -> float array -> float
+(** [propagate mapping comps inners] propagates per-row rates down the
+    columns, where [comps] is {!components} in order and [inners.(k)] is
+    the inner throughput of [comps.(k)] (data sets per time unit for the
+    whole component, in isolation).  Callers whose [inner] is cheap compute
+    [inners] themselves: {!Deterministic.overlap_throughput_decomposed}
+    maps its closed forms and critical cycles with [Array.map] in the
+    calling domain. *)
+
 val fold_throughput : ?pool:Parallel.Pool.t -> Mapping.t -> inner:(component -> float) -> float
-(** Propagates per-row rates down the columns.  [inner c] must return the
-    inner throughput of the component (data sets per time unit for the
-    whole component, in isolation).  The [inner] calls — independent CTMC
-    solves — run on [pool] (default {!Parallel.Pool.get}); [inner] must
-    therefore be safe to call from several domains, which every solver in
-    this repository is.  The result is identical for every pool size. *)
+(** {!propagate} over [Array.map inner] of the components, with the
+    [inner] calls run on [pool] (default {!Parallel.Pool.get}).  The
+    {!Expo} values use it, because their [inner] is a CTMC solve; [inner]
+    must therefore be safe to call from several domains, which every
+    solver in this repository is.  The result is identical for every pool
+    size. *)

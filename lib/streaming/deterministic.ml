@@ -81,6 +81,8 @@ let analyse_tpn tpn =
 
 let analyse mapping model = analyse_tpn (Tpn.build mapping model)
 
+(* The components run in the calling domain: each is a closed form or a
+   critical cycle of a few nodes, cheaper than a hop through the pool. *)
 let overlap_throughput_decomposed mapping =
   let inner = function
     | Columns.Compute { stage; proc } -> 1.0 /. Mapping.comp_time mapping ~stage ~proc
@@ -88,7 +90,8 @@ let overlap_throughput_decomposed mapping =
         Young.Pattern.deterministic_inner_throughput ~u:comm.Columns.u ~v:comm.Columns.v
           ~time:(fun ~sender ~receiver -> Columns.pattern_time mapping comm ~sender ~receiver)
   in
-  Columns.fold_throughput mapping ~inner
+  let comps = Array.of_list (Columns.components mapping) in
+  Columns.propagate mapping comps (Array.map inner comps)
 
 
 (* Under Strict, the blocking sends couple every row of a weakly connected

@@ -1,11 +1,11 @@
 type t = {
-  started : float;
+  started : int;  (** {!Obs.Clock.now_ns} at creation *)
   wall : float option;
   max_sweeps : int option;
   state_cap : int option;
 }
 
-let unlimited = { started = 0.0; wall = None; max_sweeps = None; state_cap = None }
+let unlimited = { started = 0; wall = None; max_sweeps = None; state_cap = None }
 
 let create ?wall ?sweeps ?states () =
   (match wall with
@@ -17,9 +17,9 @@ let create ?wall ?sweeps ?states () =
   (match states with
   | Some c when c < 1 -> invalid_arg "Budget.create: states must be at least 1"
   | _ -> ());
-  { started = Unix.gettimeofday (); wall; max_sweeps = sweeps; state_cap = states }
+  { started = Obs.Clock.now_ns (); wall; max_sweeps = sweeps; state_cap = states }
 
-let elapsed b = Unix.gettimeofday () -. b.started
+let elapsed b = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - b.started)
 
 let check b =
   match b.wall with
@@ -33,4 +33,4 @@ let sweeps_allowed b default =
 
 let cap_allowed b default = match b.state_cap with None -> default | Some c -> min c default
 
-let restart b = { b with started = Unix.gettimeofday () }
+let restart b = { b with started = Obs.Clock.now_ns () }

@@ -16,11 +16,14 @@ val unlimited : t
     solver when no budget is passed. *)
 
 val create : ?wall:float -> ?sweeps:int -> ?states:int -> unit -> t
-(** [create ()] starts the wall clock now.  [wall] is in seconds;
-    [sweeps] caps iterative sweeps; [states] caps explored states. *)
+(** [create ()] starts the clock now.  [wall] is in seconds of the
+    monotonic clock ({!Obs.Clock}), so a step of the system clock neither
+    expires nor stretches it; [sweeps] caps iterative sweeps; [states]
+    caps explored states. *)
 
 val elapsed : t -> float
-(** Seconds since {!create} (meaningless for {!unlimited}). *)
+(** Seconds since {!create} on the monotonic clock (meaningless for
+    {!unlimited}). *)
 
 val check : t -> unit
 (** Raises [Error.Solver_error (Budget_exhausted _)] once the wall

@@ -289,10 +289,13 @@ let invariant_shift ~u ~v rates =
    expansion) depends only on the shape, never on the transfer times, so
    the explored structure is cached per [(u, v, phases, cap)] and reused
    across rate assignments.  On top of that, the solved throughput itself
-   is memoised per quantized rate matrix: parameter sweeps that revisit an
-   identical communication component skip both the exploration and the
-   elimination.  Both tables are guarded by one mutex so pooled domains
-   can share them; values are deterministic functions of their key, so a
+   is memoised per rate matrix, keyed on the rates' IEEE-754 bits:
+   parameter sweeps that revisit an identical communication component skip
+   both the exploration and the elimination.  The memo holds at most
+   [result_capacity] entries and is emptied when an insertion would pass
+   that, so a long-lived process that keeps meeting new rates stays
+   bounded.  Both tables are guarded by one mutex so pooled domains can
+   share them; values are deterministic functions of their key, so a
    racing duplicate computation is only wasted work, never a wrong
    answer. *)
 
@@ -305,6 +308,7 @@ type shape = {
 
 let cache_mutex = Mutex.create ()
 let shape_cache : (int * int * int * int, shape) Hashtbl.t = Hashtbl.create 16
+let result_capacity = 4096
 let result_cache : (string, float) Hashtbl.t = Hashtbl.create 64
 let cache_hits = ref 0
 let cache_misses = ref 0
@@ -331,14 +335,15 @@ let clear_caches () =
 
 let cap_key = function None -> -1 | Some c -> c
 
-(* Rates are quantized to 12 significant digits in the memo key: close
-   enough that two components identical up to float noise share a solve,
-   coarse enough that a genuine parameter change never collides. *)
-let result_key ~tag ~u ~v ~phases ~cap rates =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Printf.sprintf "%s:%d:%d:%d:%d" tag u v phases (cap_key cap));
-  Array.iter (fun r -> Buffer.add_char buf ','; Buffer.add_string buf (Printf.sprintf "%.12g" r)) rates;
-  Buffer.contents buf
+(* Fixed-width fields, so the encoding is prefix-free; the rates go in as
+   their IEEE-754 bits, so two keys are equal exactly when every rate is
+   the same float. *)
+let result_key ~u ~v ~phases ~cap rates =
+  let b = Bytes.create (8 * (4 + Array.length rates)) in
+  let put i x = Bytes.set_int64_le b (8 * i) x in
+  List.iteri (fun i x -> put i (Int64.of_int x)) [ u; v; phases; cap_key cap ];
+  Array.iteri (fun i r -> put (4 + i) (Int64.bits_of_float r)) rates;
+  Bytes.unsafe_to_string b
 
 let find_result key =
   locked (fun () ->
@@ -350,7 +355,11 @@ let find_result key =
           incr cache_misses;
           None)
 
-let store_result key rho = locked (fun () -> Hashtbl.replace result_cache key rho)
+let store_result key rho =
+  locked (fun () ->
+      if Hashtbl.length result_cache >= result_capacity && not (Hashtbl.mem result_cache key) then
+        Hashtbl.reset result_cache;
+      Hashtbl.replace result_cache key rho)
 
 let shape_of ?budget ?pool ~u ~v ~phases ~cap () =
   let key = (u, v, phases, cap_key cap) in
@@ -386,11 +395,44 @@ let shape_of ?budget ?pool ~u ~v ~phases ~cap () =
       locked (fun () -> if not (Hashtbl.mem shape_cache key) then Hashtbl.add shape_cache key shape);
       shape
 
+(* The critical cycle of [build]'s net without building it: transition k
+   is node k, its out-edges are its sender-ring place (towards k + u) and
+   then its receiver-ring place (towards k + v), indices mod u·v, which is
+   the order [Teg.to_digraph] gives them.  Each edge weighs its
+   destination's time, and a ring's wrap-around place (the one that leaves
+   [0, u·v)) holds its token.  For coprime u and v the graph is strongly
+   connected and every cycle crosses a wrap-around place. *)
 let deterministic_inner_throughput ~u ~v ~time =
-  let teg = build ~u ~v ~time in
-  match Petrinet.Cycle_time.analyse teg with
-  | None -> invalid_arg "Pattern.deterministic_inner_throughput: acyclic pattern"
-  | Some { Petrinet.Cycle_time.period; _ } -> float_of_int (u * v) /. period
+  check u v;
+  let n = u * v in
+  let times =
+    Array.init n (fun k ->
+        let s, r = transition_of ~u ~v k in
+        time ~sender:s ~receiver:r)
+  in
+  if Array.exists (fun d -> d < 0.0) times then
+    invalid_arg "Pattern.deterministic_inner_throughput: negative duration";
+  let dst = Array.make (2 * n) 0 and tokens = Array.make (2 * n) 0 in
+  let ring e k step =
+    let next = k + step in
+    if next >= n then begin
+      dst.(e) <- next - n;
+      tokens.(e) <- 1
+    end
+    else dst.(e) <- next
+  in
+  for k = 0 to n - 1 do
+    ring (2 * k) k u;
+    ring ((2 * k) + 1) k v
+  done;
+  let period =
+    Graphs.Cycle_ratio.max_cycle_ratio_flat
+      ~first:(Array.init (n + 1) (fun k -> 2 * k))
+      ~dst
+      ~weight:(Array.map (fun d -> times.(d)) dst)
+      ~tokens
+  in
+  float_of_int n /. period
 
 let exponential_inner_throughput ?cap ~u ~v ~rate () =
   check u v;
@@ -399,7 +441,7 @@ let exponential_inner_throughput ?cap ~u ~v ~rate () =
         let s, r = transition_of ~u ~v k in
         rate ~sender:s ~receiver:r)
   in
-  let key = result_key ~tag:"exp" ~u ~v ~phases:1 ~cap rates in
+  let key = result_key ~u ~v ~phases:1 ~cap rates in
   match find_result key with
   | Some rho -> rho
   | None ->
@@ -426,7 +468,7 @@ let erlang_inner_throughput ?cap ~phases ~u ~v ~rate () =
         let s, r = transition_of ~u ~v k in
         rate ~sender:s ~receiver:r)
   in
-  let key = result_key ~tag:"erl" ~u ~v ~phases ~cap base_rates in
+  let key = result_key ~u ~v ~phases ~cap base_rates in
   match find_result key with
   | Some rho -> rho
   | None ->

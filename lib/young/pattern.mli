@@ -67,7 +67,12 @@ val invariant_shift : u:int -> v:int -> float array -> int
 val deterministic_inner_throughput : u:int -> v:int -> time:(sender:int -> receiver:int -> float) -> float
 (** [u * v / period] where the period is the critical cycle of the pattern:
     data sets per time unit with constant transfer times.  For homogeneous
-    time d this equals [min(u,v)/d]. *)
+    time d this equals [min(u,v)/d].  No {!Petrinet.Teg.t} is built: the
+    pattern's ring edges go as flat arrays straight into
+    {!Graphs.Cycle_ratio.max_cycle_ratio_flat}, and the value is bit for
+    bit the one {!Petrinet.Cycle_time.analyse} gives on {!build}'s net.
+    Raises [Invalid_argument] unless u,v ≥ 1 and gcd(u,v) = 1, or when a
+    time is negative. *)
 
 val exponential_inner_throughput :
   ?cap:int -> u:int -> v:int -> rate:(sender:int -> receiver:int -> float) -> unit -> float
@@ -94,10 +99,15 @@ val erlang_inner_throughput :
     shape, so {!exponential_inner_throughput} and
     {!erlang_inner_throughput} keep two process-wide caches: the explored
     structure per [(u, v, phases, cap)], and the solved throughput per
-    [(u, v, phases, cap, rate matrix quantized to 12 significant digits)].
-    Both are thread-safe (shared by the {!Parallel.Pool} domains) and
-    purely an optimisation: cached and uncached calls return identical
-    floats. *)
+    [(u, v, phases, cap, rate matrix)], where the key holds each rate's
+    IEEE-754 bits, so only bit-identical rates share a solve.  The result
+    memo holds at most {!result_capacity} entries: an insertion that would
+    pass it first empties the memo.  Both are thread-safe (shared by the
+    {!Parallel.Pool} domains) and purely an optimisation: cached and
+    uncached calls return identical floats. *)
+
+val result_capacity : int
+(** The most solved throughputs the result memo holds (4 096). *)
 
 type cache_stats = {
   hits : int;  (** result-memo lookups answered from the cache *)

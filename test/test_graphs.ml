@@ -150,14 +150,32 @@ let random_unit_token_graph rng n =
   done;
   g
 
+(* [Cycle_ratio.max_cycle_ratio_flat] on [g]'s edges, node by node in
+   insertion order; [g] must be strongly connected *)
+let flat_ratio g =
+  let n = Digraph.n_nodes g in
+  let rows = Array.init n (fun u -> Array.of_list (List.rev (Digraph.out_edges g u))) in
+  let first = Array.make (n + 1) 0 in
+  Array.iteri (fun i row -> first.(i + 1) <- first.(i) + Array.length row) rows;
+  let edges = Array.concat (Array.to_list rows) in
+  Cycle_ratio.max_cycle_ratio_flat ~first
+    ~dst:(Array.map (fun e -> e.Digraph.dst) edges)
+    ~weight:(Array.map (fun e -> e.Digraph.weight) edges)
+    ~tokens:(Array.map (fun e -> e.Digraph.tokens) edges)
+
+(* the flat entry returns the digraph entry's ratio bit for bit *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let qcheck_karp_matches_ratio =
   QCheck.Test.make ~name:"Karp cycle mean = max cycle ratio" ~count:150
     QCheck.(pair (int_range 2 12) small_int)
     (fun (n, seed) ->
       let rng = Prng.create ~seed:(seed + 31) in
+      (* the backbone makes it strongly connected *)
       let g = random_unit_token_graph rng n in
       match (Cycle_ratio.max_cycle_ratio g, Cycle_ratio.karp_max_cycle_mean g) with
-      | Some { Cycle_ratio.ratio; _ }, Some mean -> abs_float (ratio -. mean) < 1e-6
+      | Some { Cycle_ratio.ratio; _ }, Some mean ->
+          abs_float (ratio -. mean) < 1e-6 && same_bits (flat_ratio g) ratio
       | _ -> false)
 
 let qcheck_ratio_scale_invariance =
@@ -258,9 +276,11 @@ let qcheck_howard_matches_brute_force =
       match random_token_graph n seed with
       | None -> QCheck.assume_fail ()
       | Some g -> (
+          (* strongly connected through its backbone, so the flat entry
+             applies *)
+          let f = flat_ratio g in
           match (howard_ratio g, brute_force_ratio g) with
-          | Some h, Some b -> abs_float (h -. b) <= 1e-9 *. abs_float b
-          | None, None -> true
+          | Some h, Some b -> abs_float (h -. b) <= 1e-9 *. abs_float b && same_bits f h
           | _ -> false))
 
 let random_tpn_graphs seed =

@@ -727,6 +727,25 @@ let test_merge_chrome_two_processes () =
             (List.mem "merge:a" names && List.mem "merge:b" names)
       | _ -> Alcotest.fail "no traceEvents array")
 
+(* [parse_line] yields [None] or a sample on any string: random bytes,
+   and sample lines with random edits favouring the label syntax *)
+let qcheck_exposition_parse_line_total =
+  let open QCheck.Gen in
+  let sample =
+    oneofl
+      [
+        {|requests_total 42|};
+        {|lat_us{le="0.5",k="a\"b\\c\n"} 1.5e3 1700000000|};
+        {|x{} NaN|};
+        {|g{a="",b="v"} -Inf|};
+        "# HELP x help";
+      ]
+  in
+  let mutated = Byte_edits.gen ~specials:[ '{'; '}'; '"'; '\\'; ','; '='; ' '; 'e'; '.' ] sample in
+  QCheck.Test.make ~name:"Exposition.parse_line never raises" ~count:2000
+    (QCheck.make ~print:String.escaped (oneof [ string; mutated ]))
+    (fun line -> match Obs.Exposition.parse_line line with None | Some _ -> true)
+
 let () =
   Alcotest.run "obs"
     [
@@ -751,6 +770,7 @@ let () =
         [
           Alcotest.test_case "parse, relabel, merge" `Quick
             test_exposition_parse_relabel_merge;
+          QCheck_alcotest.to_alcotest qcheck_exposition_parse_line_total;
         ] );
       ( "tracing",
         [

@@ -243,6 +243,52 @@ let test_report_shape () =
       Alcotest.(check (option bool)) "found" (Some true)
         (Option.bind (Service.Json.member "found" best) Service.Json.to_bool_opt)
 
+(* ---- records against golden digests ---- *)
+
+(* MD5 digests of [report_to_string] for the instances [optimize --random]
+   draws ([--stages S --procs P --inst-seed I], all four rungs, default
+   search seed and cap), recorded when the bound still built a timed event
+   graph per pattern component.  A change to a bound, a value, the memo or
+   the search order moves a digest. *)
+let golden_records =
+  Optimize.Objective.
+    [
+      (Exponential, 5, 14, 11, "a3c581facd682fff275e7e27b1e4ad13");
+      (Exponential, 5, 14, 12, "dd8b07b9f7dc5f55d1c8e8f6e9179186");
+      (Exponential, 5, 14, 13, "d6b6307f628d60c682b4f1f5f390409a");
+      (Deterministic, 5, 14, 21, "f71d01444c3cca48f29b38167c634a32");
+      (Deterministic, 5, 14, 22, "c6ddbc0bfaec781bdfbef3cba91fbd5e");
+      (Deterministic, 5, 14, 23, "0dd199d45a29263ab109b5777bcafaa2");
+      (Deterministic, 5, 14, 24, "36086ab61615ba16108f77361d627a43");
+      (Strict, 3, 7, 31, "535115033e7fa2b33013d681df622071");
+      (Strict, 3, 7, 32, "90be5723b834cd083592be18e2033935");
+    ]
+
+let test_records_golden () =
+  List.iter
+    (fun (metric, stages, procs, inst_seed, digest) ->
+      let app, platform =
+        Workload.Gen.random_instance (Prng.create ~seed:inst_seed)
+          {
+            Workload.Gen.i_stages = stages;
+            i_procs = procs;
+            i_comp_range = (1.0, 10.0);
+            i_comm_range = (0.2, 2.0);
+          }
+      in
+      let domains = if inst_seed mod 2 = 0 then 2 else 1 in
+      let pool, s = settings ~domains ~metric ~n_procs:procs () in
+      Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
+      let rungs = Optimize.Engine.[ Greedy; Local; Anneal; Exhaustive ] in
+      let r = Optimize.Engine.run ~rungs ~app ~platform s in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %d stages, %d procs, seed %d"
+           (Optimize.Objective.metric_name metric)
+           stages procs inst_seed)
+        digest
+        (Digest.to_hex (Digest.string (Optimize.Engine.report_to_string r))))
+    golden_records
+
 let () =
   Alcotest.run "optimize"
     [
@@ -268,5 +314,9 @@ let () =
           Alcotest.test_case "typed failure recorded" `Quick test_typed_failure_recorded_and_survived;
           Alcotest.test_case "programming error propagates" `Quick test_programming_error_propagates;
         ] );
-      ( "report", [ Alcotest.test_case "JSON shape" `Quick test_report_shape ] );
+      ( "report",
+        [
+          Alcotest.test_case "JSON shape" `Quick test_report_shape;
+          Alcotest.test_case "optimize records = golden" `Quick test_records_golden;
+        ] );
     ]

@@ -147,6 +147,126 @@ let qcheck_frames_chunking =
       let want = expected stream in
       run stream [] = want && run stream sizes = want)
 
+(* ---- wire-parser fuzzing: a value or a typed error, never an exception ---- *)
+
+(* edits that favour JSON's structural characters *)
+let gen_mutated =
+  Byte_edits.gen ~specials:[ '{'; '}'; '['; ']'; '"'; '\\'; ','; ':'; '-'; '0'; 'e'; '.'; 'u' ]
+
+(* every constructor; strings of arbitrary bytes; floats that include the
+   non-finite ones, which render as null *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 6) in
+  let flt = oneof [ float; oneofl [ nan; infinity; -0.0; 1e300; 5e-324; 2.0 ] ] in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) (oneof [ int; small_signed_int ]);
+        map (fun f -> Json.Float f) flt;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun xs -> Json.List xs) (list_size (int_range 0 4) (self (depth - 1))));
+            ( 1,
+              map (fun fs -> Json.Obj fs) (list_size (int_range 0 4) (pair str (self (depth - 1))))
+            );
+          ])
+    3
+
+let qcheck_json_parse_total =
+  QCheck.Test.make ~name:"Json.parse never raises (random and mutated bytes)" ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ string; gen_mutated (map Json.render gen_json) ]))
+    (fun text -> match Json.parse text with Ok _ | Error _ -> true)
+
+let qcheck_json_fixed_point =
+  QCheck.Test.make ~name:"Json.render is a fixed point of parse . render" ~count:1000
+    (QCheck.make ~print:(fun v -> String.escaped (Json.render v)) gen_json)
+    (fun v ->
+      let text = Json.render v in
+      match Json.parse text with Ok v' -> Json.render v' = text | Error _ -> false)
+
+(* request-shaped objects: every field the protocol reads, with values
+   that are sometimes valid, sometimes out of range and sometimes of the
+   wrong type; [batch] carries up to 70 such items *)
+let gen_request =
+  let open QCheck.Gen in
+  let strings l = map (fun s -> Json.String s) (oneofl l) in
+  let number =
+    oneof
+      [
+        map (fun n -> Json.Int n) (oneof [ int_range (-2) 3; int ]);
+        map (fun f -> Json.Float f) (oneofl [ 0.5; -1.0; 2.0; 1e300; 1e20; nan; infinity ]);
+      ]
+  in
+  let field k values = map (fun v -> (k, v)) (frequency [ (4, values); (1, gen_json) ]) in
+  let query_fields =
+    [
+      field "instance" (strings [ ""; "application 1"; "garbage\n" ]);
+      field "model" (strings [ "overlap"; "strict"; "bogus" ]);
+      field "law"
+        (strings
+           [ "deterministic"; "exponential"; "erlang:2"; "erlang:0"; "erlang:x"; "erlang:";
+             "erlang:0x10"; "erlang:99999999999999999999"; "erlang:2:3" ]);
+      field "cap" number;
+      field "wall" number;
+      field "sweeps" number;
+      field "states" number;
+      field "simulate" (map (fun b -> Json.Bool b) bool);
+    ]
+  in
+  let fields l = list_size (int_range 0 7) (oneof l) in
+  let query = map (fun fs -> Json.Obj fs) (fields query_fields) in
+  let request_fields =
+    [
+      field "v" (oneof [ return (Json.Int 1); number ]);
+      field "id" gen_json;
+      field "fleet" (map (fun b -> Json.Bool b) bool);
+      field "requests" (map (fun xs -> Json.List xs) (list_size (int_range 0 70) query));
+    ]
+    @ query_fields
+  in
+  let cmd =
+    field "cmd"
+      (strings
+         [ "solve"; "batch"; "stats"; "metrics"; "ping"; "shutdown"; "solve_multi"; "admit"; "nope" ])
+  in
+  frequency
+    [
+      (8, map2 (fun c fs -> Json.Obj (c :: fs)) cmd (fields request_fields));
+      (1, map (fun fs -> Json.Obj fs) (fields request_fields));
+      (1, gen_json);
+    ]
+
+(* a decoded solve re-renders to a request that decodes to it again, as
+   the router's batch split relies on *)
+let requery q = Protocol.decode_query (Protocol.query_json q) = Ok q
+
+let request_total v =
+  match Protocol.parse_request v with
+  | Ok (_, Protocol.Solve q) -> requery q
+  | Ok (_, Protocol.Batch items) ->
+      List.for_all (function Ok q -> requery q | Error _ -> true) items
+  | Ok _ | Error _ -> true
+
+(* request lines as generated and with random edits, through the JSON
+   parser as the daemon reads them *)
+let qcheck_parse_request_total =
+  let line = QCheck.Gen.map Json.render gen_request in
+  QCheck.Test.make ~name:"Protocol.parse_request never raises on a parsed value" ~count:2000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(oneof [ line; gen_mutated line ]))
+    (fun text -> match Json.parse text with Ok v -> request_total v | Error _ -> true)
+
 (* ---- LRU ---- *)
 
 let test_lru_eviction_order () =
@@ -1053,6 +1173,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
+          QCheck_alcotest.to_alcotest qcheck_json_parse_total;
+          QCheck_alcotest.to_alcotest qcheck_json_fixed_point;
         ] );
       ("frames", [ QCheck_alcotest.to_alcotest qcheck_frames_chunking ]);
       ( "lru",
@@ -1082,6 +1204,7 @@ let () =
           Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;
           Alcotest.test_case "batch isolates bad items" `Quick test_batch_isolates_bad_items;
           Alcotest.test_case "shutdown command" `Quick test_shutdown_command;
+          QCheck_alcotest.to_alcotest qcheck_parse_request_total;
         ] );
       ( "multi",
         [

@@ -121,6 +121,41 @@ let qcheck_exponential_below_deterministic =
       in
       expo <= det +. 1e-9)
 
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* The flat-array critical cycle against the TEG route it replaced, kept
+   as the oracle: [Cycle_time.analyse] on [build]'s net.  Continuous times,
+   ties among small integers and all-equal times exercise Howard's tie
+   rules; u = 1 and v = 1 give self-loop rings. *)
+let qcheck_deterministic_matches_teg =
+  QCheck.Test.make ~name:"pattern: deterministic = TEG critical cycle, bit for bit" ~count:500
+    QCheck.(quad (int_range 1 9) (int_range 1 9) (int_range 0 2) small_int)
+    (fun (u, v, mode, seed) ->
+      QCheck.assume (gcd u v = 1);
+      let g = Prng.create ~seed:(seed + 101) in
+      let times =
+        Array.init (u * v) (fun _ ->
+            match mode with
+            | 0 -> Prng.uniform g 0.1 10.0
+            | 1 -> float_of_int (1 + Prng.int g 3)
+            | _ -> 2.5)
+      in
+      let time ~sender ~receiver = times.((sender * v) + receiver) in
+      match Petrinet.Cycle_time.analyse (Pattern.build ~u ~v ~time) with
+      | None -> false
+      | Some { Petrinet.Cycle_time.period; _ } ->
+          Int64.equal
+            (Int64.bits_of_float (float_of_int (u * v) /. period))
+            (Int64.bits_of_float (Pattern.deterministic_inner_throughput ~u ~v ~time)))
+
+let test_deterministic_invalid () =
+  let time ~sender ~receiver = if sender = 1 && receiver = 2 then -1.0 else 1.0 in
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Pattern.deterministic_inner_throughput: negative duration") (fun () ->
+      ignore (Pattern.deterministic_inner_throughput ~u:2 ~v:3 ~time));
+  Alcotest.check_raises "not coprime" (Invalid_argument "Pattern: u and v must be coprime")
+    (fun () -> ignore (Pattern.deterministic_inner_throughput ~u:2 ~v:4 ~time))
+
 let test_heterogeneous_sanity () =
   (* making one link very slow gates its sender and receiver *)
   let slow ~sender ~receiver = if sender = 0 && receiver = 0 then 100.0 else 1.0 in
@@ -203,6 +238,29 @@ let test_cache_hits () =
   let cleared = Pattern.cache_stats () in
   Alcotest.(check int) "clear resets hits" 0 cleared.Pattern.hits;
   Alcotest.(check int) "clear resets structures" 0 cleared.Pattern.structures
+
+(* distinct 1x2 rate pairs past the memo's capacity: the memo stays
+   bounded, every solve is counted, and a dropped entry solves again to
+   the same float *)
+let test_result_memo_bounded () =
+  Pattern.clear_caches ();
+  let solve i =
+    Pattern.exponential_inner_throughput ~u:1 ~v:2
+      ~rate:(fun ~sender:_ ~receiver -> 1.0 +. float_of_int i +. (0.5 *. float_of_int receiver))
+      ()
+  in
+  let first = solve 0 in
+  let extra = Pattern.result_capacity + 10 in
+  for i = 1 to extra do
+    ignore (solve i)
+  done;
+  let stats = Pattern.cache_stats () in
+  Alcotest.(check bool) "within capacity" true (stats.Pattern.results <= Pattern.result_capacity);
+  Alcotest.(check int) "every solve missed" (extra + 1) stats.Pattern.misses;
+  Alcotest.(check int) "no hit" 0 stats.Pattern.hits;
+  Alcotest.(check int64) "first rates solve again, bit for bit" (Int64.bits_of_float first)
+    (Int64.bits_of_float (solve 0));
+  Pattern.clear_caches ()
 
 let test_young_graph_matches_bfs () =
   List.iter
@@ -298,5 +356,8 @@ let () =
           Alcotest.test_case "young lattice walk polls the wall budget" `Quick
             test_young_graph_wall_budget;
           Alcotest.test_case "budgeted 1-phase solve walks the lattice" `Quick test_budgeted_shape;
+          QCheck_alcotest.to_alcotest qcheck_deterministic_matches_teg;
+          Alcotest.test_case "deterministic invalid" `Quick test_deterministic_invalid;
+          Alcotest.test_case "result memo is bounded" `Quick test_result_memo_bounded;
         ] );
     ]
