@@ -126,14 +126,17 @@ let substrate_kernels =
     Test.make ~name:"substrate: GTH stationary (200 states)"
       (let g = Prng.create ~seed:3 in
        let n = 200 in
-       let rates =
-         Array.init n (fun i ->
-             Array.init n (fun j ->
-                 if i = j then 0.0
-                 else if (i + 1) mod n = j then 1.0 +. Prng.float g
-                 else if Prng.float g < 0.05 then Prng.float g
-                 else 0.0))
-       in
+       let rates = Linalg.Sparse.create n in
+       for i = 0 to n - 1 do
+         for j = 0 to n - 1 do
+           if i = j then ()
+           else if (i + 1) mod n = j then Linalg.Sparse.add_rate rates i j (1.0 +. Prng.float g)
+           else if Prng.float g < 0.05 then begin
+             let r = Prng.float g in
+             if r > 0.0 then Linalg.Sparse.add_rate rates i j r
+           end
+         done
+       done;
        Staged.stage (fun () -> ignore (Linalg.Gth.stationary rates)));
     Test.make ~name:"substrate: state count S(9,7)"
       (Staged.stage (fun () -> ignore (Young.Combin.state_count ~u:9 ~v:7)));

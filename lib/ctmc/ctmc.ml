@@ -10,19 +10,31 @@ let n_states t = t.n
 
 type method_ = Auto | Gth | Gauss_seidel | Power
 
-(* Crossover between O(n³) GTH elimination and sparse Gauss–Seidel,
-   re-measured on the CSR kernel (see DESIGN.md): GTH stays competitive —
-   and is exact — through roughly a thousand states. *)
+(* Crossover between sparse GTH elimination and Gauss–Seidel (see
+   DESIGN.md): GTH is exact, and its fill stays affordable through roughly
+   a thousand states.  Above that the fill of the general method's chains
+   grows faster than Gauss–Seidel's sweeps. *)
 let gth_threshold = 1200
+
+let m_gth_solves =
+  Obs.Metrics.Counter.create ~help:"Exact GTH stationary solves" "ctmc_gth_solves_total"
+
+let m_gth_entries =
+  Obs.Metrics.Counter.create ~help:"L and U entries stored by GTH solves (generator plus fill)"
+    "ctmc_gth_factor_entries_total"
+
+let gth t =
+  let pi, entries = Linalg.Gth.stationary_stats t.sparse in
+  Obs.Metrics.Counter.incr m_gth_solves;
+  Obs.Metrics.Counter.add m_gth_entries entries;
+  pi
 
 let stationary ?(solver = Auto) t =
   match solver with
-  | Gth -> Linalg.Gth.stationary (Linalg.Sparse.to_dense t.sparse)
+  | Gth -> gth t
   | Gauss_seidel -> Linalg.Sparse.stationary_gauss_seidel t.sparse
   | Power -> Linalg.Sparse.stationary_power t.sparse
-  | Auto ->
-      if t.n <= gth_threshold then Linalg.Gth.stationary (Linalg.Sparse.to_dense t.sparse)
-      else Linalg.Sparse.stationary_gauss_seidel t.sparse
+  | Auto -> if t.n <= gth_threshold then gth t else Linalg.Sparse.stationary_gauss_seidel t.sparse
 
 (* ---- supervised solving: the escalation ladder ---- *)
 
@@ -38,11 +50,12 @@ let rung_name = function
   | Rung_power { tol } -> Printf.sprintf "power(tol=%g)" tol
   | Rung_arnoldi { tol; restart } -> Printf.sprintf "arnoldi(tol=%g,m=%d)" tol restart
 
-(* GTH is exact but dense O(n³), so it only heads the ladder for chains it
-   can actually chew through; the iterative rungs then relax the tolerance
-   before switching method entirely.  The Krylov rung closes the ladder:
-   restarted Arnoldi converges on stiff chains where the one-dimensional
-   power recurrence stalls, at the price of the basis memory. *)
+(* GTH is exact but its fill grows fast, so it only heads the ladder for
+   chains it can actually chew through; the iterative rungs then relax the
+   tolerance before switching method entirely.  The Krylov rung closes the
+   ladder: restarted Arnoldi converges on stiff chains where the
+   one-dimensional power recurrence stalls, at the price of the basis
+   memory. *)
 let default_ladder n =
   let iterative =
     [
@@ -53,9 +66,6 @@ let default_ladder n =
     ]
   in
   if n <= gth_threshold then Rung_gth :: iterative else iterative
-
-let m_gth_solves =
-  Obs.Metrics.Counter.create ~help:"Exact GTH stationary solves" "ctmc_gth_solves_total"
 
 let m_sweeps method_ =
   Obs.Metrics.Counter.create
@@ -77,10 +87,7 @@ let m_ladder_failed =
     "ctmc_ladder_failed_total"
 
 let run_rung ?budget t = function
-  | Rung_gth ->
-      let pi = Linalg.Gth.stationary (Linalg.Sparse.to_dense t.sparse) in
-      Obs.Metrics.Counter.incr m_gth_solves;
-      (pi, Supervise.Provenance.Exact)
+  | Rung_gth -> (gth t, Supervise.Provenance.Exact)
   | Rung_gauss_seidel { tol } ->
       let pi, stats = Linalg.Sparse.stationary_gauss_seidel_stats ?budget ~tol t.sparse in
       Obs.Metrics.Counter.add m_gs_sweeps stats.Linalg.Sparse.sweeps;

@@ -14,8 +14,11 @@ type method_ = Auto | Gth | Gauss_seidel | Power
 
 val stationary : ?solver:method_ -> t -> float array
 (** Stationary distribution of an irreducible chain.  [Auto] (default)
-    uses the numerically exact GTH elimination up to 1200 states and
-    sparse Gauss–Seidel beyond. *)
+    uses the numerically exact GTH elimination ({!Linalg.Gth}, on the
+    generator's CSR rows) up to 1200 states and sparse Gauss–Seidel
+    beyond, where GTH's fill outgrows Gauss–Seidel's sweeps.  Every GTH
+    solve, here or on a ladder rung, counts in [ctmc_gth_solves_total]
+    and adds its L and U entries to [ctmc_gth_factor_entries_total]. *)
 
 type rung =
   | Rung_gth
@@ -29,7 +32,7 @@ type rung =
 
 val default_ladder : int -> rung list
 (** The standard ladder for an [n]-state chain: GTH (only when [n] is
-    within the dense threshold), Gauss–Seidel at 1e-12, Gauss–Seidel
+    within the 1200-state threshold), Gauss–Seidel at 1e-12, Gauss–Seidel
     relaxed to 1e-9, power iteration at 1e-10, and finally restarted
     Arnoldi (tol 1e-10, basis 30) for stiff chains that defeat the
     one-dimensional iterations. *)

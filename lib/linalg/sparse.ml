@@ -144,16 +144,6 @@ let iter_outgoing t i fn =
     fn f.cols.(k) f.vals.(k)
   done
 
-let to_dense t =
-  let f = freeze t in
-  let m = Array.make_matrix t.n t.n 0.0 in
-  for i = 0 to t.n - 1 do
-    for k = f.row_ptr.(i) to f.row_ptr.(i + 1) - 1 do
-      m.(i).(f.cols.(k)) <- f.vals.(k)
-    done
-  done;
-  m
-
 let normalize pi =
   let total = Array.fold_left ( +. ) 0.0 pi in
   if total <= 0.0 then

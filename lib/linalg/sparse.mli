@@ -1,8 +1,10 @@
-(** Sparse stationary-distribution solvers for large Markov chains.
+(** A CTMC generator in compressed-sparse-row form, and the iterative
+    stationary solvers that sweep it.
 
-    The GTH solver is O(n³); the Young-diagram pattern chains of Theorem 3
-    grow combinatorially with the replication factors, so beyond ~1500
-    states we switch to iterative solvers on a sparse representation. *)
+    The exact solver, {!Gth}, eliminates on the same CSR rows, but its
+    fill grows quickly on the Young-diagram pattern chains of Theorem 3
+    and the marking chains of the general method, so beyond 1200 states
+    the CTMC layer switches to the iterative solvers here. *)
 
 type t
 (** A CTMC generator: edges accumulate in flat append-only arrays and are
@@ -32,10 +34,6 @@ val rate : t -> int -> int -> float
 val iter_outgoing : t -> int -> (int -> float -> unit) -> unit
 (** [iter_outgoing t i f] calls [f j r] for every merged edge i → j without
     allocating. *)
-
-val to_dense : t -> float array array
-(** Dense [n × n] rate matrix built straight from the frozen CSR (zero
-    diagonal); input to the GTH solver. *)
 
 type stats = { sweeps : int; residual : float }
 (** What an iterative solve achieved: sweeps executed and the L1 residual

@@ -9,7 +9,7 @@ let latency_bounds = [| 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.0; 3.0; 
 let states_bounds = [| 10.; 100.; 1_000.; 10_000.; 100_000.; 1_000_000.; 10_000_000. |]
 
 type t = {
-  started : float;
+  started : int;  (** [Obs.Clock.now_ns] at creation, so a clock step moves no uptime *)
   reg : Obs.Metrics.registry;
   solved : Obs.Metrics.Counter.t;
   cache_served : Obs.Metrics.Counter.t;
@@ -19,13 +19,13 @@ type t = {
 
 let create () =
   let reg = Obs.Metrics.create_registry () in
-  let started = Unix.gettimeofday () in
+  let started = Obs.Clock.now_ns () in
   let uptime =
     Obs.Metrics.Gauge.create ~registry:reg ~help:"Seconds since the server started"
       "service_uptime_seconds"
   in
   Obs.Metrics.register_collector ~registry:reg ~name:"service.uptime" (fun () ->
-      Obs.Metrics.Gauge.set uptime (Unix.gettimeofday () -. started));
+      Obs.Metrics.Gauge.set uptime (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - started)));
   {
     started;
     reg;
@@ -141,7 +141,7 @@ let to_json t =
   let samples = Obs.Metrics.samples t.reg in
   Json.Obj
     [
-      ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
+      ("uptime_s", Json.Float (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t.started)));
       ("requests", table_json samples "service_requests_total" "cmd");
       ("errors", table_json samples "service_errors_total" "kind");
       ("solved", Json.Int (Obs.Metrics.Counter.value t.solved));

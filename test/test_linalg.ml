@@ -53,13 +53,23 @@ let qcheck_solve_roundtrip =
 
 (* -- GTH -- *)
 
+let sparse_of_dense rates =
+  let n = Array.length rates in
+  let s = Sparse.create n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j && rates.(i).(j) > 0.0 then Sparse.add_rate s i j rates.(i).(j)
+    done
+  done;
+  s
+
 let test_gth_two_state () =
-  let pi = Gth.stationary [| [| 0.0; 3.0 |]; [| 1.0; 0.0 |] |] in
+  let pi = Gth.stationary (sparse_of_dense [| [| 0.0; 3.0 |]; [| 1.0; 0.0 |] |]) in
   check_float 1e-12 "pi0" 0.25 pi.(0);
   check_float 1e-12 "pi1" 0.75 pi.(1)
 
 let test_gth_single_state () =
-  let pi = Gth.stationary [| [| 0.0 |] |] in
+  let pi = Gth.stationary (Sparse.create 1) in
   check_float 1e-12 "pi" 1.0 pi.(0)
 
 let test_gth_birth_death () =
@@ -71,7 +81,7 @@ let test_gth_birth_death () =
     rates.(i).(i + 1) <- lambda;
     rates.(i + 1).(i) <- mu
   done;
-  let pi = Gth.stationary rates in
+  let pi = Gth.stationary (sparse_of_dense rates) in
   let rho = lambda /. mu in
   let z = Array.fold_left ( +. ) 0.0 (Array.init n (fun i -> rho ** float_of_int i)) in
   for i = 0 to n - 1 do
@@ -87,7 +97,7 @@ let test_gth_reducible () =
             what = "reducible chain: no outflow mass eliminating state 2";
             where = "Gth.stationary";
           }))
-    (fun () -> ignore (Gth.stationary rates))
+    (fun () -> ignore (Gth.stationary (sparse_of_dense rates)))
 
 let random_chain g n =
   (* dense irreducible generator: a cycle plus random extra rates *)
@@ -121,21 +131,121 @@ let qcheck_gth_balance =
     (fun (n, seed) ->
       let g = Prng.create ~seed:(seed + 5) in
       let rates = random_chain g n in
-      let pi = Gth.stationary rates in
+      let pi = Gth.stationary (sparse_of_dense rates) in
       balance_residual rates pi < 1e-10
       && abs_float (Array.fold_left ( +. ) 0.0 pi -. 1.0) < 1e-10)
 
-(* -- sparse solvers -- *)
+(* Random generators for the bit-identity properties: rates spread over
+   six decades, extra edges either within a band of the diagonal or
+   scattered, about 30% of them inserted twice (the CSR merges them). *)
+let wide_rate g = 10.0 ** Prng.uniform g (-3.0) 3.0
 
-let sparse_of_dense rates =
-  let n = Array.length rates in
+(* ergodic: a backbone cycle through every state, then the extra edges *)
+let random_ergodic g ~n ~banded =
   let s = Sparse.create n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && rates.(i).(j) > 0.0 then Sparse.add_rate s i j rates.(i).(j)
-    done
+  if n >= 2 then
+    for i = 0 to n - 1 do
+      Sparse.add_rate s i ((i + 1) mod n) (wide_rate g)
+    done;
+  let band = 1 + Prng.int g 8 in
+  for _ = 1 to n * (1 + Prng.int g 4) do
+    let i = Prng.int g n in
+    let j =
+      if banded then (((i + Prng.int g ((2 * band) + 1) - band) mod n) + n) mod n
+      else Prng.int g n
+    in
+    if i <> j then begin
+      Sparse.add_rate s i j (wide_rate g);
+      if Prng.float g < 0.3 then Sparse.add_rate s i j (wide_rate g)
+    end
   done;
   s
+
+(* reducible: every state joins one of two or three closed classes (a
+   cycle each, extra edges kept inside the class) or, with probability
+   0.2, is transient with edges anywhere.  Two closed classes make the
+   elimination of the larger of their lowest states find no outflow
+   mass, so both solvers must raise. *)
+let random_reducible g ~n =
+  let classes = min n (2 + Prng.int g 2) in
+  let cls =
+    Array.init n (fun i ->
+        if i < classes then i else if Prng.float g < 0.2 then -1 else Prng.int g classes)
+  in
+  let s = Sparse.create n in
+  for c = 0 to classes - 1 do
+    let members = Array.of_list (List.filter (fun i -> cls.(i) = c) (List.init n Fun.id)) in
+    let m = Array.length members in
+    if m >= 2 then
+      Array.iteri (fun k i -> Sparse.add_rate s i members.((k + 1) mod m) (wide_rate g)) members;
+    for _ = 1 to m do
+      let i = members.(Prng.int g m) and j = members.(Prng.int g m) in
+      if i <> j then Sparse.add_rate s i j (wide_rate g)
+    done
+  done;
+  Array.iteri
+    (fun i c ->
+      if c < 0 then
+        for _ = 1 to 1 + Prng.int g 3 do
+          let j = Prng.int g n in
+          if j <> i then Sparse.add_rate s i j (wide_rate g)
+        done)
+    cls;
+  s
+
+let bits pi = Array.map Int64.bits_of_float pi
+
+let qcheck_gth_matches_dense =
+  QCheck.Test.make ~name:"sparse GTH = dense GTH, bit for bit" ~count:100
+    QCheck.(triple (int_range 1 300) small_int bool)
+    (fun (n, seed, banded) ->
+      let s = random_ergodic (Prng.create ~seed:(seed + 41)) ~n ~banded in
+      bits (Gth.stationary s) = bits (Ref_gth.stationary s))
+
+let qcheck_gth_reducible_matches_dense =
+  QCheck.Test.make ~name:"sparse and dense GTH raise the same error on reducible chains" ~count:100
+    QCheck.(pair (int_range 2 120) small_int)
+    (fun (n, seed) ->
+      let s = random_reducible (Prng.create ~seed:(seed + 59)) ~n in
+      let outcome f =
+        match f s with _ -> None | exception Supervise.Error.Solver_error e -> Some e
+      in
+      match (outcome Gth.stationary, outcome Ref_gth.stationary) with
+      | Some a, Some b -> a = b
+      | _ -> false)
+
+(* Solves keep their working storage between calls, one set per domain;
+   concurrent solves, on other domains or on other threads of the same
+   domain, must still each get the oracle's bits. *)
+let test_gth_concurrent () =
+  let g = Prng.create ~seed:73 in
+  let chains =
+    Array.init 24 (fun c -> random_ergodic g ~n:(2 + Prng.int g 250) ~banded:(c mod 2 = 0))
+  in
+  let expected = Array.map (fun s -> bits (Ref_gth.stationary s)) chains in
+  let solve_all order () = Array.map (fun c -> bits (Gth.stationary chains.(c))) order in
+  let forward = Array.init 24 Fun.id in
+  let backward = Array.init 24 (fun c -> 23 - c) in
+  let check name order got =
+    Array.iteri
+      (fun t c -> if got.(t) <> expected.(c) then Alcotest.failf "%s: chain %d differs" name c)
+      order
+  in
+  let d = Domain.spawn (solve_all backward) in
+  let here = solve_all forward () in
+  check "other domain" backward (Domain.join d);
+  check "this domain" forward here;
+  let results = Array.make 2 [||] in
+  let threads =
+    Array.mapi
+      (fun t order -> Thread.create (fun () -> results.(t) <- solve_all order ()) ())
+      [| forward; backward |]
+  in
+  Array.iter Thread.join threads;
+  check "thread 0" forward results.(0);
+  check "thread 1" backward results.(1)
+
+(* -- sparse solvers -- *)
 
 let qcheck_gauss_seidel_matches_gth =
   QCheck.Test.make ~name:"Gauss-Seidel matches GTH" ~count:60
@@ -143,7 +253,7 @@ let qcheck_gauss_seidel_matches_gth =
     (fun (n, seed) ->
       let g = Prng.create ~seed:(seed + 11) in
       let rates = random_chain g n in
-      let pi_gth = Gth.stationary rates in
+      let pi_gth = Gth.stationary (sparse_of_dense rates) in
       let pi_gs = Sparse.stationary_gauss_seidel (sparse_of_dense rates) in
       Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-8) pi_gth pi_gs)
 
@@ -153,15 +263,14 @@ let qcheck_power_matches_gth =
     (fun (n, seed) ->
       let g = Prng.create ~seed:(seed + 23) in
       let rates = random_chain g n in
-      let pi_gth = Gth.stationary rates in
+      let pi_gth = Gth.stationary (sparse_of_dense rates) in
       let pi_pow = Sparse.stationary_power ~tol:1e-13 (sparse_of_dense rates) in
       Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-6) pi_gth pi_pow)
 
 (* The three stationary solvers must agree on generators of every size the
    auto-selection can route to either path: random ergodic chains up to
    n = 300 with random sparsity, including duplicate [add_rate] insertions
-   (which must merge, not drift).  GTH runs on the dense image of the same
-   sparse object, so this also pins the CSR merge against elimination. *)
+   (which must merge, not drift).  All three run on the same frozen CSR. *)
 let test_solvers_agree_random () =
   let g = Prng.create ~seed:97 in
   for case = 1 to 50 do
@@ -179,7 +288,7 @@ let test_solvers_agree_random () =
         if Prng.float g < 0.3 then Sparse.add_rate s i j r
       end
     done;
-    let pi_gth = Gth.stationary (Sparse.to_dense s) in
+    let pi_gth = Gth.stationary s in
     let pi_gs = Sparse.stationary_gauss_seidel s in
     let pi_pow = Sparse.stationary_power ~tol:1e-13 s in
     for i = 0 to n - 1 do
@@ -223,6 +332,9 @@ let () =
           Alcotest.test_case "birth-death" `Quick test_gth_birth_death;
           Alcotest.test_case "reducible" `Quick test_gth_reducible;
           QCheck_alcotest.to_alcotest qcheck_gth_balance;
+          QCheck_alcotest.to_alcotest qcheck_gth_matches_dense;
+          QCheck_alcotest.to_alcotest qcheck_gth_reducible_matches_dense;
+          Alcotest.test_case "concurrent solves keep their own storage" `Quick test_gth_concurrent;
         ] );
       ( "sparse",
         [

@@ -46,6 +46,22 @@ let test_ctmc_solvers_agree () =
   Array.iteri (fun i v -> check_float 1e-8 "gth vs gs" v gs.(i)) gth;
   Array.iteri (fun i v -> check_float 1e-6 "gth vs power" v pw.(i)) gth
 
+(* every GTH solve is counted, with its L+U entries: a tridiagonal chain
+   has no fill, so an n-state birth-death chain stores 2(n-1) entries *)
+let test_ctmc_gth_counters () =
+  let solves = Obs.Metrics.Counter.create "ctmc_gth_solves_total" in
+  let entries = Obs.Metrics.Counter.create "ctmc_gth_factor_entries_total" in
+  let n = 40 in
+  let chain = Markov.Ctmc.create n in
+  for i = 0 to n - 2 do
+    Markov.Ctmc.add_rate chain i (i + 1) 2.0;
+    Markov.Ctmc.add_rate chain (i + 1) i 3.0
+  done;
+  let s0 = Obs.Metrics.Counter.value solves and e0 = Obs.Metrics.Counter.value entries in
+  ignore (Markov.Ctmc.stationary chain);
+  Alcotest.(check int) "one solve" 1 (Obs.Metrics.Counter.value solves - s0);
+  Alcotest.(check int) "2(n-1) entries" (2 * (n - 1)) (Obs.Metrics.Counter.value entries - e0)
+
 (* -- tpn_markov -- *)
 
 let test_self_loop_rate () =
@@ -299,6 +315,7 @@ let () =
           Alcotest.test_case "two states" `Quick test_ctmc_two_state;
           Alcotest.test_case "rate accumulation" `Quick test_ctmc_add_rate_accumulates;
           Alcotest.test_case "solvers agree" `Quick test_ctmc_solvers_agree;
+          Alcotest.test_case "GTH solves and factor entries counted" `Quick test_ctmc_gth_counters;
         ] );
       ( "tpn markov",
         [

@@ -644,6 +644,83 @@ let test_metrics_fleet_flag_single_daemon () =
   Alcotest.(check bool) "build info exported" true
     (contains text "streaming_build_info{")
 
+(* the daemon's uptime runs on the monotonic clock: never negative, never
+   more than the monotonic time since just before the metrics existed *)
+let test_uptime_monotonic () =
+  let before = Obs.Clock.now_ns () in
+  let m = Metrics.create () in
+  let j = Metrics.to_json m in
+  let bound = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - before) in
+  match Json.member "uptime_s" j with
+  | Some (Json.Float u) ->
+      Alcotest.(check bool) "uptime_s >= 0" true (u >= 0.0);
+      Alcotest.(check bool) "uptime_s <= monotonic elapsed" true (u <= bound)
+  | _ -> Alcotest.fail "no uptime_s"
+
+(* Golden solve replies: twelve mappings per set, drawn at cold-solves'
+   shapes from fixed seeds, solved through [Engine.solve] and rendered as
+   the cache would store them.  Floats render in shortest round-trip form,
+   so a last-bit move in any solver changes a digest.  The digests were
+   recorded with the dense GTH loop that [Ref_gth] keeps; 8 of the 12
+   Strict replies come from the GTH rung. *)
+let golden_replies ~seed ~model ~law ~stages ~procs =
+  let g = Prng.create ~seed in
+  let params =
+    {
+      Workload.Gen.n_stages = stages;
+      n_procs = procs;
+      comp_range = (4.0, 12.0);
+      comm_range = (4.0, 12.0);
+      max_rows = 60;
+    }
+  in
+  List.init 12 (fun _ ->
+      let mapping = Workload.Gen.random_mapping g params in
+      let q =
+        {
+          Engine.instance = Streaming.Instance_io.to_string mapping;
+          model;
+          law;
+          cap = Engine.default_cap;
+          wall = None;
+          sweeps = None;
+          states = None;
+          simulate = false;
+        }
+      in
+      match Engine.prepare q with
+      | Error msg -> Alcotest.fail msg
+      | Ok p -> (
+          match Engine.solve p q with
+          | Ok o -> Json.render (Engine.outcome_json o)
+          | Error e -> Alcotest.fail (Supervise.Error.to_string e)))
+
+let test_golden_replies () =
+  let digest replies = Digest.to_hex (Digest.string (String.concat "\n" replies)) in
+  let strict =
+    golden_replies ~seed:2 ~model:Streaming.Model.Strict ~law:Engine.Exponential ~stages:3
+      ~procs:7
+  in
+  let exact =
+    List.filter
+      (fun r ->
+        match Json.parse r with
+        | Ok j -> Json.member "quality" j = Some (Json.String "exact")
+        | Error _ -> false)
+      strict
+  in
+  Alcotest.(check int) "strict replies from the GTH rung" 8 (List.length exact);
+  Alcotest.(check string) "strict/exponential (3,7)" "b1964fceef1569ffce70cd77274947f7"
+    (digest strict);
+  Alcotest.(check string) "overlap/erlang:2 (5,14)" "c4f9d40fb8d7a0d1e1915bbec4557b58"
+    (digest
+       (golden_replies ~seed:8 ~model:Streaming.Model.Overlap ~law:(Engine.Erlang 2) ~stages:5
+          ~procs:14));
+  Alcotest.(check string) "overlap/exponential (5,14)" "71fc18d0da6f27e897db12daab7aa753"
+    (digest
+       (golden_replies ~seed:11 ~model:Streaming.Model.Overlap ~law:Engine.Exponential ~stages:5
+          ~procs:14))
+
 let test_budget_exhausted_structured () =
   let server = Server.create (config ()) in
   let line = solve_line ~model:Streaming.Model.Strict ~wall:1e-9 big_instance in
@@ -1205,6 +1282,8 @@ let () =
           Alcotest.test_case "batch isolates bad items" `Quick test_batch_isolates_bad_items;
           Alcotest.test_case "shutdown command" `Quick test_shutdown_command;
           QCheck_alcotest.to_alcotest qcheck_parse_request_total;
+          Alcotest.test_case "uptime on the monotonic clock" `Quick test_uptime_monotonic;
+          Alcotest.test_case "golden solve replies" `Quick test_golden_replies;
         ] );
       ( "multi",
         [
