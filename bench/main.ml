@@ -276,150 +276,6 @@ let parallel_study ~domains =
   close_out oc;
   Format.printf "wrote BENCH_parallel.json@."
 
-(* ---- query-service load study: N concurrent clients against an
-   in-process daemon on a Unix socket; cold vs. warm-cache latency and
-   throughput vs. client count; emits BENCH_service.json ---- *)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-
-(* distinct small instances: distinct rate matrices keep the cold pass
-   honest (no accidental pattern-cache memo hits between instances) *)
-let service_instances =
-  List.init 8 (fun i ->
-      let g = Prng.create ~seed:(7_000 + i) in
-      let mapping =
-        Workload.Gen.random_mapping g
-          {
-            Workload.Gen.n_stages = 5;
-            n_procs = 14;
-            comp_range = (4., 12.);
-            comm_range = (4., 12.);
-            max_rows = 60;
-          }
-      in
-      Instance_io.to_string mapping)
-
-let service_request instance =
-  Service.Json.render
-    (Service.Client.solve_request ~model:Model.Overlap ~law:Service.Engine.Exponential ~instance ())
-
-let with_client addr f =
-  match Service.Client.connect addr with
-  | Error e -> failwith ("service bench: " ^ Service.Client.error_message e)
-  | Ok client -> Fun.protect ~finally:(fun () -> Service.Client.close client) (fun () -> f client)
-
-let timed_requests client lines =
-  List.map
-    (fun line ->
-      let t0 = Unix.gettimeofday () in
-      (match Service.Client.rpc_raw client line with
-      | Ok _ -> ()
-      | Error e -> failwith ("service bench: " ^ Service.Client.error_message e));
-      Unix.gettimeofday () -. t0)
-    lines
-
-let service_study () =
-  Format.printf "@.== Query-service load study ==@.";
-  let path = Filename.temp_file "bench_service" ".sock" in
-  let addr = Service.Protocol.Unix_domain path in
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let config =
-    { (Service.Server.default_config ()) with Service.Server.cache_capacity = 64; log = null_ppf }
-  in
-  let server = Service.Server.create config in
-  let server_thread = Thread.create (fun () -> Service.Server.serve server addr) () in
-  let rec wait_ready tries =
-    if tries = 0 then failwith "service bench: daemon did not come up";
-    match Service.Client.connect addr with
-    | Ok c -> Service.Client.close c
-    | Error _ ->
-        Thread.delay 0.05;
-        wait_ready (tries - 1)
-  in
-  wait_ready 100;
-  let lines = List.map service_request service_instances in
-  (* cold: every instance is a miss; warm: the same requests replay from
-     the LRU *)
-  let cold = with_client addr (fun c -> timed_requests c lines) in
-  let warm = with_client addr (fun c -> timed_requests c lines) in
-  let cold_median = median cold and warm_median = median warm in
-  let client_counts = [ 1; 2; 4; 8 ] in
-  let requests_per_client = 50 in
-  let sweep =
-    List.map
-      (fun clients ->
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun k ->
-              Thread.create
-                (fun () ->
-                  with_client addr (fun c ->
-                      for r = 0 to requests_per_client - 1 do
-                        let line = List.nth lines ((k + r) mod List.length lines) in
-                        match Service.Client.rpc_raw c line with
-                        | Ok _ -> ()
-                        | Error e ->
-                            failwith ("service bench: " ^ Service.Client.error_message e)
-                      done))
-                ())
-        in
-        List.iter Thread.join threads;
-        let wall = Unix.gettimeofday () -. t0 in
-        let rps = float_of_int (clients * requests_per_client) /. wall in
-        (clients, wall, rps))
-      client_counts
-  in
-  let hits, misses =
-    let s = Service.Lru.stats (Service.Server.cache server) in
-    (s.Service.Lru.hits, s.Service.Lru.misses)
-  in
-  with_client addr (fun c -> ignore (Service.Client.shutdown c));
-  Thread.join server_thread;
-  Format.printf "%-42s %12.6f s@." "cold-cache median latency" cold_median;
-  Format.printf "%-42s %12.6f s@." "warm-cache median latency" warm_median;
-  Format.printf "%-42s %12s@." "warm median < cold median"
-    (if warm_median < cold_median then "yes" else "NO");
-  List.iter
-    (fun (clients, wall, rps) ->
-      Format.printf "%-42s %12.0f req/s  (%.3f s wall)@."
-        (Printf.sprintf "throughput, %d client(s) x %d requests" clients requests_per_client)
-        rps wall)
-    sweep;
-  Format.printf "%-42s %6d hits %6d misses@." "daemon cache counters" hits misses;
-  let oc = open_out "BENCH_service.json" in
-  let fmt_latencies xs =
-    String.concat ", " (List.map (fun l -> Printf.sprintf "%.6f" l) xs)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"8 distinct (5,14) overlap/exponential instances over a Unix socket\",\n\
-    \  \"requests_per_client\": %d,\n\
-    \  \"cold_latency_s\": [%s],\n\
-    \  \"warm_latency_s\": [%s],\n\
-    \  \"cold_median_s\": %.6f,\n\
-    \  \"warm_median_s\": %.6f,\n\
-    \  \"warm_lt_cold\": %b,\n\
-    \  \"cache_hits\": %d,\n\
-    \  \"cache_misses\": %d,\n\
-    \  \"clients_sweep\": [%s]\n\
-     }\n"
-    requests_per_client (fmt_latencies cold) (fmt_latencies warm) cold_median warm_median
-    (warm_median < cold_median) hits misses
-    (String.concat ", "
-       (List.map
-          (fun (clients, wall, rps) ->
-            Printf.sprintf "{\"clients\": %d, \"wall_s\": %.6f, \"requests_per_s\": %.1f}" clients
-              wall rps)
-          sweep));
-  close_out oc;
-  Format.printf "wrote BENCH_service.json@."
-
 (* ---- tracing-overhead study: the state-space ladder with tracing
    disabled vs enabled; emits BENCH_obs.json and fails (exit 1) when the
    enabled run costs more than 5% ---- *)
@@ -497,112 +353,6 @@ let statespace_study ~big ~domains =
   in
   Experiments.Statespace.write_json ?big ~path:"BENCH_statespace.json" rungs;
   Format.printf "wrote BENCH_statespace.json@."
-
-(* ---- optimizer study: candidate throughput, prune and cache rates of
-   the mapping-optimization engine; emits BENCH_optimize.json ---- *)
-
-let optimize_ladder ~pool ~app ~platform ~seed =
-  let objective = Optimize.Objective.create Optimize.Objective.Exponential in
-  let settings =
-    {
-      (Optimize.Search.default_settings ~pool ~objective
-         ~procs:(List.init (Platform.n_processors platform) Fun.id))
-      with
-      Optimize.Search.seed;
-    }
-  in
-  Optimize.Engine.run
-    ~rungs:
-      [ Optimize.Engine.Greedy; Optimize.Engine.Local; Optimize.Engine.Anneal;
-        Optimize.Engine.Exhaustive ]
-    ~app ~platform settings
-
-let optimize_study ~domains =
-  Format.printf "@.== Mapping-optimization study ==@.";
-  let instances =
-    (* heterogeneous (5, 14) instances: C(13,4) = 715 compositions each,
-       plus the polynomial rungs — thousands of candidates per ladder *)
-    List.map
-      (fun seed ->
-        let g = Prng.create ~seed in
-        Workload.Gen.random_instance g
-          {
-            Workload.Gen.i_stages = 5;
-            i_procs = 14;
-            i_comp_range = (1.0, 10.0);
-            i_comm_range = (0.2, 2.0);
-          })
-      [ 101; 102; 103; 104 ]
-  in
-  Parallel.Pool.set_domains domains;
-  let pool = Parallel.Pool.get () in
-  Young.Pattern.clear_caches ();
-  let stats0 = Young.Pattern.cache_stats () in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    List.mapi
-      (fun i (app, platform) -> optimize_ladder ~pool ~app ~platform ~seed:(1 + i))
-      instances
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let stats1 = Young.Pattern.cache_stats () in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let candidates = sum (fun r -> r.Optimize.Engine.candidates) in
-  let evaluated = sum (fun r -> r.Optimize.Engine.evaluated) in
-  let pruned = sum (fun r -> r.Optimize.Engine.pruned) in
-  let failed = sum (fun r -> r.Optimize.Engine.failed) in
-  let hits = stats1.Young.Pattern.hits - stats0.Young.Pattern.hits in
-  let misses = stats1.Young.Pattern.misses - stats0.Young.Pattern.misses in
-  let prune_rate = float_of_int pruned /. float_of_int (max 1 candidates) in
-  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  let candidates_s = float_of_int candidates /. wall in
-  let evaluated_s = float_of_int evaluated /. wall in
-  (* determinism: the same ladder on 1 domain must render byte-identically *)
-  let app, platform = List.hd instances in
-  Parallel.Pool.set_domains 1;
-  let r1 = optimize_ladder ~pool:(Parallel.Pool.get ()) ~app ~platform ~seed:1 in
-  Parallel.Pool.set_domains domains;
-  let identical =
-    String.equal
-      (Optimize.Engine.report_to_string r1)
-      (Optimize.Engine.report_to_string (List.hd reports))
-  in
-  Format.printf "%-42s %12d over %d ladders@." "candidates considered" candidates
-    (List.length reports);
-  Format.printf "%-42s %12d (%.1f%% pruned by the bound)@." "pruned without a solve" pruned
-    (100.0 *. prune_rate);
-  Format.printf "%-42s %12d (%d failed)@." "solved" evaluated failed;
-  Format.printf "%-42s %12.0f / s@." "candidate throughput" candidates_s;
-  Format.printf "%-42s %12.0f / s@." "solve throughput" evaluated_s;
-  Format.printf "%-42s %6d hits %6d misses (%.1f%% hit rate)@." "pattern cache" hits misses
-    (100.0 *. hit_rate);
-  Format.printf "%-42s %12s@." "byte-identical report across pool sizes"
-    (if identical then "yes" else "NO");
-  let oc = open_out "BENCH_optimize.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"ladders\": %d,\n\
-    \  \"instance\": \"5 stages x 14 processors, heterogeneous\",\n\
-    \  \"rungs\": [\"greedy\", \"local\", \"anneal\", \"exhaustive\"],\n\
-    \  \"domains\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"candidates\": %d,\n\
-    \  \"evaluated\": %d,\n\
-    \  \"pruned\": %d,\n\
-    \  \"failed\": %d,\n\
-    \  \"candidates_per_s\": %.1f,\n\
-    \  \"evaluated_per_s\": %.1f,\n\
-    \  \"prune_rate\": %.4f,\n\
-    \  \"pattern_cache_hits\": %d,\n\
-    \  \"pattern_cache_misses\": %d,\n\
-    \  \"pattern_cache_hit_rate\": %.4f,\n\
-    \  \"identical_output\": %b\n\
-     }\n"
-    (List.length reports) domains wall candidates evaluated pruned failed candidates_s
-    evaluated_s prune_rate hits misses hit_rate identical;
-  close_out oc;
-  Format.printf "wrote BENCH_optimize.json@.";
-  if not identical then exit 1
 
 (* ---- multi-tenant tier study: admission-audit latency, per-tenant
    throughput as the tenant count grows on one fixed platform, and the
@@ -728,14 +478,6 @@ let () =
   end;
   if List.mem "--obs" args then begin
     obs_study ();
-    exit 0
-  end;
-  if List.mem "--service" args then begin
-    service_study ();
-    exit 0
-  end;
-  if List.mem "--optimize" args then begin
-    optimize_study ~domains:(match domains_opt with Some d -> d | None -> 4);
     exit 0
   end;
   if List.mem "--tenancy" args then begin

@@ -4,7 +4,7 @@
     cooldown.
 
     Every operation takes the clock as an explicit [~now] argument
-    (absolute seconds, {!Unix.gettimeofday} in production) so tests can
+    (seconds on the monotonic {!Obs.Clock} in production) so tests can
     replay exact scenarios without sleeping. *)
 
 type config = { failures : int; cooldown : float }

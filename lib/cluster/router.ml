@@ -18,8 +18,6 @@
 
 module Protocol = Service.Protocol
 module Json = Service.Json
-module Sockets = Service.Sockets
-module Frames = Service.Frames
 module Client = Service.Client
 module Engine = Service.Engine
 module Metrics = Obs.Metrics
@@ -57,13 +55,17 @@ type t = {
   shed : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
   rr : int Atomic.t;
-  stop : bool Atomic.t;
-  mutable stop_pipe : (Unix.file_descr * Unix.file_descr) option;
+  listener : Service.Listener.t;
   slog : Obs.Log.t;  (* structured events, routed through config.log *)
 }
 
 let latency_buckets =
   [| 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0 |]
+
+(* Breaker cool-downs and request latencies read the monotonic clock; a
+   wall-clock step must not reopen a breaker or record a negative
+   latency.  Deadlines stay wall-clock instants, as [Client] takes them. *)
+let now () = Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
 let create config sup =
   let registry = Metrics.create_registry () in
@@ -92,15 +94,14 @@ let create config sup =
         Metrics.Histogram.create ~registry ~help:"routed request latency, seconds"
           ~buckets:latency_buckets "cluster_request_seconds";
       rr = Atomic.make 0;
-      stop = Atomic.make false;
-      stop_pipe = None;
+      listener = Service.Listener.create ();
       slog =
         Obs.Log.create ~sink:(Obs.Log.formatter_sink config.log)
           ~comp:"router" ();
     }
   in
   Metrics.register_collector ~registry ~name:"cluster_fleet" (fun () ->
-      let now = Unix.gettimeofday () in
+      let now = now () in
       for i = 0 to n - 1 do
         let labels = [ ("worker", string_of_int i) ] in
         Metrics.Gauge.set
@@ -199,7 +200,7 @@ let route t conns ~id ~pref line =
                   (Supervisor.state_to_string (Supervisor.state t.sup w));
               walk busy rest
             end
-            else if not (Breaker.allow t.breakers.(w) ~now:(Unix.gettimeofday ())) then begin
+            else if not (Breaker.allow t.breakers.(w) ~now:(now ())) then begin
               reason := Printf.sprintf "worker %d breaker open" w;
               walk busy rest
             end
@@ -216,7 +217,7 @@ let route t conns ~id ~pref line =
                     `Reply reply
                   end
               | Error e ->
-                  Breaker.failure t.breakers.(w) ~now:(Unix.gettimeofday ());
+                  Breaker.failure t.breakers.(w) ~now:(now ());
                   Metrics.Counter.incr t.transport_failures.(w);
                   reason := Printf.sprintf "worker %d: %s" w (Client.error_message e);
                   walk busy rest
@@ -351,7 +352,7 @@ let route_batch t conns ~id ?trace items =
 (* ---- the protocol surface ---- *)
 
 let stats_json t =
-  let now = Unix.gettimeofday () in
+  let now = now () in
   let n = Supervisor.size t.sup in
   Json.Obj
     [
@@ -417,6 +418,14 @@ let fleet_metrics t conns =
   done;
   Obs.Exposition.merge ~head ~label:"worker" (List.rev !sections)
   ^ Buffer.contents skipped
+
+(* a routed request's reply, its latency observed into
+   [cluster_request_seconds] *)
+let timed t route =
+  let t0 = Obs.Clock.now_ns () in
+  let reply = route () in
+  Metrics.Histogram.observe t.latency (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0));
+  (reply, `Continue)
 
 let respond t conns line =
   let err id e = (Protocol.error_reply ~id e, `Continue) in
@@ -493,30 +502,15 @@ let respond t conns line =
               | Error msg -> err id (Protocol.Bad_request msg)
               | Ok prepared ->
                   let pref = Ring.preference t.ring prepared.Engine.key in
-                  let t0 = Unix.gettimeofday () in
-                  let reply = route_traced ~name:"router:solve" ~pref line in
-                  Metrics.Histogram.observe t.latency (Unix.gettimeofday () -. t0);
-                  (reply, `Continue))
-          | Protocol.Solve_multi q -> (
-              record_cmd t "solve_multi";
+                  timed t (fun () -> route_traced ~name:"router:solve" ~pref line))
+          | Protocol.Solve_multi q | Protocol.Admit q -> (
+              let cmd = match request with Protocol.Admit _ -> "admit" | _ -> "solve_multi" in
+              record_cmd t cmd;
               match Engine.prepare_multi q with
               | Error msg -> err id (Protocol.Bad_request msg)
               | Ok prepared ->
                   let pref = Ring.preference t.ring prepared.Engine.m_key in
-                  let t0 = Unix.gettimeofday () in
-                  let reply = route_traced ~name:"router:solve_multi" ~pref line in
-                  Metrics.Histogram.observe t.latency (Unix.gettimeofday () -. t0);
-                  (reply, `Continue))
-          | Protocol.Admit q -> (
-              record_cmd t "admit";
-              match Engine.prepare_multi q with
-              | Error msg -> err id (Protocol.Bad_request msg)
-              | Ok prepared ->
-                  let pref = Ring.preference t.ring prepared.Engine.m_key in
-                  let t0 = Unix.gettimeofday () in
-                  let reply = route_traced ~name:"router:admit" ~pref line in
-                  Metrics.Histogram.observe t.latency (Unix.gettimeofday () -. t0);
-                  (reply, `Continue))
+                  timed t (fun () -> route_traced ~name:("router:" ^ cmd) ~pref line))
           | Protocol.Batch items ->
               record_cmd t "batch";
               let trace =
@@ -526,137 +520,29 @@ let respond t conns line =
                   | Some (tr, _) -> Some tr
                   | None -> Some (Obs.Trace.fresh_id ())
               in
-              let t0 = Unix.gettimeofday () in
-              let reply =
-                match trace with
-                | None -> route_batch t conns ~id items
-                | Some tr ->
-                    Obs.Trace.span "router:batch" (fun () ->
-                        Obs.Trace.add_attr "trace_id" tr;
-                        route_batch t conns ~id ~trace:tr items)
-              in
-              Metrics.Histogram.observe t.latency (Unix.gettimeofday () -. t0);
-              (reply, `Continue)))
+              timed t (fun () ->
+                  match trace with
+                  | None -> route_batch t conns ~id items
+                  | Some tr ->
+                      Obs.Trace.span "router:batch" (fun () ->
+                          Obs.Trace.add_attr "trace_id" tr;
+                          route_batch t conns ~id ~trace:tr items))))
 
-(* ---- the socket loop (mirrors Server.serve) ---- *)
+(* ---- the socket loop ---- *)
 
-let request_stop t =
-  if not (Atomic.exchange t.stop true) then
-    match t.stop_pipe with
-    | Some (_, wr) -> ( try ignore (Unix.write_substring wr "x" 0 1) with Unix.Unix_error _ -> ())
-    | None -> ()
-
-let rec wait_readable fd stop_rd =
-  match Unix.select [ fd; stop_rd ] [] [] (-1.0) with
-  | readable, _, _ -> List.mem fd readable
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd stop_rd
-
-let send fd line = match Sockets.send_line fd line with Ok () -> true | Error _ -> false
-
-let conn_loop t stop_rd fd =
-  let chunk_len = 4096 in
-  let chunk = Bytes.create chunk_len in
-  let frames = Frames.create ~max_frame:t.config.max_frame in
-  let conns = Array.make (Supervisor.size t.sup) None in
-  let alive = ref true in
-  let on_event = function
-    | Frames.Oversized ->
-        if
-          not
-            (send fd
-               (Protocol.error_reply ~id:None
-                  (Protocol.Oversized_frame { limit = t.config.max_frame })))
-        then alive := false
-    | Frames.Line line ->
-        (if String.trim line <> "" then begin
-           let reply, k = respond t conns line in
-           if not (send fd reply) then alive := false;
-           match k with
-           | `Shutdown ->
-               request_stop t;
-               alive := false
-           | `Continue -> ()
-         end);
-        if Atomic.get t.stop then alive := false
-  in
-  while !alive do
-    if not (wait_readable fd stop_rd) then alive := false
-    else
-      match Unix.read fd chunk 0 chunk_len with
-      | 0 ->
-          if Frames.pending frames then
-            ignore
-              (send fd
-                 (Protocol.error_reply ~id:None
-                    (Protocol.Parse_error "truncated line: no newline before end of stream")));
-          alive := false
-      | n -> Frames.feed frames chunk n on_event
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> alive := false
-  done;
-  Array.iter (function Some c -> Client.close c | None -> ()) conns;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+let request_stop t = Service.Listener.request_stop t.listener
 
 let serve t addr =
-  Sockets.ignore_sigpipe ();
-  let stop_rd, stop_wr = Unix.pipe () in
-  t.stop_pipe <- Some (stop_rd, stop_wr);
-  if Atomic.get t.stop then ignore (Unix.write_substring stop_wr "x" 0 1);
-  let on_signal = Sys.Signal_handle (fun _ -> request_stop t) in
-  let old_term = Sys.signal Sys.sigterm on_signal in
-  let old_int = Sys.signal Sys.sigint on_signal in
-  let domain =
-    match addr with Protocol.Unix_domain _ -> Unix.PF_UNIX | Protocol.Tcp _ -> Unix.PF_INET
-  in
-  let listen_fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let cleanup_path () =
-    match addr with
-    | Protocol.Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Protocol.Tcp _ -> ()
-  in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    cleanup_path ();
-    t.stop_pipe <- None;
-    (try Unix.close stop_rd with Unix.Unix_error _ -> ());
-    (try Unix.close stop_wr with Unix.Unix_error _ -> ());
-    ignore (Sys.signal Sys.sigterm old_term);
-    ignore (Sys.signal Sys.sigint old_int)
-  in
-  Fun.protect ~finally @@ fun () ->
-  (match addr with Protocol.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true | _ -> ());
-  cleanup_path ();
-  Unix.bind listen_fd (Protocol.sockaddr_of addr);
-  Unix.listen listen_fd 64;
-  Obs.Log.info t.slog
-    ~attrs:
-      [
-        ("addr", Protocol.addr_to_string addr);
-        ("workers", string_of_int (Supervisor.size t.sup));
-      ]
-    "router_listening";
-  let conns_mutex = Mutex.create () in
-  let conns = ref [] in
-  let rec accept_loop () =
-    if not (Atomic.get t.stop) then
-      if wait_readable listen_fd stop_rd then begin
-        (match Sockets.accept listen_fd with
-        | Ok (fd, _) ->
-            let th = Thread.create (fun () -> conn_loop t stop_rd fd) () in
-            Mutex.lock conns_mutex;
-            conns := th :: !conns;
-            Mutex.unlock conns_mutex
-        | Error _ -> ());
-        accept_loop ()
-      end
-  in
-  accept_loop ();
-  Mutex.lock conns_mutex;
-  let threads = !conns in
-  Mutex.unlock conns_mutex;
-  Obs.Log.info t.slog
-    ~attrs:[ ("connections", string_of_int (List.length threads)) ]
-    "draining";
-  List.iter Thread.join threads;
+  let n = Supervisor.size t.sup in
+  Service.Listener.serve t.listener ~log:t.slog
+    ~listening:("router_listening", [ ("workers", string_of_int n) ])
+    ~max_frame:t.config.max_frame addr
+    (fun () ->
+      (* each client connection keeps its own worker connections *)
+      let conns = Array.make n None in
+      {
+        Service.Listener.respond = respond t conns;
+        close = (fun () -> Array.iter (function Some c -> Client.close c | None -> ()) conns);
+      });
   Obs.Log.info t.slog "fleet_stopping";
   Supervisor.shutdown ~grace:t.config.drain_grace t.sup

@@ -79,8 +79,7 @@ type t = {
   flights : (string, unit) Hashtbl.t;  (* keys being solved by a leader *)
   admit_mutex : Mutex.t;
   mutable inflight : int;
-  stop : bool Atomic.t;
-  mutable stop_pipe : (Unix.file_descr * Unix.file_descr) option;
+  listener : Listener.t;
   inject : inject;
   solve_seen : int Atomic.t;  (* solves accepted, for kill-after *)
   replies_sent : int Atomic.t;  (* replies written, for torn-reply *)
@@ -98,8 +97,7 @@ let create config =
       flights = Hashtbl.create 16;
       admit_mutex = Mutex.create ();
       inflight = 0;
-      stop = Atomic.make false;
-      stop_pipe = None;
+      listener = Listener.create ();
       inject = inject_of_env ();
       solve_seen = Atomic.make 0;
       replies_sent = Atomic.make 0;
@@ -146,11 +144,7 @@ let create config =
 let metrics t = t.metrics
 let cache t = t.cache
 
-let request_stop t =
-  if not (Atomic.exchange t.stop true) then
-    match t.stop_pipe with
-    | Some (_, wr) -> ( try ignore (Unix.write_substring wr "x" 0 1) with Unix.Unix_error _ -> ())
-    | None -> ()
+let request_stop t = Listener.request_stop t.listener
 
 (* ---- admission control: bounded in-flight solves, busy past it ---- *)
 
@@ -199,7 +193,7 @@ let stats_json t =
       ("inflight", Json.Int inflight);
       ("max_inflight", Json.Int t.config.max_inflight);
       ("max_frame", Json.Int t.config.max_frame);
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("draining", Json.Bool (Listener.stopping t.listener));
     ]
 
 (* ---- one solve, cache-first ---- *)
@@ -567,76 +561,18 @@ let respond t line =
 
 (* ---- the socket loop ---- *)
 
-(* One reply line out; [torn-reply=N] injection truncates every Nth
-   reply mid-line and reports failure so the connection closes — the
-   peer sees a torn frame, exactly what a worker dying mid-write
-   produces. *)
-let send t fd line =
+(* [torn-reply=N] injection: every Nth reply is truncated mid-line and
+   reported as failed so the connection closes — the peer sees a torn
+   frame, exactly what a worker dying mid-write produces. *)
+let torn_send t k fd line =
   let nth = Atomic.fetch_and_add t.replies_sent 1 + 1 in
-  match t.inject.torn_every with
-  | Some k when nth mod k = 0 ->
-      ignore (Sockets.write_all fd (String.sub line 0 (String.length line / 2)));
-      false
-  | _ -> ( match Sockets.send_line fd line with Ok () -> true | Error _ -> false)
-
-(* Wait until [fd] has data or the stop pipe fires; the stop byte is never
-   consumed, so one write wakes every waiter, now and later. *)
-let rec wait_readable fd stop_rd =
-  match Unix.select [ fd; stop_rd ] [] [] (-1.0) with
-  | readable, _, _ -> List.mem fd readable
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd stop_rd
-
-let conn_loop t stop_rd fd =
-  let chunk_len = 4096 in
-  let chunk = Bytes.create chunk_len in
-  let frames = Frames.create ~max_frame:t.config.max_frame in
-  let alive = ref true in
-  let on_event = function
-    | Frames.Oversized ->
-        Metrics.record_error t.metrics ~kind:"oversized_frame";
-        if
-          not
-            (send t fd
-               (Protocol.error_reply ~id:None
-                  (Protocol.Oversized_frame { limit = t.config.max_frame })))
-        then alive := false
-    | Frames.Line line ->
-        (if String.trim line <> "" then begin
-           let reply, k = respond t line in
-           if not (send t fd reply) then alive := false;
-           match k with
-           | `Shutdown ->
-               request_stop t;
-               alive := false
-           | `Continue -> ()
-         end);
-        (* a drain lets the request that is already being served finish,
-           then closes the connection instead of reading the next frame *)
-        if Atomic.get t.stop then alive := false
-  in
-  while !alive do
-    if not (wait_readable fd stop_rd) then alive := false
-    else
-      match Unix.read fd chunk 0 chunk_len with
-      | 0 ->
-          (* EOF: an unterminated tail is a truncated frame — answer it
-             (best effort; the peer may be gone) and close *)
-          if Frames.pending frames then begin
-            Metrics.record_error t.metrics ~kind:"parse_error";
-            ignore
-              (send t fd
-                 (Protocol.error_reply ~id:None
-                    (Protocol.Parse_error "truncated line: no newline before end of stream")))
-          end;
-          alive := false
-      | n -> Frames.feed frames chunk n on_event
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> alive := false
-  done;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  if nth mod k = 0 then begin
+    ignore (Sockets.write_all fd (String.sub line 0 (String.length line / 2)));
+    false
+  end
+  else Result.is_ok (Sockets.send_line fd line)
 
 let serve t addr =
-  Sockets.ignore_sigpipe ();
   (* refuse-accept=S injection: the listener does not exist for the
      first S seconds, so connects are refused — a wedged or slow-booting
      worker from the router's point of view *)
@@ -647,73 +583,18 @@ let serve t addr =
         "inject_refuse_accept";
       Thread.delay s
   | _ -> ());
-  let stop_rd, stop_wr = Unix.pipe () in
-  t.stop_pipe <- Some (stop_rd, stop_wr);
-  if Atomic.get t.stop then ignore (Unix.write_substring stop_wr "x" 0 1);
-  let on_signal = Sys.Signal_handle (fun _ -> request_stop t) in
-  let old_term = Sys.signal Sys.sigterm on_signal in
-  let old_int = Sys.signal Sys.sigint on_signal in
-  let domain =
-    match addr with Protocol.Unix_domain _ -> Unix.PF_UNIX | Protocol.Tcp _ -> Unix.PF_INET
-  in
-  let listen_fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let cleanup_path () =
-    match addr with
-    | Protocol.Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Protocol.Tcp _ -> ()
-  in
-  let finally () =
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    cleanup_path ();
-    t.stop_pipe <- None;
-    (try Unix.close stop_rd with Unix.Unix_error _ -> ());
-    (try Unix.close stop_wr with Unix.Unix_error _ -> ());
-    ignore (Sys.signal Sys.sigterm old_term);
-    ignore (Sys.signal Sys.sigint old_int)
-  in
-  Fun.protect ~finally @@ fun () ->
-  (match addr with Protocol.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true | _ -> ());
-  cleanup_path ();
-  Unix.bind listen_fd (Protocol.sockaddr_of addr);
-  Unix.listen listen_fd 64;
-  Obs.Log.info t.slog
-    ~attrs:
-      [
-        ("addr", Protocol.addr_to_string addr);
-        ("cache", string_of_int t.config.cache_capacity);
-        ("max_inflight", string_of_int t.config.max_inflight);
-      ]
-    "listening";
-  let conns_mutex = Mutex.create () in
-  let conns = ref [] in
-  let rec accept_loop () =
-    if not (Atomic.get t.stop) then
-      if wait_readable listen_fd stop_rd then begin
-        (match Sockets.accept listen_fd with
-        | Ok (fd, _) ->
-            let th = Thread.create (fun () -> conn_loop t stop_rd fd) () in
-            Mutex.lock conns_mutex;
-            conns := th :: !conns;
-            Mutex.unlock conns_mutex
-        | Error _ -> ());
-        accept_loop ()
-      end
-  in
-  accept_loop ();
-  Obs.Log.info t.slog
-    ~attrs:
-      [
-        ( "connections",
-          string_of_int
-            (Mutex.lock conns_mutex;
-             let n = List.length !conns in
-             Mutex.unlock conns_mutex;
-             n) );
-      ]
-    "draining";
-  Mutex.lock conns_mutex;
-  let threads = !conns in
-  Mutex.unlock conns_mutex;
-  List.iter Thread.join threads;
+  let conn = { Listener.respond = respond t; close = ignore } in
+  Listener.serve t.listener
+    ?send:(Option.map (torn_send t) t.inject.torn_every)
+    ~on_frame_error:(fun kind -> Metrics.record_error t.metrics ~kind)
+    ~log:t.slog
+    ~listening:
+      ( "listening",
+        [
+          ("cache", string_of_int t.config.cache_capacity);
+          ("max_inflight", string_of_int t.config.max_inflight);
+        ] )
+    ~max_frame:t.config.max_frame addr
+    (fun () -> conn);
   Obs.Log.info t.slog "drained";
   Metrics.dump t.metrics t.config.log

@@ -197,6 +197,80 @@ let test_fleet_up_router_drain () =
   done;
   Alcotest.(check int) "no restarts in a healthy run" 0 (Supervisor.restarts_total sup)
 
+(* the router's own socket loop in front of one worker: a frame fault gets
+   a typed reply and the connection goes on; every routed request is one
+   [cluster_request_seconds] observation on the monotonic clock; and
+   [shutdown] drains the router, then the fleet *)
+let test_router_serve_socket () =
+  let sup = Supervisor.start ~log:null_ppf [| worker_spec () |] in
+  Fun.protect ~finally:(fun () -> Supervisor.shutdown ~grace:3.0 sup) @@ fun () ->
+  Alcotest.(check bool) "fleet comes up" true
+    (Supervisor.wait_up ~deadline:(Unix.gettimeofday () +. 20.0) sup);
+  let multi cmd =
+    Printf.sprintf
+      {|{"v":1,"cmd":"%s","model":"overlap","law":"exponential","instance":"tenancy 1\nprocessors 2\nspeeds 1 1\nbandwidth default 1\ntenant a weight 1 floor 0.01\nstages 2\nwork 1 1\nfiles 1\nteam 0\nteam 1\n"}|}
+      cmd
+  in
+  let requests = [ solve_line 1; solve_line 2; solve_line 3; multi "solve_multi"; multi "admit" ] in
+  let longest = List.fold_left (fun n r -> max n (String.length r)) 0 requests in
+  let router =
+    Router.create
+      { (Router.default_config ()) with max_frame = longest + 16; log = null_ppf }
+      sup
+  in
+  let addr = Protocol.Unix_domain (temp_socket ()) in
+  let returned = Atomic.make false in
+  let serve () =
+    Fun.protect ~finally:(fun () -> Atomic.set returned true) (fun () -> Router.serve router addr)
+  in
+  let thread = Thread.create serve () in
+  Fun.protect ~finally:(fun () ->
+      Router.request_stop router;
+      Thread.join thread)
+  @@ fun () ->
+  let rec connect tries =
+    match Client.connect addr with
+    | Ok c -> c
+    | Error e when tries = 0 -> Alcotest.fail (Client.error_message e)
+    | Error _ ->
+        Thread.delay 0.02;
+        connect (tries - 1)
+  in
+  let client = connect 250 in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let rpc request =
+    match Client.rpc_raw client request with
+    | Ok reply -> parse_reply reply
+    | Error e -> Alcotest.fail (Client.error_message e)
+  in
+  Alcotest.(check (option string)) "oversized frame typed" (Some "oversized_frame")
+    (Client.reply_error_kind (rpc (String.make (longest + 17) 'x')));
+  let t0 = Obs.Clock.now_ns () in
+  List.iter
+    (fun request -> Alcotest.(check bool) "routed ok" true (Client.reply_ok (rpc request)))
+    requests;
+  let elapsed = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0) in
+  Alcotest.(check (list int)) "counted per command" [ 3; 1; 1 ]
+    (List.map (Router.requests_total router) [ "solve"; "solve_multi"; "admit" ]);
+  let latency =
+    Obs.Metrics.Histogram.create ~registry:(Router.metrics_registry router) ~buckets:[| 1.0 |]
+      "cluster_request_seconds"
+  in
+  let sum = Obs.Metrics.Histogram.sum latency in
+  Alcotest.(check int) "one observation per routed request" 5 (Obs.Metrics.Histogram.count latency);
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < sum %.6f <= elapsed %.6f" sum elapsed)
+    true
+    (sum > 0.0 && sum <= elapsed);
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (Client.reply_ok (rpc {|{"v":1,"cmd":"shutdown"}|}));
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while not (Atomic.get returned) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "Router.serve did not return";
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "the fleet is dead" true (Supervisor.state sup 0 = Supervisor.Dead)
+
 (* shard-aware batch splitting: a heterogeneous batch must fan out to
    each item's ring owner (one sub-batch per owner, results reassembled
    in request order), not go wholesale to one round-robin worker.  The
@@ -563,6 +637,8 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "up, route, cache, drain" `Quick test_fleet_up_router_drain;
+          Alcotest.test_case "router socket: frames, latency, shutdown" `Quick
+            test_router_serve_socket;
           Alcotest.test_case "batch splits by ring owner" `Quick test_batch_splits_by_ring_owner;
           Alcotest.test_case "crash loop -> dead -> shed" `Quick
             test_crash_loop_marked_dead_and_shed;

@@ -1198,6 +1198,167 @@ let test_socket_interleaved_chaos () =
               Alcotest.(check int) "cache accounting balances" total (hits + misses);
               Alcotest.(check int) "one canonical miss" 1 misses))
 
+(* ---- the shared listener, with stub connections on a real socket ---- *)
+
+let await cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  cond ()
+
+let wait_until what cond = if not (await cond) then Alcotest.fail (what ^ ": timed out")
+
+type stub = {
+  listener : Listener.t;
+  path : string;
+  closed : int Atomic.t;  (* connections' [close] calls *)
+  events : Json.t list Atomic.t;  (* the listener's log lines; one writer *)
+  returned : bool Atomic.t;  (* [serve] has returned *)
+}
+
+let echo line = if line = "shutdown" then ("bye", `Shutdown) else ("echo " ^ line, `Continue)
+
+let logged s event =
+  List.find_opt (fun j -> Json.member "event" j = Some (Json.String event)) (Atomic.get s.events)
+
+let serve_returned s = wait_until "serve returned" (fun () -> Atomic.get s.returned)
+
+(* [f s] runs once a listener serving [respond] on a fresh socket is up;
+   afterwards the listener is stopped and [serve] must return *)
+let with_stub ?(stop_first = false) respond f =
+  let s =
+    {
+      listener = Listener.create ();
+      path = temp_socket ();
+      closed = Atomic.make 0;
+      events = Atomic.make [];
+      returned = Atomic.make false;
+    }
+  in
+  if stop_first then Listener.request_stop s.listener;
+  let sink line = Atomic.set s.events (parse_reply line :: Atomic.get s.events) in
+  let make_conn () = { Listener.respond; close = (fun () -> Atomic.incr s.closed) } in
+  let serve () =
+    Fun.protect ~finally:(fun () -> Atomic.set s.returned true) @@ fun () ->
+    Listener.serve s.listener ~log:(Obs.Log.create ~sink ~comp:"test" ())
+      ~listening:("listening", []) ~max_frame:64 (Protocol.Unix_domain s.path) make_conn
+  in
+  let thread = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Listener.request_stop s.listener;
+      (* a drain that never ends fails the check that waited for it; it
+         is not joined *)
+      if await (fun () -> Atomic.get s.returned) then Thread.join thread;
+      if Sys.file_exists s.path then Sys.remove s.path)
+    (fun () ->
+      wait_until "listening" (fun () -> logged s "listening" <> None);
+      f s)
+
+let raw_connect s =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  (* a reply that never comes fails the read instead of hanging the test *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_UNIX s.path);
+  (fd, Unix.in_channel_of_descr fd)
+
+let raw_send fd bytes = ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+let read_reply ic = match input_line ic with line -> Some line | exception End_of_file -> None
+
+(* frame faults get typed replies, blank lines none, and the connection
+   answers the lines between them *)
+let test_listener_frames () =
+  with_stub echo (fun s ->
+      let fd, ic = raw_connect s in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      raw_send fd ("\n \t\n" ^ String.make 100 'x' ^ "\nhello\nno newline");
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let kind () = Option.bind (read_reply ic) (fun l -> Client.reply_error_kind (parse_reply l)) in
+      Alcotest.(check (option string)) "oversized frame" (Some "oversized_frame") (kind ());
+      Alcotest.(check (option string)) "the next line" (Some "echo hello") (read_reply ic);
+      Alcotest.(check (option string)) "truncated tail" (Some "parse_error") (kind ());
+      Alcotest.(check (option string)) "then EOF" None (read_reply ic))
+
+let test_listener_shutdown_drains_in_flight () =
+  let started = Atomic.make false and release = Atomic.make false in
+  let respond line =
+    if line <> "slow" then echo line
+    else begin
+      Atomic.set started true;
+      while not (Atomic.get release) do
+        Thread.delay 0.005
+      done;
+      ("done", `Continue)
+    end
+  in
+  with_stub respond (fun s ->
+      let fd_a, ic_a = raw_connect s in
+      let fd_b, ic_b = raw_connect s in
+      (* a failed check must not leave the slow request blocking the drain *)
+      Fun.protect ~finally:(fun () ->
+          Atomic.set release true;
+          close_in_noerr ic_a;
+          close_in_noerr ic_b)
+      @@ fun () ->
+      raw_send fd_a "slow\n";
+      wait_until "the slow request started" (fun () -> Atomic.get started);
+      raw_send fd_b "shutdown\n";
+      Alcotest.(check (option string)) "shutdown answered" (Some "bye") (read_reply ic_b);
+      Alcotest.(check (option string)) "its connection closes" None (read_reply ic_b);
+      Thread.delay 0.1;
+      Alcotest.(check bool) "serve waits for the in-flight request" false (Atomic.get s.returned);
+      Atomic.set release true;
+      Alcotest.(check (option string)) "in-flight request answered" (Some "done") (read_reply ic_a);
+      Alcotest.(check (option string)) "then its connection closes" None (read_reply ic_a);
+      serve_returned s)
+
+let test_listener_stop_before_serve () =
+  with_stub ~stop_first:true echo (fun s ->
+      serve_returned s;
+      Alcotest.(check int) "nothing accepted" 0 (Atomic.get s.closed);
+      Alcotest.(check bool) "socket file removed" false (Sys.file_exists s.path))
+
+(* the drain waits on a live count, which falls back to 0 between
+   connections instead of growing with every connection ever accepted *)
+let test_listener_sequential_connections () =
+  with_stub echo (fun s ->
+      for i = 1 to 200 do
+        let fd, ic = raw_connect s in
+        raw_send fd (Printf.sprintf "n%d\n" i);
+        let reply = read_reply ic in
+        close_in_noerr ic;
+        if reply <> Some (Printf.sprintf "echo n%d" i) then Alcotest.failf "no echo %d" i
+      done;
+      wait_until "every connection released" (fun () -> Listener.live s.listener = 0);
+      Listener.request_stop s.listener;
+      serve_returned s;
+      Alcotest.(check int) "every connection closed once" 200 (Atomic.get s.closed);
+      Alcotest.(check (option string)) "draining counts live connections" (Some "0")
+        (Option.bind (logged s "draining") (fun j ->
+             Option.bind (Json.member "attrs" j) (Json.member "connections")
+             |> Fun.flip Option.bind Json.to_string_opt)))
+
+let test_listener_raising_respond () =
+  let raised = Atomic.make [] in
+  Thread.set_uncaught_exception_handler (fun e -> Atomic.set raised (e :: Atomic.get raised));
+  Fun.protect ~finally:(fun () ->
+      Thread.set_uncaught_exception_handler Thread.default_uncaught_exception_handler)
+  @@ fun () ->
+  let respond line = if line = "boom" then failwith "stub respond raised" else echo line in
+  with_stub respond (fun s ->
+      let fd, ic = raw_connect s in
+      raw_send fd "boom\n";
+      Alcotest.(check (option string)) "the client sees EOF" None (read_reply ic);
+      close_in_noerr ic;
+      wait_until "the connection released" (fun () -> Listener.live s.listener = 0);
+      Alcotest.(check int) "close ran exactly once" 1 (Atomic.get s.closed);
+      Listener.request_stop s.listener;
+      serve_returned s;
+      wait_until "the exception left the thread" (fun () -> Atomic.get raised <> []);
+      Alcotest.(check bool) "the stub's exception" true
+        (Atomic.get raised = [ Failure "stub respond raised" ]))
+
 (* ---- CLI end to end: serve, query, SIGTERM drain, exit 0 ---- *)
 
 let cli =
@@ -1304,6 +1465,16 @@ let () =
           Alcotest.test_case "client deadline on a mute peer" `Quick test_client_deadline;
           Alcotest.test_case "interleaved chaos" `Quick test_socket_interleaved_chaos;
           Alcotest.test_case "single flight" `Quick test_single_flight;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "oversized, blank and truncated frames" `Quick test_listener_frames;
+          Alcotest.test_case "shutdown drains the in-flight request" `Quick
+            test_listener_shutdown_drains_in_flight;
+          Alcotest.test_case "request_stop before serve" `Quick test_listener_stop_before_serve;
+          Alcotest.test_case "200 connections, bounded bookkeeping" `Quick
+            test_listener_sequential_connections;
+          Alcotest.test_case "a raising respond" `Quick test_listener_raising_respond;
         ] );
       ("cli", [ Alcotest.test_case "serve/query/SIGTERM" `Quick test_cli_serve_query_sigterm ]);
     ]
