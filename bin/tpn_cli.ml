@@ -92,7 +92,7 @@ let markov_run path cap =
     else 1.0 /. t
   in
   let chain =
-    try Markov.Tpn_markov.analyse ~cap ~rates teg
+    try fst (Markov.Tpn_markov.analyse_supervised ~cap ~rates teg)
     with Supervise.Error.Solver_error err ->
       Format.eprintf "error: %s@." (Supervise.Error.to_string err);
       (match err with

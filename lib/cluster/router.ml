@@ -3,8 +3,9 @@
    Speaks the same NDJSON protocol as a single daemon, so clients need
    not know they are talking to a fleet.  Solves are routed by their
    canonical cache key ([Engine.prepare]) through the consistent-hash
-   ring, which concentrates each key on one worker's LRU; batches go
-   round-robin.  Ping/stats/metrics/shutdown are answered locally.
+   ring, which concentrates each key on one worker's LRU; a batch is split
+   into one sub-batch per ring owner of its items' keys.
+   Ping/stats/metrics/shutdown are answered locally.
 
    The request path is hardened end to end: every request gets an
    absolute deadline on arrival; transport failures walk down the key's
@@ -54,7 +55,6 @@ type t = {
   retries : Metrics.Counter.t;
   shed : Metrics.Counter.t;
   latency : Metrics.Histogram.t;
-  rr : int Atomic.t;
   listener : Service.Listener.t;
   slog : Obs.Log.t;  (* structured events, routed through config.log *)
 }
@@ -93,7 +93,6 @@ let create config sup =
       latency =
         Metrics.Histogram.create ~registry ~help:"routed request latency, seconds"
           ~buckets:latency_buckets "cluster_request_seconds";
-      rr = Atomic.make 0;
       listener = Service.Listener.create ();
       slog =
         Obs.Log.create ~sink:(Obs.Log.formatter_sink config.log)

@@ -3,7 +3,8 @@
 
     Solves route by their canonical cache key ({!Service.Engine.prepare})
     over a consistent-hash ring, concentrating each key on one worker's
-    LRU; batches go round-robin.  Transport failures fall down the key's
+    LRU; a batch is split into one sub-batch per ring owner of its items'
+    keys.  Transport failures fall down the key's
     preference list (solves are idempotent, so re-sending after a torn
     reply is safe), whole passes retry on the Backoff policy until the
     per-request deadline, per-worker circuit breakers shed failing

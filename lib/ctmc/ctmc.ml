@@ -8,8 +8,6 @@ let add_rate t i j r =
 
 let n_states t = t.n
 
-type method_ = Auto | Gth | Gauss_seidel | Power
-
 (* Crossover between sparse GTH elimination and Gauss–Seidel (see
    DESIGN.md): GTH is exact, and its fill stays affordable through roughly
    a thousand states.  Above that the fill of the general method's chains
@@ -28,13 +26,6 @@ let gth t =
   Obs.Metrics.Counter.incr m_gth_solves;
   Obs.Metrics.Counter.add m_gth_entries entries;
   pi
-
-let stationary ?(solver = Auto) t =
-  match solver with
-  | Gth -> gth t
-  | Gauss_seidel -> Linalg.Sparse.stationary_gauss_seidel t.sparse
-  | Power -> Linalg.Sparse.stationary_power t.sparse
-  | Auto -> if t.n <= gth_threshold then gth t else Linalg.Sparse.stationary_gauss_seidel t.sparse
 
 (* ---- supervised solving: the escalation ladder ---- *)
 
@@ -100,6 +91,10 @@ let run_rung ?budget t = function
       let pi, stats = Linalg.Sparse.stationary_arnoldi_stats ?budget ~tol ~restart t.sparse in
       Obs.Metrics.Counter.add m_arnoldi_sweeps stats.Linalg.Sparse.sweeps;
       (pi, Supervise.Provenance.Iterative { residual = stats.Linalg.Sparse.residual })
+
+(* the ladder's first rung alone: no span and no per-rung counter lookup,
+   because the memoised pattern solves call it per rate matrix *)
+let stationary t = fst (run_rung t (List.hd (default_ladder t.n)))
 
 let stationary_supervised ?budget ?ladder t =
   let ladder = match ladder with Some l -> l | None -> default_ladder t.n in
@@ -241,7 +236,6 @@ let lift ~classes ~n_classes pi_hat =
       pi_hat.(c) /. float_of_int sizes.(c))
 
 let flow t ~pi ~src ~dst = pi.(src) *. Linalg.Sparse.rate t.sparse src dst
-let outgoing t i = Linalg.Sparse.outgoing t.sparse i
 let iter_outgoing t i f = Linalg.Sparse.iter_outgoing t.sparse i f
 let exit_rate t i = Linalg.Sparse.exit_rate t.sparse i
 

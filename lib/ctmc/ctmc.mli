@@ -10,16 +10,6 @@ val add_rate : t -> int -> int -> float -> unit
 
 val n_states : t -> int
 
-type method_ = Auto | Gth | Gauss_seidel | Power
-
-val stationary : ?solver:method_ -> t -> float array
-(** Stationary distribution of an irreducible chain.  [Auto] (default)
-    uses the numerically exact GTH elimination ({!Linalg.Gth}, on the
-    generator's CSR rows) up to 1200 states and sparse Gauss–Seidel
-    beyond, where GTH's fill outgrows Gauss–Seidel's sweeps.  Every GTH
-    solve, here or on a ladder rung, counts in [ctmc_gth_solves_total]
-    and adds its L and U entries to [ctmc_gth_factor_entries_total]. *)
-
 type rung =
   | Rung_gth
   | Rung_gauss_seidel of { tol : float }
@@ -28,7 +18,7 @@ type rung =
 (** One step of an escalation ladder: a solver paired with the tolerance
     it is asked to reach.  [Rung_arnoldi] is the Krylov rung — restarted
     Arnoldi with an [restart]-dimensional basis (see
-    {!Linalg.Sparse.stationary_arnoldi}). *)
+    {!Linalg.Sparse.stationary_arnoldi_stats}). *)
 
 val default_ladder : int -> rung list
 (** The standard ladder for an [n]-state chain: GTH (only when [n] is
@@ -36,6 +26,16 @@ val default_ladder : int -> rung list
     relaxed to 1e-9, power iteration at 1e-10, and finally restarted
     Arnoldi (tol 1e-10, basis 30) for stiff chains that defeat the
     one-dimensional iterations. *)
+
+val stationary : t -> float array
+(** Stationary distribution of an irreducible chain on the first rung of
+    {!default_ladder} alone: the numerically exact GTH elimination
+    ({!Linalg.Gth}, on the generator's CSR rows) up to 1200 states, sparse
+    Gauss–Seidel at 1e-12 beyond, where GTH's fill outgrows Gauss–Seidel's
+    sweeps.  Raises that rung's [Supervise.Error.Solver_error] instead of
+    climbing.  Every GTH solve, here or on a ladder rung, counts in
+    [ctmc_gth_solves_total] and adds its L and U entries to
+    [ctmc_gth_factor_entries_total]. *)
 
 val stationary_supervised :
   ?budget:Supervise.Budget.t -> ?ladder:rung list -> t -> float array * Supervise.Provenance.t
@@ -68,10 +68,6 @@ val lift : classes:int array -> n_classes:int -> float array -> float array
 
 val flow : t -> pi:float array -> src:int -> dst:int -> float
 (** Stationary probability flow π(src)·q(src,dst). *)
-
-val outgoing : t -> int -> (int * float) list
-(** Outgoing transitions of a state (target, merged rate): duplicate edges
-    are merged when the generator is frozen, so each target appears once. *)
 
 val iter_outgoing : t -> int -> (int -> float -> unit) -> unit
 (** Allocation-free iteration over the merged outgoing edges of a state. *)

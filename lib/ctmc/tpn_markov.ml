@@ -93,9 +93,8 @@ let scc_components ~n ~row_ptr ~succ =
   done;
   (comp, !n_comps)
 
-let structure_of_graph teg (g : Marking.graph) =
-  let { Marking.row_ptr; succ; _ } = g in
-  let n = Marking.n_states g in
+let recurrent_class ~row_ptr ~succ =
+  let n = Array.length row_ptr - 1 in
   (* Bottom SCCs = recurrent classes. *)
   let component_of, n_comps = scc_components ~n ~row_ptr ~succ in
   let is_bottom = Array.make n_comps true in
@@ -133,6 +132,10 @@ let structure_of_graph teg (g : Marking.graph) =
   done;
   let local = Array.make n (-1) in
   Array.iteri (fun k s -> local.(s) <- k) s_recurrent;
+  (s_recurrent, local)
+
+let structure_of_graph teg (g : Marking.graph) =
+  let s_recurrent, local = recurrent_class ~row_ptr:g.Marking.row_ptr ~succ:g.Marking.succ in
   { s_teg = teg; graph = g; s_recurrent; local }
 
 let structure ?cap ?budget ?pool teg =
@@ -141,13 +144,14 @@ let structure ?cap ?budget ?pool teg =
 let structure_states s = Marking.n_states s.graph
 let structure_edges s = Array.length s.graph.Marking.succ
 
+let rate_array teg rates =
+  Array.init (Teg.n_transitions teg) (fun v ->
+      let r = rates v in
+      if r <= 0.0 then invalid_arg (Printf.sprintf "Tpn_markov: rate of t%d not positive" v);
+      r)
+
 let build_chain s ~rates =
-  let teg = s.s_teg in
-  let n_trans = Teg.n_transitions teg in
-  let rate_array = Array.init n_trans rates in
-  Array.iteri
-    (fun v r -> if r <= 0.0 then invalid_arg (Printf.sprintf "Tpn_markov: rate of t%d not positive" v))
-    rate_array;
+  let rate_array = rate_array s.s_teg rates in
   let { Marking.row_ptr; succ; via; _ } = s.graph and recurrent = s.s_recurrent and local = s.local in
   let chain = Ctmc.create (Array.length recurrent) in
   Array.iter
@@ -280,13 +284,8 @@ let m_lumped_analyses =
 
 let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
   Obs.Trace.span "ctmc:analyse_lumped" (fun () ->
-      let teg = s.s_teg in
-      let n_trans = Teg.n_transitions teg in
-      let rate_array = Array.init n_trans rates in
-      Array.iteri
-        (fun v r ->
-          if r <= 0.0 then invalid_arg (Printf.sprintf "Tpn_markov: rate of t%d not positive" v))
-        rate_array;
+      let rate_array = rate_array s.s_teg rates in
+      let n_trans = Array.length rate_array in
       (* lumpability needs the symmetry to preserve rates exactly *)
       for v = 0 to n_trans - 1 do
         if rate_array.(trans_perm.(v)) <> rate_array.(v) then
@@ -342,8 +341,6 @@ let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
       let t = { (assemble s ~rate_array ~chain:q ~pi) with initial_state = None } in
       (t, provenance, { lump_states = n_rec; lump_classes = n_classes }))
 
-let analyse ?cap ~rates teg = analyse_with (structure ?cap teg) ~rates
-
 let analyse_supervised ?cap ?budget ?ladder ~rates teg =
   analyse_with_supervised ?budget ?ladder (structure ?cap ?budget teg) ~rates
 
@@ -352,8 +349,6 @@ let n_recurrent t = Array.length t.pi
 let enabled_probability t v = t.enab.(v)
 let firing_rate t v = t.rates.(v) *. enabled_probability t v
 let throughput_of t vs = List.fold_left (fun acc v -> acc +. firing_rate t v) 0.0 vs
-
-let stationary_throughput = throughput_of
 
 let stationary_distribution t = Array.copy t.pi
 

@@ -28,6 +28,11 @@ val structure :
     runs the exploration sharded over its domains with byte-identical
     output (see {!Petrinet.Marking.explore_graph}). *)
 
+val recurrent_class : row_ptr:int array -> succ:int array -> int array * int array
+(** The unique bottom SCC of a graph in CSR form (one Tarjan pass), as
+    [(recurrent, local)]: its states in increasing order, and per state its
+    index there or [-1].  Raises [Non_ergodic] unless exactly one exists. *)
+
 val structure_of_graph : Petrinet.Teg.t -> Petrinet.Marking.graph -> structure
 (** Builds the rate-independent structure from an already-explored marking
     graph (same contract as {!structure}).  This is the entry point for
@@ -41,8 +46,9 @@ val structure_edges : structure -> int
 (** Number of edges of the marking graph (one per enabled firing). *)
 
 val analyse_with : structure -> rates:(int -> float) -> t
-(** Builds and solves the CTMC of a structure under the given rates.
-    [rates v] must be positive for every transition. *)
+(** Builds and solves the CTMC of a structure under the given rates, on
+    the ladder's first rung alone ({!Ctmc.stationary}).  [rates v] must be
+    positive for every transition. *)
 
 val analyse_with_supervised :
   ?budget:Supervise.Budget.t ->
@@ -101,14 +107,6 @@ val analyse_with_lumped :
     {!throughput_of}, {!stationary_distribution} — are over the full
     recurrent class as usual. *)
 
-val analyse : ?cap:int -> rates:(int -> float) -> Petrinet.Teg.t -> t
-(** [analyse ?cap ~rates teg] is
-    [analyse_with (structure ?cap teg) ~rates]: explores the reachable
-    markings (raising [Supervise.Error.Solver_error
-    (State_space_exceeded _)] on a token-unbounded net), restricts the
-    chain to its unique recurrent class, and solves for the stationary
-    distribution. *)
-
 val analyse_supervised :
   ?cap:int ->
   ?budget:Supervise.Budget.t ->
@@ -116,8 +114,8 @@ val analyse_supervised :
   rates:(int -> float) ->
   Petrinet.Teg.t ->
   t * Supervise.Provenance.t
-(** Supervised counterpart of {!analyse}: budgeted exploration followed by
-    the escalation ladder. *)
+(** [analyse_with_supervised ?budget ?ladder (structure ?cap ?budget teg)
+    ~rates]: budgeted exploration followed by the escalation ladder. *)
 
 val n_markings : t -> int
 (** Number of reachable markings (including transient ones). *)
@@ -132,9 +130,6 @@ val throughput_of : t -> int list -> float
 
 val enabled_probability : t -> int -> float
 (** Stationary probability that the transition is enabled. *)
-
-val stationary_throughput : t -> int list -> float
-(** Alias of {!throughput_of}. *)
 
 val stationary_distribution : t -> float array
 (** Copy of the stationary distribution over the recurrent class, indexed

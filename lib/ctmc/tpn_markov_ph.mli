@@ -13,7 +13,8 @@
     Coxian, … operation times — in particular exact values *below* the
     exponential bound of Theorem 7 for D.F.R. laws.  The state space is
     the marking space times the product of the enabled phases; keep the
-    laws small. *)
+    laws small.  It is a product over the packed marking graph, solved on
+    {!Ctmc.stationary_supervised}'s ladder. *)
 
 type t
 
@@ -23,7 +24,8 @@ val analyse :
     states.  Raises [Supervise.Error.Solver_error]:
     [State_space_exceeded _] beyond the cap and [Non_ergodic _] if the
     chain does not have a unique recurrent class.  The [budget] tightens
-    the cap and its wall deadline is polled during construction. *)
+    the cap, its wall deadline is polled during construction, and it
+    bounds the ladder. *)
 
 val n_states : t -> int
 

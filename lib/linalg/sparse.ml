@@ -268,9 +268,6 @@ let stationary_gauss_seidel_stats ?budget ?(tol = 1e-12) ?(max_sweeps = 100_000)
   let st = sweep 1 in
   (pi, st)
 
-let stationary_gauss_seidel ?budget ?tol ?max_sweeps t =
-  fst (stationary_gauss_seidel_stats ?budget ?tol ?max_sweeps t)
-
 let stationary_power_stats ?budget ?(tol = 1e-12) ?(max_iters = 1_000_000) t =
   let max_iters =
     match budget with None -> max_iters | Some b -> Supervise.Budget.sweeps_allowed b max_iters
@@ -297,9 +294,6 @@ let stationary_power_stats ?budget ?(tol = 1e-12) ?(max_iters = 1_000_000) t =
   in
   let st = iterate 1 in
   (pi, st)
-
-let stationary_power ?budget ?tol ?max_iters t =
-  fst (stationary_power_stats ?budget ?tol ?max_iters t)
 
 (* ---- restarted Arnoldi ----
 
@@ -469,6 +463,3 @@ let stationary_arnoldi_stats ?budget ?(tol = 1e-10) ?(restart = 30) ?(max_matvec
   in
   let st = restart_loop () in
   (best, st)
-
-let stationary_arnoldi ?budget ?tol ?restart ?max_matvecs t =
-  fst (stationary_arnoldi_stats ?budget ?tol ?restart ?max_matvecs t)

@@ -40,10 +40,11 @@ type stats = { sweeps : int; residual : float }
     of π·Q at the final iterate — the raw material of a result's
     provenance record. *)
 
-val stationary_gauss_seidel :
-  ?budget:Supervise.Budget.t -> ?tol:float -> ?max_sweeps:int -> t -> float array
+val stationary_gauss_seidel_stats :
+  ?budget:Supervise.Budget.t -> ?tol:float -> ?max_sweeps:int -> t -> float array * stats
 (** Gauss–Seidel iteration on the balance equations
-    π_j · exit_j = Σ_i π_i q_{ij}, renormalised each sweep.  Converges for
+    π_j · exit_j = Σ_i π_i q_{ij}, renormalised each sweep, with the sweep
+    count and achieved residual of the successful solve.  Converges for
     irreducible chains; raises [Supervise.Error.Solver_error
     (No_convergence _)] — carrying the sweeps spent and the residual
     achieved — if the tolerance (default 1e-12 on the L1 residual) is not
@@ -52,29 +53,25 @@ val stationary_gauss_seidel :
     wall deadline is polled at the same cadence ([Budget_exhausted] when
     it fires); the budget's sweep ceiling tightens [max_sweeps]. *)
 
-val stationary_gauss_seidel_stats :
-  ?budget:Supervise.Budget.t -> ?tol:float -> ?max_sweeps:int -> t -> float array * stats
-(** As {!stationary_gauss_seidel}, also reporting the sweep count and
-    achieved residual of the successful solve. *)
-
-val stationary_power :
-  ?budget:Supervise.Budget.t -> ?tol:float -> ?max_iters:int -> t -> float array
-(** Power iteration on the uniformised chain; slower but useful as an
-    independent cross-check of the Gauss–Seidel result.  Failure and
-    budget behaviour as in {!stationary_gauss_seidel}. *)
-
 val stationary_power_stats :
   ?budget:Supervise.Budget.t -> ?tol:float -> ?max_iters:int -> t -> float array * stats
-(** As {!stationary_power}, also reporting the iteration count and the L1
-    residual of the final iterate (one extra residual pass).
+(** Power iteration on the uniformised chain, with the iteration count and
+    the L1 residual of the final iterate (one extra residual pass); slower
+    than Gauss–Seidel but useful as an independent cross-check of it.
+    Failure and budget behaviour as in {!stationary_gauss_seidel_stats}.
 
     Sweeps of chains larger than 2¹⁵ states run on a cache-blocked edge
     ordering (edges grouped by 8192-column destination blocks, row-major
     within a block) — bit-identical results, memory-bandwidth-bound
     scatters. *)
 
-val stationary_arnoldi :
-  ?budget:Supervise.Budget.t -> ?tol:float -> ?restart:int -> ?max_matvecs:int -> t -> float array
+val stationary_arnoldi_stats :
+  ?budget:Supervise.Budget.t ->
+  ?tol:float ->
+  ?restart:int ->
+  ?max_matvecs:int ->
+  t ->
+  float array * stats
 (** Restarted Arnoldi on the uniformised chain P = I + Q/λ: an [restart]-
     dimensional (default 30) Krylov basis is built by modified
     Gram–Schmidt, the stationary direction is approximated by the Ritz
@@ -85,15 +82,5 @@ val stationary_arnoldi :
     [max_matvecs] (default 100_000) and against the [budget]'s sweep
     ceiling; its wall deadline is polled at the usual cadence.  Raises
     [No_convergence] with matvecs spent and residual achieved, like the
-    other iterative solvers.  Sweeps share the blocked-CSR path of
-    {!stationary_power}. *)
-
-val stationary_arnoldi_stats :
-  ?budget:Supervise.Budget.t ->
-  ?tol:float ->
-  ?restart:int ->
-  ?max_matvecs:int ->
-  t ->
-  float array * stats
-(** As {!stationary_arnoldi}, also reporting matvecs spent and the achieved
-    residual. *)
+    other iterative solvers, and reports them on success.  Sweeps share
+    the blocked-CSR path of {!stationary_power_stats}. *)

@@ -1,12 +1,13 @@
 (** A search point: one one-to-many replicated mapping, represented as
     the per-stage processor teams.
 
-    Candidates are kept in canonical form (each team sorted ascending) so
-    that textually equal candidates are semantically equal: the search
-    dedups visited points by {!key}, and every neighbourhood enumeration
-    is in a fixed deterministic order — stage-major, then processor id —
-    which is what makes the whole engine bit-identical for any domain
-    pool size. *)
+    Candidates keep each team sorted ascending: the search dedups visited
+    points by {!key}, and every neighbourhood enumeration is in a fixed
+    deterministic order — stage-major, then processor id — which is what
+    makes the whole engine bit-identical for any domain pool size.  The
+    sorted form is not canonical: a team's order is its round-robin
+    order, and teams [0,1 | 3,2] and [0,1 | 2,3] can have different
+    throughputs, yet both are ["0,1|2,3"]. *)
 
 open Streaming
 
@@ -14,15 +15,15 @@ type t = private int array array
 (** [t.(stage)] is the sorted team of the stage; never empty. *)
 
 val of_teams : int array array -> t
-(** Canonicalize (sort each team, copy).  Raises [Invalid_argument] on an
-    empty team. *)
+(** Sort each team (a copy), dropping its round-robin order.  Raises
+    [Invalid_argument] on an empty team. *)
 
 val teams : t -> int array array
 (** A copy, safe to mutate. *)
 
 val key : t -> string
-(** Canonical rendering, e.g. ["0,3|1|2,4"] — equal iff the candidates
-    assign the same teams. *)
+(** Rendering of the sorted teams, e.g. ["0,3|1|2,4"] — equal iff the
+    candidates assign the same processor sets to each stage. *)
 
 val sizes : t -> int array
 (** Replication factor of each stage. *)
@@ -39,7 +40,8 @@ val of_composition :
   app:Application.t -> platform:Platform.t -> pool:int list -> int list -> t
 (** Candidate for one composition of the pool into team sizes, under the
     fixed assignment rule of [Mapper.exhaustive]: stages ranked by
-    per-processor load [work/size] get the fastest processors first. *)
+    per-processor load [work/size] get the fastest processors first, but
+    sorted by id where [Mapper.exhaustive] keeps them in speed order. *)
 
 val unused : pool:int list -> t -> int list
 (** Pool processors not in any team, ascending. *)

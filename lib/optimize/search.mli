@@ -84,6 +84,7 @@ val run_anneal : state -> unit
     fortiori). *)
 
 val run_exhaustive : state -> unit
-(** Score every composition of the pool into positive team sizes (the
-    [Mapper.exhaustive] space) with bound-pruning and pool fan-out.
-    Cost grows as C(pool-1, stages-1). *)
+(** Score every composition of the pool into positive team sizes with
+    bound-pruning and pool fan-out — [Mapper.exhaustive]'s compositions,
+    but with id-sorted teams (see {!Candidate.of_composition}), so the
+    optima can differ.  Cost grows as C(pool-1, stages-1). *)

@@ -318,46 +318,56 @@ type graph = { codec : codec; codes : int array; row_ptr : int array; succ : int
 let n_states g = Array.length g.row_ptr - 1
 let marking g i = decode g.codec g.codes (i * g.codec.words)
 
+(* ---- code stores: the serial walk's set of visited codes ---- *)
+
+type store = { s_words : int; s_codes : Ibuf.t; s_table : Table.t; mutable stored : int }
+
+let store ~words =
+  { s_words = words; s_codes = Ibuf.create (1024 * words); s_table = Table.create ~words 1024; stored = 0 }
+
+let stored s = s.stored
+
+let intern s ~cap ?budget key =
+  let w = s.s_words in
+  let h = hash_code key 0 w in
+  let b = Table.probe s.s_table ~codes:s.s_codes.Ibuf.a ~pending:[||] h key 0 in
+  let id = s.s_table.Table.slots.(b) in
+  if id >= 0 then id
+  else begin
+    let id = s.stored in
+    if id >= cap then capacity_exceeded ~cap ~explored:id;
+    budget_tick budget id;
+    Ibuf.append s.s_codes key 0 w;
+    Table.fill s.s_table b h id;
+    s.stored <- id + 1;
+    id
+  end
+
+let load s id into = Array.blit s.s_codes.Ibuf.a (id * s.s_words) into 0 s.s_words
+
 (* ---- serial BFS ---- *)
 
 let explore_serial ~cap ~budget teg c =
   let eff = effects_of teg c and w = c.words in
-  let codes = Ibuf.create (1024 * w) in
-  let table = Table.create ~words:w 1024 in
+  let seen = store ~words:w in
   let row = Ibuf.create 1024 and succ = Ibuf.create 1024 and via = Ibuf.create 1024 in
-  let n = ref 0 in
-  let register key =
-    let h = hash_code key 0 w in
-    let b = Table.probe table ~codes:codes.Ibuf.a ~pending:[||] h key 0 in
-    let id = table.Table.slots.(b) in
-    if id >= 0 then id
-    else begin
-      if !n >= cap then capacity_exceeded ~cap ~explored:!n;
-      budget_tick budget !n;
-      let id = !n in
-      Ibuf.append codes key 0 w;
-      Table.fill table b h id;
-      incr n;
-      id
-    end
-  in
   let parent = Array.make w 0 and next = Array.make w 0 in
   encode c (initial teg) next 0;
-  ignore (register next);
+  ignore (intern seen ~cap ?budget next);
   let edge v =
-    Ibuf.push succ (register next);
+    Ibuf.push succ (intern seen ~cap ?budget next);
     Ibuf.push via v
   in
   let head = ref 0 in
-  while !head < !n do
-    Array.blit codes.Ibuf.a (!head * w) parent 0 w;
+  while !head < seen.stored do
+    load seen !head parent;
     Ibuf.push row succ.Ibuf.len;
     scan eff ~words:w parent next edge;
     incr head
   done;
   Ibuf.push row succ.Ibuf.len;
-  { codec = c; codes = Ibuf.to_array codes; row_ptr = Ibuf.to_array row; succ = Ibuf.to_array succ;
-    via = Ibuf.to_array via }
+  { codec = c; codes = Ibuf.to_array seen.s_codes; row_ptr = Ibuf.to_array row;
+    succ = Ibuf.to_array succ; via = Ibuf.to_array via }
 
 (* ---- sharded level-synchronous exploration ----
 

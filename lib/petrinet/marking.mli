@@ -78,6 +78,20 @@ val find : index -> int array -> int
 (** [find ix code] is the id of the state whose code is
     [code.(0) .. code.(words - 1)], or [-1]. *)
 
+type store
+(** The serial walk's set of visited codes of [words] ints, numbered 0, 1,
+    … in first-insertion order; also walked by [Markov.Tpn_markov_ph]. *)
+
+val store : words:int -> store
+val stored : store -> int
+
+val intern : store -> cap:int -> ?budget:Supervise.Budget.t -> int array -> int
+(** The id of the code [key.(0 .. words-1)], added if new: past [cap]
+    codes [State_space_exceeded], and the budget polled as {!explore}. *)
+
+val load : store -> int -> int array -> unit
+(** [load s id into] copies the code of [id] into [into]. *)
+
 (** {1 Exploration} *)
 
 val budget_poll_stride : int

@@ -73,6 +73,12 @@ let budget_of q =
 
 let exact rho = (rho, "exact", false, "exact")
 
+let supervised (rho, prov) =
+  ( rho,
+    quality_string prov.Supervise.Provenance.quality,
+    prov.Supervise.Provenance.degraded,
+    Supervise.Provenance.describe prov )
+
 let solve prepared q =
   let mapping = prepared.mapping in
   match
@@ -81,16 +87,13 @@ let solve prepared q =
     | Exponential, Model.Overlap -> exact (Expo.overlap_throughput mapping)
     | Exponential, Model.Strict ->
         let budget = budget_of q in
-        let rho, prov =
-          if q.simulate then Experiments.Solve.throughput ~cap:q.cap ?budget mapping
-          else Expo.strict_throughput_supervised ~cap:q.cap ?budget mapping
-        in
-        ( rho,
-          quality_string prov.Supervise.Provenance.quality,
-          prov.Supervise.Provenance.degraded,
-          Supervise.Provenance.describe prov )
+        supervised
+          (if q.simulate then Experiments.Solve.throughput ~cap:q.cap ?budget mapping
+           else Expo.strict_throughput_supervised ~cap:q.cap ?budget mapping)
     | Erlang phases, Model.Overlap -> exact (Expo.overlap_throughput_erlang ~phases mapping)
-    | Erlang phases, Model.Strict -> exact (Expo.strict_throughput_erlang ~cap:q.cap ~phases mapping)
+    | Erlang phases, Model.Strict ->
+        supervised
+          (Expo.strict_throughput_erlang_supervised ~cap:q.cap ?budget:(budget_of q) ~phases mapping)
   with
   | rho, quality, degraded, provenance ->
       Ok

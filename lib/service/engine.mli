@@ -14,7 +14,8 @@
       exploration under [cap], the GTH → Gauss–Seidel → power ladder
       under the request's budget, and optionally (with [simulate]) the
       DES final rung;
-    - [Erlang k] → the phase-expanded exact solvers of §6.
+    - [Erlang k] → the phase-expanded solvers of §6; Strict ones climb
+      the ladder under the request's budget, with no DES rung.
 
     Budgets are per-request: the wall clock starts when the solve is
     dispatched, never when the daemon starts. *)

@@ -16,11 +16,15 @@ let overlap_throughput ?pool ?pattern_cap ?(closed_form_only = false) mapping =
   in
   Columns.fold_throughput ?pool mapping ~inner
 
+(* Theorem 2's general method: marking exploration, then the escalation
+   ladder on the recurrent class *)
+let markov_supervised ?cap ?budget ?ladder ~rates teg outputs =
+  let chain, provenance = Markov.Tpn_markov.analyse_supervised ?cap ?budget ?ladder ~rates teg in
+  (Markov.Tpn_markov.throughput_of chain outputs, provenance)
+
 let markov_throughput ?cap tpn =
   let teg = Tpn.teg tpn in
-  let rates v = 1.0 /. Petrinet.Teg.time teg v in
-  let chain = Markov.Tpn_markov.analyse ?cap ~rates teg in
-  Markov.Tpn_markov.throughput_of chain (Tpn.last_column tpn)
+  fst (markov_supervised ?cap ~rates:(fun v -> 1.0 /. Petrinet.Teg.time teg v) teg (Tpn.last_column tpn))
 
 let strict_throughput ?cap mapping = markov_throughput ?cap (Tpn.build mapping Model.Strict)
 
@@ -37,12 +41,10 @@ let strict_throughput_supervised ?cap ?budget ?ladder ?simulate mapping =
   Obs.Trace.span "expo:strict_supervised" @@ fun () ->
   let tpn = Tpn.build mapping Model.Strict in
   let teg = Tpn.teg tpn in
-  let rates v = 1.0 /. Petrinet.Teg.time teg v in
   try
-    let chain, provenance =
-      Markov.Tpn_markov.analyse_supervised ?cap ?budget ?ladder ~rates teg
-    in
-    (Markov.Tpn_markov.throughput_of chain (Tpn.last_column tpn), provenance)
+    markov_supervised ?cap ?budget ?ladder
+      ~rates:(fun v -> 1.0 /. Petrinet.Teg.time teg v)
+      teg (Tpn.last_column tpn)
   with Supervise.Error.Solver_error err as exn -> (
     match simulate with
     | None -> raise exn
@@ -101,16 +103,19 @@ let overlap_throughput_erlang ?pool ?pattern_cap ~phases mapping =
   in
   Columns.fold_throughput ?pool mapping ~inner
 
-let strict_throughput_erlang ?cap ~phases mapping =
+let strict_throughput_erlang_supervised ?cap ?budget ~phases mapping =
   if phases < 1 then invalid_arg "Expo.strict_throughput_erlang: phases must be at least 1";
   let tpn = Tpn.build mapping Model.Strict in
   let teg = Tpn.teg tpn in
   let expansion = Petrinet.Expand.erlang ~phases:(fun _ -> phases) teg in
   let original_rate v = 1.0 /. Petrinet.Teg.time teg v in
-  let rates id = Petrinet.Expand.phase_rates expansion ~original_rate id in
-  let chain = Markov.Tpn_markov.analyse ?cap ~rates (Petrinet.Expand.teg expansion) in
-  Markov.Tpn_markov.throughput_of chain
-    (List.map (fun v -> Petrinet.Expand.last expansion v) (Tpn.last_column tpn))
+  markov_supervised ?cap ?budget
+    ~rates:(Petrinet.Expand.phase_rates expansion ~original_rate)
+    (Petrinet.Expand.teg expansion)
+    (List.map (Petrinet.Expand.last expansion) (Tpn.last_column tpn))
+
+let strict_throughput_erlang ?cap ~phases mapping =
+  fst (strict_throughput_erlang_supervised ?cap ~phases mapping)
 
 let overlap_throughput_ph ?pool ?pattern_cap ~ph mapping =
   let inner = function

@@ -14,7 +14,7 @@ val overlap_throughput :
 
 val strict_throughput : ?cap:int -> Mapping.t -> float
 (** Theorem 2's general method on the Strict TPN: reachable markings →
-    CTMC → stationary firing rate of the last column.  The Strict TPN is
+    CTMC (on the escalation ladder) → firing rate of the last column.  The Strict TPN is
     covered by token-invariant cycles, so its marking space is finite; the
     cost is exponential in the replication factors. *)
 
@@ -59,8 +59,12 @@ val overlap_throughput_erlang :
     rate 1/mean under any law). *)
 
 val strict_throughput_erlang : ?cap:int -> phases:int -> Mapping.t -> float
-(** The general method on the phase-expanded Strict TPN: exact Erlang
+(** The general method on the phase-expanded Strict TPN: Erlang
     throughput, at a marking-space cost growing quickly with [phases]. *)
+
+val strict_throughput_erlang_supervised :
+  ?cap:int -> ?budget:Supervise.Budget.t -> phases:int -> Mapping.t -> float * Supervise.Provenance.t
+(** {!strict_throughput_erlang} under a budget, with its provenance. *)
 
 val overlap_throughput_ph :
   ?pool:Parallel.Pool.t -> ?pattern_cap:int -> ph:(Resource.t -> Markov.Ph.t) -> Mapping.t -> float

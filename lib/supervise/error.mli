@@ -1,8 +1,9 @@
 (** Typed failure taxonomy of the throughput solvers.
 
     Every solver entry point of the reproduction — the stationary solvers
-    of [Linalg], the marking-space explorers of [Petrinet] and
-    [Markov.Tpn_markov(_ph)], and the throughput drivers built on them —
+    of [Linalg], the marking-space explorer of [Petrinet], the
+    recurrent-class pass of [Markov.Tpn_markov] (marking and phase-type
+    chains alike), and the throughput drivers built on them —
     reports failure as a {!Solver_error} carrying one of these values
     instead of a bare [Failure _].  Callers can therefore distinguish
     "the chain is too big" from "the iteration stalled" from "the model

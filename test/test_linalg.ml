@@ -254,7 +254,7 @@ let qcheck_gauss_seidel_matches_gth =
       let g = Prng.create ~seed:(seed + 11) in
       let rates = random_chain g n in
       let pi_gth = Gth.stationary (sparse_of_dense rates) in
-      let pi_gs = Sparse.stationary_gauss_seidel (sparse_of_dense rates) in
+      let pi_gs = fst (Sparse.stationary_gauss_seidel_stats (sparse_of_dense rates)) in
       Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-8) pi_gth pi_gs)
 
 let qcheck_power_matches_gth =
@@ -264,7 +264,7 @@ let qcheck_power_matches_gth =
       let g = Prng.create ~seed:(seed + 23) in
       let rates = random_chain g n in
       let pi_gth = Gth.stationary (sparse_of_dense rates) in
-      let pi_pow = Sparse.stationary_power ~tol:1e-13 (sparse_of_dense rates) in
+      let pi_pow = fst (Sparse.stationary_power_stats ~tol:1e-13 (sparse_of_dense rates)) in
       Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-6) pi_gth pi_pow)
 
 (* The three stationary solvers must agree on generators of every size the
@@ -289,8 +289,8 @@ let test_solvers_agree_random () =
       end
     done;
     let pi_gth = Gth.stationary s in
-    let pi_gs = Sparse.stationary_gauss_seidel s in
-    let pi_pow = Sparse.stationary_power ~tol:1e-13 s in
+    let pi_gs = fst (Sparse.stationary_gauss_seidel_stats s) in
+    let pi_pow = fst (Sparse.stationary_power_stats ~tol:1e-13 s) in
     for i = 0 to n - 1 do
       if abs_float (pi_gth.(i) -. pi_gs.(i)) > 1e-9 then
         Alcotest.failf "case %d (n=%d): Gauss-Seidel deviates at state %d: %.12g vs %.12g" case n i

@@ -258,7 +258,7 @@ let test_arnoldi_matches_gth () =
   let n = 180 in
   let t = Ctmc.create n in
   random_rates ~n ~seed:5 (Ctmc.add_rate t);
-  let pi_gth = Ctmc.stationary ~solver:Ctmc.Gth t in
+  let pi_gth = fst (Ctmc.stationary_supervised ~ladder:[ Ctmc.Rung_gth ] t) in
   let pi_arn, prov =
     Ctmc.stationary_supervised ~ladder:[ Ctmc.Rung_arnoldi { tol = 1e-10; restart = 30 } ] t
   in
@@ -275,7 +275,7 @@ let test_arnoldi_no_convergence () =
   random_rates ~n ~seed:6 (Linalg.Sparse.add_rate s);
   let raised =
     try
-      ignore (Linalg.Sparse.stationary_arnoldi ~tol:1e-14 ~max_matvecs:3 s);
+      ignore (Linalg.Sparse.stationary_arnoldi_stats ~tol:1e-14 ~max_matvecs:3 s);
       false
     with Supervise.Error.Solver_error (Supervise.Error.No_convergence _) -> true
   in

@@ -40,9 +40,10 @@ let test_ctmc_solvers_agree () =
     chain
   in
   let chain = build () in
-  let gth = Markov.Ctmc.stationary ~solver:Markov.Ctmc.Gth chain in
-  let gs = Markov.Ctmc.stationary ~solver:Markov.Ctmc.Gauss_seidel chain in
-  let pw = Markov.Ctmc.stationary ~solver:Markov.Ctmc.Power chain in
+  let on rung = fst (Markov.Ctmc.stationary_supervised ~ladder:[ rung ] chain) in
+  let gth = on Markov.Ctmc.Rung_gth in
+  let gs = on (Markov.Ctmc.Rung_gauss_seidel { tol = 1e-12 }) in
+  let pw = on (Markov.Ctmc.Rung_power { tol = 1e-12 }) in
   Array.iteri (fun i v -> check_float 1e-8 "gth vs gs" v gs.(i)) gth;
   Array.iteri (fun i v -> check_float 1e-6 "gth vs power" v pw.(i)) gth
 
@@ -64,10 +65,12 @@ let test_ctmc_gth_counters () =
 
 (* -- tpn_markov -- *)
 
+let analyse ~rates teg = fst (Markov.Tpn_markov.analyse_supervised ~rates teg)
+
 let test_self_loop_rate () =
   let teg = Teg.create ~labels:[| "only" |] ~times:[| 2.0 |] in
   Teg.add_place teg ~src:0 ~dst:0 ~tokens:1;
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun _ -> 0.5) teg in
+  let chain = analyse ~rates:(fun _ -> 0.5) teg in
   Alcotest.(check int) "one marking" 1 (Markov.Tpn_markov.n_markings chain);
   check_float 1e-12 "always enabled" 1.0 (Markov.Tpn_markov.enabled_probability chain 0);
   check_float 1e-12 "firing rate = rate" 0.5 (Markov.Tpn_markov.firing_rate chain 0)
@@ -77,7 +80,7 @@ let test_alternating_renewal () =
      form a renewal process of rate 1/(1/l1 + 1/l2) *)
   let teg = ring [| 1.0; 1.0 |] in
   let l1 = 2.0 and l2 = 3.0 in
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun v -> if v = 0 then l1 else l2) teg in
+  let chain = analyse ~rates:(fun v -> if v = 0 then l1 else l2) teg in
   Alcotest.(check int) "two markings" 2 (Markov.Tpn_markov.n_markings chain);
   let expected = 1.0 /. ((1.0 /. l1) +. (1.0 /. l2)) in
   check_float 1e-12 "t0 rate" expected (Markov.Tpn_markov.firing_rate chain 0);
@@ -90,7 +93,7 @@ let test_ring_k_rate () =
      transition fires at rate l/k *)
   let k = 5 and l = 2.0 in
   let teg = ring (Array.make k 1.0) in
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun _ -> l) teg in
+  let chain = analyse ~rates:(fun _ -> l) teg in
   check_float 1e-12 "per transition" (l /. float_of_int k) (Markov.Tpn_markov.firing_rate chain 0);
   check_float 1e-12 "total" l (Markov.Tpn_markov.throughput_of chain (List.init k Fun.id))
 
@@ -100,7 +103,7 @@ let test_independent_rings_product_chain () =
   Teg.add_place teg ~src:0 ~dst:0 ~tokens:1;
   Teg.add_place teg ~src:1 ~dst:2 ~tokens:0;
   Teg.add_place teg ~src:2 ~dst:1 ~tokens:1;
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun v -> if v = 0 then 5.0 else 2.0) teg in
+  let chain = analyse ~rates:(fun v -> if v = 0 then 5.0 else 2.0) teg in
   Alcotest.(check int) "2 markings (self-loop is invariant)" 2 (Markov.Tpn_markov.n_markings chain);
   check_float 1e-12 "self loop rate" 5.0 (Markov.Tpn_markov.firing_rate chain 0);
   check_float 1e-12 "ring rate" 1.0 (Markov.Tpn_markov.firing_rate chain 1)
@@ -109,7 +112,7 @@ let test_rate_validation () =
   let teg = ring [| 1.0; 1.0 |] in
   Alcotest.check_raises "non-positive rate"
     (Invalid_argument "Tpn_markov: rate of t0 not positive") (fun () ->
-      ignore (Markov.Tpn_markov.analyse ~rates:(fun _ -> 0.0) teg))
+      ignore (analyse ~rates:(fun _ -> 0.0) teg))
 
 let test_markov_vs_simulation () =
   (* 2x3 pattern with heterogeneous rates: stationary throughput matches a
@@ -176,7 +179,7 @@ let test_expected_firings_poisson () =
      process, E[N_t] = rate * t exactly *)
   let teg = Teg.create ~labels:[| "only" |] ~times:[| 1.0 |] in
   Teg.add_place teg ~src:0 ~dst:0 ~tokens:1;
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun _ -> 0.8) teg in
+  let chain = analyse ~rates:(fun _ -> 0.8) teg in
   List.iter
     (fun t ->
       check_float 1e-8 (Printf.sprintf "E[N_%g]" t) (0.8 *. t)
@@ -186,7 +189,7 @@ let test_expected_firings_poisson () =
 let test_expected_firings_renewal_slope () =
   (* 2-ring: E[N_t]/t tends to the stationary rate from below *)
   let teg = ring [| 1.0; 1.0 |] in
-  let chain = Markov.Tpn_markov.analyse ~rates:(fun v -> if v = 0 then 2.0 else 3.0) teg in
+  let chain = analyse ~rates:(fun v -> if v = 0 then 2.0 else 3.0) teg in
   let stationary = Markov.Tpn_markov.throughput_of chain [ 0; 1 ] in
   let at t = Markov.Tpn_markov.expected_firings chain ~horizon:t [ 0; 1 ] /. t in
   Alcotest.(check bool) "monotone towards the rate" true (at 1.0 <= at 10.0 && at 10.0 <= at 100.0);
@@ -307,6 +310,129 @@ let test_ph_chain_hyper_below_exponential () =
     (Printf.sprintf "hyper %.4f strictly below exponential %.4f" value expo)
     true (value < expo -. 0.05)
 
+(* -- the product walk against the reference explorer -- *)
+
+let random_law st =
+  let rate () = 0.5 +. Random.State.float st 2.5 in
+  match Random.State.int st 4 with
+  | 0 -> Markov.Ph.exponential ~rate:(rate ())
+  | 1 -> Markov.Ph.erlang ~phases:(2 + Random.State.int st 2) ~rate:(rate ())
+  | 2 ->
+      let p = 0.1 +. Random.State.float st 0.8 in
+      Markov.Ph.hyperexponential [ (p, rate ()); (1.0 -. p, rate ()) ]
+  | _ -> Markov.Ph.coxian [ (rate (), 0.2 +. Random.State.float st 0.7); (rate (), 0.0) ]
+
+(* a ring with one or two tokens, a 2×3 or 3×4 pattern, or a small Strict
+   TPN, picked by [kind] *)
+let random_net st kind =
+  match kind with
+  | 0 ->
+      let k = 2 + Random.State.int st 3 in
+      let teg = Teg.create ~labels:(Array.init k (Printf.sprintf "t%d")) ~times:(Array.make k 1.0) in
+      let second = if Random.State.bool st then Random.State.int st (k - 1) else -1 in
+      for l = 0 to k - 1 do
+        Teg.add_place teg ~src:l ~dst:((l + 1) mod k)
+          ~tokens:(if l = k - 1 || l = second then 1 else 0)
+      done;
+      teg
+  | 1 -> Young.Pattern.build ~u:2 ~v:3 ~time:(fun ~sender:_ ~receiver:_ -> 1.0)
+  | 2 -> Young.Pattern.build ~u:3 ~v:4 ~time:(fun ~sender:_ ~receiver:_ -> 1.0)
+  | _ ->
+      let open Streaming in
+      let app = Application.create ~work:[| 4.0; 6.0 |] ~files:[| 2.0 |] in
+      let platform = Platform.fully_connected ~speeds:[| 1.0; 1.0; 1.0; 1.0 |] ~bw:1.0 in
+      let teams =
+        [| [| [| 0 |]; [| 1; 2 |] |]; [| [| 0; 1 |]; [| 2 |] |]; [| [| 0; 1 |]; [| 2; 3 |] |] |]
+      in
+      Tpn.teg (Tpn.build (Mapping.create ~app ~platform ~teams:teams.(Random.State.int st 3)) Model.Strict)
+
+let error_kind f =
+  match f () with
+  | _ -> "none"
+  | exception Supervise.Error.Solver_error e -> (
+      match e with
+      | Supervise.Error.No_convergence _ -> "no_convergence"
+      | State_space_exceeded _ -> "state_space_exceeded"
+      | Non_ergodic _ -> "non_ergodic"
+      | Numerical _ -> "numerical"
+      | Budget_exhausted _ -> "budget_exhausted")
+
+let qcheck_ph_matches_reference =
+  QCheck.Test.make ~name:"phase-type product walk = reference explorer" ~count:100
+    QCheck.(pair (int_range 0 3) (int_range 0 100_000))
+    (fun (kind, seed) ->
+      let st = Random.State.make [| 17; kind; seed |] in
+      let teg = random_net st kind in
+      let laws = Array.init (Teg.n_transitions teg) (fun _ -> random_law st) in
+      let ph_of v = laws.(v) in
+      let got = Markov.Tpn_markov_ph.analyse ~ph_of teg and want = Ref_ph.analyse ~ph_of teg in
+      let n = Markov.Tpn_markov_ph.n_states got in
+      let cap = max 1 (n / 2) in
+      n = Ref_ph.n_states want
+      && List.for_all
+           (fun v ->
+             let a = Markov.Tpn_markov_ph.completion_rate got v and b = Ref_ph.completion_rate want v in
+             abs_float (a -. b) <= 1e-12 *. abs_float b)
+           (List.init (Teg.n_transitions teg) Fun.id)
+      && error_kind (fun () -> Markov.Tpn_markov_ph.analyse ~cap ~ph_of teg)
+         = error_kind (fun () -> Ref_ph.analyse ~cap ~ph_of teg)
+      && error_kind (fun () -> Markov.Tpn_markov_ph.analyse ~cap ~ph_of teg) <> "none")
+
+let test_ph_chain_multi_word_phases () =
+  (* seven independent servers whose 1024-phase law starts in phase 0 or
+     phase 1023, with mean 1/2·1 + 1/2·1/2: ten bits a phase, so the
+     phases of one marking need two words, and every field is sometimes
+     all ones *)
+  let n = 1024 in
+  let law =
+    {
+      Markov.Ph.initial = Array.init n (fun i -> if i = 0 || i = n - 1 then 0.5 else 0.0);
+      jump = Array.init n (fun i -> Array.init n (fun j -> if j = 0 && i > 0 && i < n - 1 then 1.0 else 0.0));
+      exit = Array.init n (fun i -> if i = 0 then 1.0 else if i = n - 1 then 2.0 else 0.0);
+    }
+  in
+  let k = 7 in
+  let teg = Teg.create ~labels:(Array.init k (Printf.sprintf "s%d")) ~times:(Array.make k 1.0) in
+  for v = 0 to k - 1 do
+    Teg.add_place teg ~src:v ~dst:v ~tokens:1
+  done;
+  let got = Markov.Tpn_markov_ph.analyse ~ph_of:(fun _ -> law) teg in
+  let want = Ref_ph.analyse ~ph_of:(fun _ -> law) teg in
+  Alcotest.(check int) "2^7 phase vectors" 128 (Markov.Tpn_markov_ph.n_states got);
+  Alcotest.(check int) "as the reference" (Ref_ph.n_states want) (Markov.Tpn_markov_ph.n_states got);
+  for v = 0 to k - 1 do
+    check_float 1e-12 "renewal rate 1/mean" (1.0 /. 0.75)
+      (Markov.Tpn_markov_ph.completion_rate got v);
+    check_float 1e-12 "as the reference" (Ref_ph.completion_rate want v)
+      (Markov.Tpn_markov_ph.completion_rate got v)
+  done
+
+let test_ph_chain_non_ergodic () =
+  (* from its first phase the law jumps into one of two closed pairs of
+     phases that never absorb: in a two-transition ring, each marking's
+     one enabled transition can be caught in either pair, so four bottom
+     classes of two states *)
+  let trap =
+    {
+      Markov.Ph.initial = [| 1.0; 0.0; 0.0; 0.0; 0.0 |];
+      jump =
+        [|
+          [| 0.0; 1.0; 0.0; 1.0; 0.0 |];
+          [| 0.0; 0.0; 1.0; 0.0; 0.0 |];
+          [| 0.0; 1.0; 0.0; 0.0; 0.0 |];
+          [| 0.0; 0.0; 0.0; 0.0; 1.0 |];
+          [| 0.0; 0.0; 0.0; 1.0; 0.0 |];
+        |];
+      exit = [| 1.0; 0.0; 0.0; 0.0; 0.0 |];
+    }
+  in
+  let teg = ring [| 1.0; 1.0 |] in
+  let expected = Supervise.Error.Non_ergodic { recurrent = 8; transient = 2 } in
+  Alcotest.check_raises "product walk" (Supervise.Error.Solver_error expected) (fun () ->
+      ignore (Markov.Tpn_markov_ph.analyse ~ph_of:(fun _ -> trap) teg));
+  Alcotest.check_raises "reference" (Supervise.Error.Solver_error expected) (fun () ->
+      ignore (Ref_ph.analyse ~ph_of:(fun _ -> trap) teg))
+
 let () =
   Alcotest.run "markov"
     [
@@ -348,5 +474,8 @@ let () =
           Alcotest.test_case "matches exponential chain" `Quick test_ph_chain_matches_exponential_chain;
           Alcotest.test_case "matches erlang expansion" `Quick test_ph_chain_erlang_matches_expansion;
           Alcotest.test_case "hyper below exponential" `Quick test_ph_chain_hyper_below_exponential;
+          QCheck_alcotest.to_alcotest qcheck_ph_matches_reference;
+          Alcotest.test_case "multi-word phase codes" `Quick test_ph_chain_multi_word_phases;
+          Alcotest.test_case "non-ergodic as the reference" `Quick test_ph_chain_non_ergodic;
         ] );
     ]

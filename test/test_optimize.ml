@@ -53,6 +53,27 @@ let test_candidate_canonical () =
   Alcotest.(check (list int)) "unused ascending" [ 1; 4 ]
     (Optimize.Candidate.unused ~pool:(pool_of 5) c)
 
+(* Round-robin order within a team is part of the mapping, so the sorted
+   form is not canonical.  The smallest instance that shows it: two stages
+   with two processors each, on a homogeneous network.  Teams 0,1 | 2,3
+   pair the data sets' processors as 0→2 and 1→3, and 0,1 | 3,2 as 0→3
+   and 1→2; the two mappings have different throughputs (0.6 and 0.533
+   under both laws), yet [Candidate] gives them one key. *)
+let test_team_order_matters () =
+  let app = Application.create ~work:[| 3.0; 5.0 |] ~files:[| 1.0 |] in
+  let platform = Platform.fully_connected ~speeds:[| 1.0; 2.0; 1.0; 2.0 |] ~bw:2.0 in
+  let sorted = [| [| 0; 1 |]; [| 2; 3 |] |] and swapped = [| [| 0; 1 |]; [| 3; 2 |] |] in
+  let differ name f =
+    let a = f (Mapping.create ~app ~platform ~teams:sorted)
+    and b = f (Mapping.create ~app ~platform ~teams:swapped) in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.4f vs %.4f" name a b) true (abs_float (a -. b) > 0.05)
+  in
+  differ "exponential" (fun m -> Expo.overlap_throughput m);
+  differ "deterministic" Deterministic.overlap_throughput_decomposed;
+  Alcotest.(check string) "one candidate key"
+    (Optimize.Candidate.key (Optimize.Candidate.of_teams sorted))
+    (Optimize.Candidate.key (Optimize.Candidate.of_teams swapped))
+
 let test_candidate_neighbors () =
   let c = Optimize.Candidate.of_teams [| [| 0 |]; [| 1; 2 |] |] in
   let pool = pool_of 4 in
@@ -295,6 +316,7 @@ let () =
       ( "candidate",
         [
           Alcotest.test_case "canonical form" `Quick test_candidate_canonical;
+          Alcotest.test_case "team order changes the throughput" `Quick test_team_order_matters;
           Alcotest.test_case "neighborhood" `Quick test_candidate_neighbors;
         ] );
       ( "objective",

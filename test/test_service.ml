@@ -55,8 +55,8 @@ let expect_error_kind server line kind =
   Alcotest.(check bool) "ok:false" false (Client.reply_ok reply);
   Alcotest.(check (option string)) ("kind " ^ kind) (Some kind) (Client.reply_error_kind reply)
 
-let solve_line ?model ?law ?cap ?wall ?simulate inst =
-  Json.render (Client.solve_request ?model ?law ?cap ?wall ?simulate ~instance:inst ())
+let solve_line ?model ?law ?cap ?wall ?states ?simulate inst =
+  Json.render (Client.solve_request ?model ?law ?cap ?wall ?states ?simulate ~instance:inst ())
 
 (* ---- JSON codec ---- *)
 
@@ -739,6 +739,38 @@ let test_budget_exhausted_structured () =
   Alcotest.(check bool) "daemon alive" true (Client.reply_ok reply);
   let reply = parse_reply (respond server (solve_line instance)) in
   Alcotest.(check bool) "daemon still solves" true (Client.reply_ok reply)
+
+(* a Strict erlang:2 draw at cold-solves' (3,7) shape: its phase-expanded
+   chain has thousands of markings, so the general method's ladder starts
+   on Gauss–Seidel, and the request's budget binds as it does for the
+   exponential law *)
+let test_strict_erlang_budget () =
+  let mapping =
+    Workload.Gen.random_mapping (Prng.create ~seed:1)
+      {
+        Workload.Gen.n_stages = 3;
+        n_procs = 7;
+        comp_range = (4.0, 12.0);
+        comm_range = (4.0, 12.0);
+        max_rows = 60;
+      }
+  in
+  let line ?wall ?states () =
+    solve_line ~model:Streaming.Model.Strict ~law:(Engine.Erlang 2) ?wall ?states
+      (Streaming.Instance_io.to_string mapping)
+  in
+  let server = Server.create (config ()) in
+  expect_error_kind server (line ~states:50 ()) "state_space_exceeded";
+  expect_error_kind server (line ~wall:1e-6 ()) "budget_exhausted";
+  let reply = parse_reply (respond server (line ())) in
+  Alcotest.(check bool) "ok" true (Client.reply_ok reply);
+  let result = Option.get (Json.member "result" reply) in
+  let field name = Option.bind (Json.member name result) Json.to_string_opt in
+  Alcotest.(check (option string)) "quality" (Some "iterative") (field "quality");
+  Alcotest.(check bool) "provenance names the Gauss–Seidel rung" true
+    (List.exists
+       (fun attempt -> String.starts_with ~prefix:" gauss-seidel(tol=1e-12): iterative" attempt)
+       (String.split_on_char ';' (Option.get (field "provenance"))))
 
 let test_busy_backpressure () =
   let server = Server.create (config ~max_inflight:0 ()) in
@@ -1439,6 +1471,7 @@ let () =
           Alcotest.test_case "metrics fleet flag on a single daemon" `Quick
             test_metrics_fleet_flag_single_daemon;
           Alcotest.test_case "budget exhausted" `Quick test_budget_exhausted_structured;
+          Alcotest.test_case "strict erlang budget" `Quick test_strict_erlang_budget;
           Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;
           Alcotest.test_case "batch isolates bad items" `Quick test_batch_isolates_bad_items;
           Alcotest.test_case "shutdown command" `Quick test_shutdown_command;

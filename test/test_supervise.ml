@@ -29,7 +29,7 @@ let slow_sparse n =
   t
 
 let test_gs_no_convergence () =
-  match Linalg.Sparse.stationary_gauss_seidel ~tol:1e-12 ~max_sweeps:16 (slow_sparse 200) with
+  match Linalg.Sparse.stationary_gauss_seidel_stats ~tol:1e-12 ~max_sweeps:16 (slow_sparse 200) with
   | _ -> Alcotest.fail "expected No_convergence"
   | exception Error.Solver_error (Error.No_convergence { sweeps; residual }) ->
       Alcotest.(check int) "sweeps reported" 16 sweeps;
@@ -57,7 +57,7 @@ let test_power_stats_on_success () =
 let test_budget_wall_exhausted () =
   let budget = Budget.create ~wall:1e-9 () in
   ignore (Unix.select [] [] [] 0.01);
-  match Linalg.Sparse.stationary_gauss_seidel ~budget ~tol:1e-12 (slow_sparse 200) with
+  match Linalg.Sparse.stationary_gauss_seidel_stats ~budget ~tol:1e-12 (slow_sparse 200) with
   | _ -> Alcotest.fail "expected Budget_exhausted"
   | exception Error.Solver_error (Error.Budget_exhausted { elapsed }) ->
       Alcotest.(check bool) "elapsed positive" true (elapsed > 0.0)
@@ -65,7 +65,7 @@ let test_budget_wall_exhausted () =
 
 let test_budget_sweep_ceiling () =
   let budget = Budget.create ~sweeps:8 () in
-  match Linalg.Sparse.stationary_gauss_seidel ~budget ~tol:1e-12 (slow_sparse 200) with
+  match Linalg.Sparse.stationary_gauss_seidel_stats ~budget ~tol:1e-12 (slow_sparse 200) with
   | _ -> Alcotest.fail "expected No_convergence"
   | exception Error.Solver_error (Error.No_convergence { sweeps; _ }) ->
       Alcotest.(check int) "ceiling tightened max_sweeps" 8 sweeps
@@ -142,7 +142,7 @@ let slow_ctmc n =
 
 let test_ladder_escalates () =
   let chain = slow_ctmc 200 in
-  let exact = Markov.Ctmc.stationary ~solver:Markov.Ctmc.Gth chain in
+  let exact = fst (Markov.Ctmc.stationary_supervised ~ladder:[ Markov.Ctmc.Rung_gth ] chain) in
   (* first rung cannot converge within the sweep budget; GTH saves the
      solve and the provenance records both attempts *)
   let budget = Budget.create ~sweeps:16 () in

@@ -177,7 +177,7 @@ let test_homogeneous_enabled_probability () =
   List.iter
     (fun (u, v) ->
       let teg = Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
-      let chain = Markov.Tpn_markov.analyse ~rates:(fun _ -> 1.0) teg in
+      let chain = fst (Markov.Tpn_markov.analyse_supervised ~rates:(fun _ -> 1.0) teg) in
       for k = 0 to (u * v) - 1 do
         check_float 1e-9
           (Printf.sprintf "(%d,%d) transition %d" u v k)
