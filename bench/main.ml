@@ -397,7 +397,10 @@ let tenancy_study () =
           List.mapi
             (fun i d ->
               let bound = Tenancy.Platform_share.bound ps ~tenant:i model in
-              let expo = Tenancy.Platform_share.exponential_throughput ps ~tenant:i model in
+              let expo, _ =
+                Throughput.solve Throughput.Exponential model
+                  (Tenancy.Platform_share.scaled_mapping ps ~tenant:i)
+              in
               (d.Instance_io.tenant_id, d.Instance_io.weight, bound, expo,
                (bound -. expo) /. expo))
             decls

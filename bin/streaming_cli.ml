@@ -84,10 +84,7 @@ let analyze_run path model cap with_expo with_utilization with_sensitivity =
       (100.0 *. Deterministic.critical_resource_gap a);
   if with_expo then begin
     let expo =
-      try
-        match model with
-        | Model.Overlap -> Expo.overlap_throughput mapping
-        | Model.Strict -> Expo.strict_throughput ~cap mapping
+      try fst (Throughput.solve ~cap Throughput.Exponential model mapping)
       with Supervise.Error.Solver_error err -> solver_error_exit ~cap err
     in
     Format.printf "exponential rate      : %.6g@." expo;
@@ -107,7 +104,7 @@ let analyze_run path model cap with_expo with_utilization with_sensitivity =
 let analyze_cmd =
   let cap =
     Arg.(value & opt int 2_000_000 & info [ "cap" ]
-           ~doc:"Marking exploration bound for the strict exponential analysis.")
+           ~doc:"Pattern and marking exploration bound for the exponential analysis.")
   in
   let with_expo =
     Arg.(value & flag & info [ "exponential"; "e" ]
@@ -193,7 +190,7 @@ let simulate_run path model law data_sets seed engine =
   in
   Format.printf "simulated throughput  : %.6g (%s, %d data sets, seed %d)@." rho
     (Model.to_string model) data_sets seed;
-  let det = Deterministic.throughput mapping model in
+  let det, _ = Throughput.solve Throughput.Deterministic model mapping in
   Format.printf "deterministic bound   : %.6g (ratio %.3f)@." det (rho /. det);
   0
 
@@ -227,7 +224,7 @@ let simulate_cmd =
 let bounds_run path model =
   let mapping = load path in
   let b =
-    try Bounds.compute ~strict_cap:2_000_000 mapping model
+    try Bounds.compute ~cap:2_000_000 mapping model
     with Supervise.Error.Solver_error err -> solver_error_exit ~cap:2_000_000 err
   in
   Format.printf "Theorem 7 bounds (%s model):@." (Model.to_string model);
@@ -238,7 +235,7 @@ let bounds_run path model =
   List.iter
     (fun k ->
       let v =
-        try Throughput.evaluate ~cap:2_000_000 (Throughput.Erlang_times k) mapping model
+        try fst (Throughput.solve ~cap:2_000_000 (Throughput.Erlang k) model mapping)
         with Supervise.Error.Solver_error err -> solver_error_exit ~cap:2_000_000 err
       in
       Format.printf "  erlang-%d (scv %.2f)        : %.6g@." k (1.0 /. float_of_int k) v)
@@ -552,8 +549,8 @@ let serve_cmd =
 let service_law_conv =
   Arg.conv
     ( (fun s ->
-        match Service.Engine.law_of_string s with Ok l -> Ok l | Error msg -> Error (`Msg msg)),
-      fun ppf l -> Format.pp_print_string ppf (Service.Engine.law_to_string l) )
+        match Throughput.law_of_string s with Ok l -> Ok l | Error msg -> Error (`Msg msg)),
+      fun ppf l -> Format.pp_print_string ppf (Throughput.law_to_string l) )
 
 let query_run addr command instance model law cap wall simulate repeat fleet =
   let fail msg =
@@ -638,7 +635,7 @@ let query_cmd =
            ~doc:"Law: deterministic, exponential or erlang:K.")
   in
   let cap =
-    Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"Marking exploration bound (strict).")
+    Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"Pattern and marking exploration bound.")
   in
   let wall =
     Arg.(value & opt (some float) None & info [ "wall" ] ~docv:"SECONDS"
@@ -1510,7 +1507,7 @@ let loadgen_cmd =
            ~doc:"Law for the generated solve requests.")
   in
   let cap =
-    Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"Marking exploration bound (strict).")
+    Arg.(value & opt (some int) None & info [ "cap" ] ~doc:"Pattern and marking exploration bound.")
   in
   let window =
     Arg.(value & opt int 5 & info [ "window" ] ~docv:"SECONDS"
@@ -1544,7 +1541,7 @@ let multi_request ~cmd ~instance ~model ~law ~cap ~wall =
        ("cmd", Service.Json.String cmd);
        ("instance", Service.Json.String instance);
        ("model", Service.Json.String (Model.to_string model));
-       ("law", Service.Json.String (Service.Engine.law_to_string law));
+       ("law", Service.Json.String (Throughput.law_to_string law));
      ]
     @ (match cap with Some c -> [ ("cap", Service.Json.Int c) ] | None -> [])
     @ match wall with Some w -> [ ("wall", Service.Json.Float w) ] | None -> [])
@@ -1625,7 +1622,10 @@ let tenants_solve_run path model law cap wall socket check_des seed data_sets =
           for i = 0 to k - 1 do
             let d = Tenancy.Platform_share.decl ps i in
             let bound = Tenancy.Platform_share.bound ps ~tenant:i model in
-            let expo = Tenancy.Platform_share.exponential_throughput ~cap ps ~tenant:i model in
+            let expo, _ =
+              Throughput.solve ~cap Throughput.Exponential model
+                (Tenancy.Platform_share.scaled_mapping ps ~tenant:i)
+            in
             if bound < d.Instance_io.floor then
               violated := d.Instance_io.tenant_id :: !violated;
             Format.printf "%-10s %8.4f %10.6g %12.6g %12.6g%s@." d.Instance_io.tenant_id

@@ -35,7 +35,7 @@ let () =
       Format.printf "critical resource bound : %.3f on %s%s@." a.Deterministic.mct
         a.Deterministic.bottleneck
         (if Deterministic.has_critical_resource a then "" else "  <- no critical resource!");
-      let bounds = Bounds.compute ~strict_cap:2_000_000 mapping model in
+      let bounds = Bounds.compute ~cap:2_000_000 mapping model in
       Format.printf "Theorem 7 bounds        : any NBUE law gives a throughput in [%.6f, %.6f]@."
         bounds.Bounds.lower bounds.Bounds.upper;
       (* check by simulating a uniform law on every resource *)

@@ -86,6 +86,25 @@ let ping addr ~deadline =
           | Ok reply -> Service.Client.reply_ok reply
           | Error _ -> false)
 
+(* A worker that dies by [_exit] or SIGKILL cannot unlink its own Unix
+   socket, so the supervisor removes the path of every slot it gives up
+   on, and of every slot once the fleet is down. *)
+let remove_socket t i slot =
+  match slot.spec.addr with
+  | Service.Protocol.Tcp _ -> ()
+  | Service.Protocol.Unix_domain path -> (
+      try Unix.unlink path with
+      | Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+      | Unix.Unix_error (e, _, _) ->
+          Obs.Log.warn t.slog
+            ~attrs:[ ("worker", string_of_int i); ("error", Unix.error_message e) ]
+            "socket_unlink_failed")
+
+let mark_dead t i slot =
+  slot.pid <- None;
+  slot.st <- Dead;
+  remove_socket t i slot
+
 let kill_slot slot signal =
   match slot.pid with
   | Some pid -> ( try Unix.kill pid signal with Unix.Unix_error _ -> ())
@@ -107,11 +126,11 @@ let tick t =
           | _, status ->
               locked t (fun () ->
                   slot.pid <- None;
-                  if Atomic.get t.stopping then slot.st <- Dead
+                  if Atomic.get t.stopping then mark_dead t i slot
                   else begin
                     let attempt = slot.attempts in
                     if Supervise.Backoff.exhausted t.backoff ~attempt then begin
-                      slot.st <- Dead;
+                      mark_dead t i slot;
                       Obs.Log.error t.slog
                         ~attrs:
                           [ ("worker", string_of_int i); ("attempts", string_of_int attempt) ]
@@ -138,9 +157,7 @@ let tick t =
                     end
                   end)
           | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              locked t (fun () ->
-                  slot.pid <- None;
-                  slot.st <- Dead)))
+              locked t (fun () -> mark_dead t i slot)))
     t.slots;
   (* 2. spawn due restarts *)
   Array.iteri
@@ -262,11 +279,7 @@ let shutdown ?(grace = 5.0) t =
         | Some pid -> (
             match Unix.waitpid [ Unix.WNOHANG ] pid with
             | 0, _ -> true
-            | _ ->
-                slot.pid <- None;
-                slot.st <- Dead;
-                false
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+            | _ | (exception Unix.Unix_error (Unix.ECHILD, _, _)) ->
                 slot.pid <- None;
                 slot.st <- Dead;
                 false))
@@ -285,10 +298,9 @@ let shutdown ?(grace = 5.0) t =
             ~attrs:[ ("worker", string_of_int i) ]
             "sigterm_ignored";
           kill_slot slot Sys.sigkill;
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          slot.pid <- None;
-          slot.st <- Dead)
+          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()))
     t.slots;
+  Array.iteri (mark_dead t) t.slots;
   Obs.Log.info t.slog
     ~attrs:[ ("restarts", string_of_int (restarts_total t)) ]
     "fleet_stop"

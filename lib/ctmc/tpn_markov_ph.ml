@@ -8,7 +8,11 @@ open Petrinet
    lexicographic order.  Each edge has a rate and the transition it
    completes (-1 for a phase jump). *)
 
-type t = { n_states : int; completion : float array  (** per transition *) }
+type t = {
+  n_states : int;
+  completion : float array;  (** per transition *)
+  provenance : Supervise.Provenance.t;
+}
 
 (* bits that hold the phases 0 .. n-1 *)
 let rec bits n = if n <= 1 then 0 else 1 + bits ((n + 1) / 2)
@@ -137,7 +141,7 @@ let analyse ?(cap = 500_000) ?budget ~ph_of teg =
         if j <> k then Ctmc.add_rate chain k j rate.(e)
       done)
     recurrent;
-  let pi, _ = Ctmc.stationary_supervised ?budget chain in
+  let pi, provenance = Ctmc.stationary_supervised ?budget chain in
   let completion = Array.make (Array.length laws) 0.0 in
   Array.iteri
     (fun k s ->
@@ -146,8 +150,9 @@ let analyse ?(cap = 500_000) ?budget ~ph_of teg =
         if v >= 0 then completion.(v) <- completion.(v) +. (pi.(k) *. rate.(e))
       done)
     recurrent;
-  { n_states = !head; completion }
+  { n_states = !head; completion; provenance }
 
 let n_states t = t.n_states
+let provenance t = t.provenance
 let completion_rate t v = t.completion.(v)
 let throughput_of t vs = List.fold_left (fun acc v -> acc +. completion_rate t v) 0.0 vs

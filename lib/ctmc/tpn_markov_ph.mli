@@ -29,6 +29,10 @@ val analyse :
 
 val n_states : t -> int
 
+val provenance : t -> Supervise.Provenance.t
+(** The ladder's record of the stationary solve: which rung answered,
+    and the failures before it. *)
+
 val completion_rate : t -> int -> float
 (** Stationary rate of completions (absorptions) of one transition. *)
 

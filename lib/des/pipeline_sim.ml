@@ -139,3 +139,15 @@ let replicated_throughputs ?pool ?warmup_fraction ?release mapping model ~timing
   Parallel.Pool.map_list pool
     (fun seed -> throughput ?warmup_fraction ?release mapping model ~timing ~seed ~data_sets)
     seeds
+
+(* The last rung of the escalation ladder: when the exact and iterative
+   solvers have all failed (state space over the cap, no convergence,
+   budget spent), estimate the throughput by simulation and report an
+   honest batch-means confidence interval alongside. *)
+let estimate ?(data_sets = 20_000) ~seed mapping model () =
+  let completions =
+    completions mapping model ~timing:(Independent (Streaming.Laws.exponential mapping)) ~seed
+      ~data_sets
+  in
+  let bm = Stats.Batch_means.throughput_of_completions completions in
+  (bm.Stats.Batch_means.mean, bm.Stats.Batch_means.half_width)

@@ -79,3 +79,12 @@ val replicated_throughputs :
     replications running on [pool] (default {!Parallel.Pool.get}).  Each
     replica draws from its own generator seeded by its own seed, so the
     result list is identical for every pool size. *)
+
+val estimate :
+  ?data_sets:int -> seed:int -> Streaming.Mapping.t -> Streaming.Model.t -> unit -> float * float
+(** [(estimate, ci)]: the throughput simulated under exponential laws of
+    the nominal means, with its 95% batch-means half-width ([data_sets]
+    defaults to 20_000).  Partially applied, it is the [simulate] rung of
+    {!Streaming.Throughput.solve}, the last step of the escalation ladder
+    (GTH → Gauss–Seidel → power iteration → simulation), which cannot
+    live in [lib/streaming] because the simulator sits above it. *)

@@ -9,11 +9,14 @@ type metric = Deterministic | Exponential
    — propagates, so a genuine programming error can never masquerade as a
    "worthless mapping" that the climbs silently route around. *)
 let evaluate metric mapping =
-  match metric with
-  | Deterministic -> Streaming.Deterministic.overlap_throughput_decomposed mapping
-  | Exponential -> (
-      try Expo.overlap_throughput ~pattern_cap:200_000 mapping with
-      | Supervise.Error.Solver_error err when Supervise.Error.is_recoverable err -> 0.0)
+  let law =
+    match metric with
+    | Deterministic -> Throughput.Deterministic
+    | Exponential -> Throughput.Exponential
+  in
+  match Throughput.solve ~cap:200_000 law Model.Overlap mapping with
+  | rho, _ -> rho
+  | exception Supervise.Error.Solver_error err when Supervise.Error.is_recoverable err -> 0.0
 
 let default_pool platform = List.init (Platform.n_processors platform) Fun.id
 

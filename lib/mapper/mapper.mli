@@ -26,9 +26,10 @@ type metric =
           networks (pattern CTMCs) *)
 
 val evaluate : metric -> Mapping.t -> float
-(** Throughput of a mapping under the metric (Overlap model).  Returns 0
-    when the probabilistic evaluation is intractable for this mapping —
-    precisely, when it fails with a {e recoverable} typed solver error
+(** Throughput of a mapping under the metric (Overlap model), from
+    {!Throughput.solve} with a pattern cap of 200_000.  Returns 0 when the
+    evaluation is intractable for this mapping — precisely, when it fails
+    with a {e recoverable} typed solver error
     (see {!Supervise.Error.is_recoverable}): state space over the cap,
     stalled iteration, exhausted budget.  Any other failure —
     [Non_ergodic], [Numerical], [Invalid_argument] — propagates: a

@@ -25,8 +25,7 @@ type event = {
   lg_suppressed : int;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_json_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -35,10 +34,13 @@ let json_escape s =
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_json_escaped b s;
   Buffer.contents b
 
 let pid = lazy (Unix.getpid ())

@@ -36,8 +36,15 @@ val to_json : event -> string
 (** One-line JSON object:
     [{"ts":…,"level":"…","comp":"…","event":"…","pid":…,…}]. *)
 
+val add_json_escaped : Buffer.t -> string -> unit
+(** Append a string escaped for embedding inside JSON double quotes:
+    double quote, backslash, newline, return and tab as two-character
+    escapes, every other byte below 0x20 as [\u00XX], every other byte
+    verbatim.  The one JSON string escaper: the wire codec, the journal,
+    the Chrome trace export and the log lines all use it. *)
+
 val json_escape : string -> string
-(** Escape a string for embedding inside JSON double quotes. *)
+(** {!add_json_escaped} into a fresh string. *)
 
 type sink = string -> unit
 

@@ -161,21 +161,6 @@ let clear () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json ?(pid = 1) ?process_name () =
   let evs = events () in
   let buf = Buffer.create 4096 in
@@ -189,7 +174,7 @@ let to_chrome_json ?(pid = 1) ?process_name () =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-           pid (json_escape name)));
+           pid (Log.json_escape name)));
   List.iter
     (fun ev ->
       sep ();
@@ -200,7 +185,7 @@ let to_chrome_json ?(pid = 1) ?process_name () =
       let abs_ns = epoch_ns + ev.ev_ts_ns in
       Buffer.add_string buf
         (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"%c\",\"ts\":%d.%03d,\"pid\":%d,\"tid\":%d"
-           (json_escape ev.ev_name) ev.ev_ph (abs_ns / 1000)
+           (Log.json_escape ev.ev_name) ev.ev_ph (abs_ns / 1000)
            (abs_ns mod 1000) pid ev.ev_tid);
       (match ev.ev_args with
       | [] -> ()
@@ -210,7 +195,7 @@ let to_chrome_json ?(pid = 1) ?process_name () =
             (fun j (k, v) ->
               if j > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf
-                (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+                (Printf.sprintf "\"%s\":\"%s\"" (Log.json_escape k) (Log.json_escape v)))
             args;
           Buffer.add_char buf '}');
       (match ev.ev_ph with

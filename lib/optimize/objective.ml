@@ -35,39 +35,37 @@ let states t = t.states
 let wall t = t.wall
 let seed t = t.seed
 
-(* Fresh budget per candidate: the wall clock (when any) restarts at the
-   candidate's own solve, so one slow candidate cannot starve the rest. *)
-let budget t =
-  match (t.wall, t.sweeps, t.states) with
-  | None, None, None -> None
-  | wall, sweeps, states -> Some (Supervise.Budget.create ?wall ?sweeps ?states ())
+(* the metric's row of the solve table: the one place a metric picks its
+   execution model, its law and whether the DES rung may answer *)
+let row = function
+  | Deterministic -> (Model.Overlap, Throughput.Deterministic, false)
+  | Exponential -> (Model.Overlap, Throughput.Exponential, false)
+  | Strict -> (Model.Strict, Throughput.Exponential, true)
+  | Custom { name; _ } ->
+      invalid_arg (Printf.sprintf "Objective.row: custom objective %S is local-only" name)
 
 let bound t mapping =
   match t.m with
   | Custom { bound; _ } -> bound mapping
-  | Deterministic | Exponential -> Deterministic.overlap_throughput_decomposed mapping
-  | Strict -> Deterministic.throughput mapping Model.Strict
+  | m ->
+      let model, _, _ = row m in
+      fst (Throughput.solve Throughput.Deterministic model mapping)
 
+(* a fresh budget per candidate: the wall clock (when any) restarts at
+   the candidate's own solve, so one slow candidate cannot starve the
+   rest *)
 let value t mapping =
   match t.m with
   | Custom { value; _ } -> value mapping
-  | Deterministic -> Deterministic.overlap_throughput_decomposed mapping
-  | Exponential ->
-      (* the budget's state ceiling tightens the pattern cap; its wall
-         deadline is checked before the solve starts *)
-      let cap =
-        match budget t with
-        | None -> t.cap
-        | Some b ->
-            Supervise.Budget.check b;
-            Supervise.Budget.cap_allowed b t.cap
-      in
-      Expo.overlap_throughput ~pattern_cap:cap mapping
-  | Strict ->
-      let rho, (_ : Supervise.Provenance.t) =
-        Experiments.Solve.throughput ~cap:t.cap ?budget:(budget t) ~seed:t.seed mapping
-      in
-      rho
+  | m ->
+      let model, law, simulate = row m in
+      fst
+        (Throughput.solve ~cap:t.cap
+           ?budget:(Supervise.Budget.of_limits ?wall:t.wall ?sweeps:t.sweeps ?states:t.states ())
+           ?simulate:
+             (if simulate then Some (Des.Pipeline_sim.estimate ~seed:t.seed mapping model)
+              else None)
+           law model mapping)
 
 type outcome =
   | Evaluated of float
@@ -83,7 +81,7 @@ let evaluate t ~incumbent mapping =
   match t.m with
   | Deterministic ->
       (* bound = value: one computation serves both roles *)
-      let v = Deterministic.overlap_throughput_decomposed mapping in
+      let v = bound t mapping in
       if v <= incumbent then Pruned v else Evaluated v
   | _ -> (
       let b = bound t mapping in

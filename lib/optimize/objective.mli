@@ -23,10 +23,9 @@ type metric =
           decomposition through the pattern CTMCs and the [lib/young]
           caches *)
   | Strict
-      (** I.I.D. exponential times, Strict model through
-          [Experiments.Solve.throughput]: the full supervised ladder with
-          the DES rung, so the evaluation itself never raises for solver
-          reasons *)
+      (** I.I.D. exponential times, Strict model: the full supervised
+          ladder with the DES rung ({!Des.Pipeline_sim.estimate}), so the
+          evaluation itself never raises for solver reasons *)
   | Custom of {
       name : string;
       bound : Mapping.t -> float;  (** must upper-bound [value] *)
@@ -34,6 +33,13 @@ type metric =
     }  (** test hook: inject arbitrary objective/bound pairs *)
 
 val metric_name : metric -> string
+
+val row : metric -> Model.t * Throughput.law * bool
+(** The metric's row of {!Throughput.solve}'s table: execution model,
+    law, and whether the DES rung may answer.  {!bound} solves the
+    [Deterministic] law on that model, {!value} the row itself, and the
+    [Remote] batch path sends it to the daemon.  Raises
+    [Invalid_argument] on [Custom]: custom objectives are local-only. *)
 
 type t
 (** A configured objective: metric + per-candidate resource policy. *)
@@ -68,7 +74,9 @@ val bound : t -> Mapping.t -> float
     polynomial — and exact for {!Deterministic}. *)
 
 val value : t -> Mapping.t -> float
-(** The objective value.  May raise [Supervise.Error.Solver_error]. *)
+(** The objective value: {!row} solved under [cap] and a fresh budget
+    from [sweeps]/[states]/[wall] (the budget's state ceiling tightens
+    the pattern cap too).  May raise [Supervise.Error.Solver_error]. *)
 
 (** The outcome of one candidate under {!evaluate}. *)
 type outcome =

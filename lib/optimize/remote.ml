@@ -1,40 +1,6 @@
 open Streaming
 module Json = Service.Json
 
-let error_of_json err =
-  let str k = Option.bind (Json.member k err) Json.to_string_opt in
-  let int k d = Option.value ~default:d (Option.bind (Json.member k err) Json.to_int_opt) in
-  let flt k d = Option.value ~default:d (Option.bind (Json.member k err) Json.to_float_opt) in
-  match str "kind" with
-  | Some "no_convergence" ->
-      Some
-        (Supervise.Error.No_convergence
-           { sweeps = int "sweeps" 0; residual = flt "residual" Float.nan })
-  | Some "state_space_exceeded" ->
-      Some
-        (Supervise.Error.State_space_exceeded { cap = int "cap" 0; explored = int "explored" 0 })
-  | Some "non_ergodic" ->
-      Some
-        (Supervise.Error.Non_ergodic { recurrent = int "recurrent" 0; transient = int "transient" 0 })
-  | Some "numerical" ->
-      Some
-        (Supervise.Error.Numerical
-           {
-             what = Option.value ~default:"(unreported)" (str "what");
-             where = Option.value ~default:"(daemon)" (str "where");
-           })
-  | Some "budget_exhausted" ->
-      Some (Supervise.Error.Budget_exhausted { elapsed = flt "elapsed_s" 0. })
-  | _ -> None
-
-let query_params objective =
-  match Objective.metric objective with
-  | Objective.Deterministic -> (Model.Overlap, Service.Engine.Deterministic, false)
-  | Objective.Exponential -> (Model.Overlap, Service.Engine.Exponential, false)
-  | Objective.Strict -> (Model.Strict, Service.Engine.Exponential, true)
-  | Objective.Custom { name; _ } ->
-      invalid_arg (Printf.sprintf "Remote.evaluator: custom objective %S is local-only" name)
-
 let chunks n xs =
   let rec go acc = function
     | [] -> List.rev acc
@@ -57,7 +23,7 @@ let decode_item item =
   | _ -> (
       match Json.member "error" item with
       | Some err -> (
-          match error_of_json err with
+          match Service.Protocol.solver_error_of_json err with
           | Some solver_err -> Objective.Failed solver_err
           | None ->
               let msg =
@@ -68,7 +34,7 @@ let decode_item item =
       | None -> failwith "Remote.evaluator: malformed batch item")
 
 let evaluator client ~objective mappings =
-  let model, law, simulate = query_params objective in
+  let model, law, simulate = Objective.row (Objective.metric objective) in
   let request_of m =
     Service.Client.solve_request ~model ~law ~cap:(Objective.cap objective)
       ?wall:(Objective.wall objective) ?sweeps:(Objective.sweeps objective)

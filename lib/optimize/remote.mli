@@ -16,10 +16,6 @@
 
 open Streaming
 
-val error_of_json : Service.Json.t -> Supervise.Error.t option
-(** Rebuild the typed solver failure carried by an [ok:false] reply's
-    ["error"] object; [None] when the kind is not a solver kind. *)
-
 val evaluator :
   Service.Client.t -> objective:Objective.t -> Mapping.t list -> Objective.outcome list
 (** May raise [Failure] (transport/protocol) or [Invalid_argument] when

@@ -60,7 +60,7 @@ let solve_fields ?model ?law ?cap ?wall ?sweeps ?states ?simulate ~instance () =
     [
       Some ("instance", Json.String instance);
       opt "model" (fun m -> Json.String (Streaming.Model.to_string m)) model;
-      opt "law" (fun l -> Json.String (Engine.law_to_string l)) law;
+      opt "law" (fun l -> Json.String (Streaming.Throughput.law_to_string l)) law;
       opt "cap" (fun c -> Json.Int c) cap;
       opt "wall" (fun w -> Json.Float w) wall;
       opt "sweeps" (fun s -> Json.Int s) sweeps;

@@ -1,21 +1,6 @@
 open Streaming
 
-type law = Deterministic | Exponential | Erlang of int
-
-let law_of_string s =
-  match String.split_on_char ':' s with
-  | [ "deterministic" ] -> Ok Deterministic
-  | [ "exponential" ] -> Ok Exponential
-  | [ "erlang"; k ] -> (
-      match int_of_string_opt k with
-      | Some k when k >= 1 -> Ok (Erlang k)
-      | _ -> Error "erlang:K needs a positive integer phase count")
-  | _ -> Error (Printf.sprintf "unknown law %S (deterministic|exponential|erlang:K)" s)
-
-let law_to_string = function
-  | Deterministic -> "deterministic"
-  | Exponential -> "exponential"
-  | Erlang k -> Printf.sprintf "erlang:%d" k
+type law = Throughput.law = Deterministic | Exponential | Erlang of int | Ph of Markov.Ph.t
 
 type query = {
   instance : string;
@@ -28,7 +13,7 @@ type query = {
   simulate : bool;
 }
 
-let default_cap = 500_000
+let default_cap = Throughput.default_cap
 
 type prepared = { key : string; mapping : Mapping.t }
 
@@ -38,7 +23,7 @@ let prepare q =
   | Ok mapping ->
       let buf = Buffer.create 1024 in
       Printf.bprintf buf "v2|model=%s|law=%s|cap=%d|sim=%b\n" (Model.to_string q.model)
-        (law_to_string q.law) q.cap q.simulate;
+        (Throughput.law_to_string q.law) q.cap q.simulate;
       Instance_io.add_key buf mapping;
       Ok { key = Buffer.contents buf; mapping }
 
@@ -66,47 +51,34 @@ let quality_string = function
   | Supervise.Provenance.Iterative _ -> "iterative"
   | Supervise.Provenance.Simulated _ -> "simulated"
 
-let budget_of q =
-  match (q.wall, q.sweeps, q.states) with
-  | None, None, None -> None
-  | wall, sweeps, states -> Some (Supervise.Budget.create ?wall ?sweeps ?states ())
+(* the DES rung's seed: simulated replies are cached, so it is fixed *)
+let des_seed = 20260706
 
-let exact rho = (rho, "exact", false, "exact")
-
-let supervised (rho, prov) =
-  ( rho,
-    quality_string prov.Supervise.Provenance.quality,
-    prov.Supervise.Provenance.degraded,
-    Supervise.Provenance.describe prov )
-
-let solve prepared q =
-  let mapping = prepared.mapping in
+(* one row of the solve table, under a budget that starts now *)
+let solve_mapping ~cap ?wall ?sweeps ?states ~simulate law model mapping =
   match
-    match (q.law, q.model) with
-    | Deterministic, model -> exact (Deterministic.throughput mapping model)
-    | Exponential, Model.Overlap -> exact (Expo.overlap_throughput mapping)
-    | Exponential, Model.Strict ->
-        let budget = budget_of q in
-        supervised
-          (if q.simulate then Experiments.Solve.throughput ~cap:q.cap ?budget mapping
-           else Expo.strict_throughput_supervised ~cap:q.cap ?budget mapping)
-    | Erlang phases, Model.Overlap -> exact (Expo.overlap_throughput_erlang ~phases mapping)
-    | Erlang phases, Model.Strict ->
-        supervised
-          (Expo.strict_throughput_erlang_supervised ~cap:q.cap ?budget:(budget_of q) ~phases mapping)
+    Throughput.solve ~cap
+      ?budget:(Supervise.Budget.of_limits ?wall ?sweeps ?states ())
+      ?simulate:
+        (if simulate then Some (Des.Pipeline_sim.estimate ~seed:des_seed mapping model) else None)
+      law model mapping
   with
-  | rho, quality, degraded, provenance ->
+  | rho, prov ->
       Ok
         {
           throughput = rho;
-          quality;
-          degraded;
-          provenance;
+          quality = quality_string prov.Supervise.Provenance.quality;
+          degraded = prov.Supervise.Provenance.degraded;
+          provenance = Supervise.Provenance.describe prov;
           pattern_states = pattern_state_count mapping;
         }
   | exception Supervise.Error.Solver_error err -> Error err
   | exception Invalid_argument msg ->
       Error (Supervise.Error.Numerical { what = msg; where = "Service.Engine.solve" })
+
+let solve prepared q =
+  solve_mapping ~cap:q.cap ?wall:q.wall ?sweeps:q.sweeps ?states:q.states ~simulate:q.simulate q.law
+    q.model prepared.mapping
 
 let outcome_json o =
   Json.Obj
@@ -139,7 +111,7 @@ let prepare_multi q =
       | Ok share ->
           let buf = Buffer.create 1024 in
           Printf.bprintf buf "v2|multi|model=%s|law=%s|cap=%d\n" (Model.to_string q.m_model)
-            (law_to_string q.m_law) q.m_cap;
+            (Throughput.law_to_string q.m_law) q.m_cap;
           Instance_io.add_multi_key buf decls;
           Ok { m_key = Buffer.contents buf; m_share = share })
 
@@ -199,22 +171,10 @@ let solve_multi prepared q =
           let wall =
             Option.map (fun w -> w *. d.Instance_io.weight /. total_weight) q.m_wall
           in
-          let tq =
-            {
-              instance = "";
-              model = q.m_model;
-              law = q.m_law;
-              cap = q.m_cap;
-              wall;
-              sweeps = None;
-              states = None;
-              simulate = false;
-            }
-          in
-          let tprepared =
-            { key = ""; mapping = Tenancy.Platform_share.scaled_mapping share ~tenant:i }
-          in
-          match solve tprepared tq with
+          match
+            solve_mapping ~cap:q.m_cap ?wall ~simulate:false q.m_law q.m_model
+              (Tenancy.Platform_share.scaled_mapping share ~tenant:i)
+          with
           | Error err -> Error (Solver_failed err)
           | Ok outcome ->
               go (i + 1)
@@ -234,7 +194,7 @@ let multi_result_json q outcomes =
   Json.Obj
     [
       ("model", Json.String (Model.to_string q.m_model));
-      ("law", Json.String (law_to_string q.m_law));
+      ("law", Json.String (Throughput.law_to_string q.m_law));
       ( "tenants",
         Json.List
           (List.map

@@ -5,33 +5,27 @@
 
     A query names an instance (in the {!Streaming.Instance_io} textual
     format), an execution model, an operation-time law and optional
-    bounds.  Dispatch:
-
-    - [Deterministic] → critical-cycle analysis (§4), both models;
-    - [Exponential], Overlap → Theorem 3/4 per-column decomposition
-      (sharing the process-wide pattern caches);
-    - [Exponential], Strict → the supervised general method: marking
-      exploration under [cap], the GTH → Gauss–Seidel → power ladder
-      under the request's budget, and optionally (with [simulate]) the
-      DES final rung;
-    - [Erlang k] → the phase-expanded solvers of §6; Strict ones climb
-      the ladder under the request's budget, with no DES rung.
+    bounds.  {!solve} is one row of {!Streaming.Throughput.solve}'s table
+    under the query's [cap] and a budget built from its [wall], [sweeps]
+    and [states]; with [simulate], the Strict exponential row may answer
+    from the DES rung ({!Des.Pipeline_sim.estimate}, seed
+    20260706).  Every exploration, Overlap patterns included, is bounded
+    by [cap] and the budget's state ceiling.
 
     Budgets are per-request: the wall clock starts when the solve is
     dispatched, never when the daemon starts. *)
 
-type law = Deterministic | Exponential | Erlang of int
-
-val law_of_string : string -> (law, string) result
-(** ["deterministic"], ["exponential"], ["erlang:K"] with [K >= 1]. *)
-
-val law_to_string : law -> string
+type law = Streaming.Throughput.law =
+  | Deterministic
+  | Exponential
+  | Erlang of int
+  | Ph of Markov.Ph.t  (** in-process only: phase-type laws have no wire form *)
 
 type query = {
   instance : string;  (** instance text, [Instance_io] format *)
   model : Streaming.Model.t;
   law : law;
-  cap : int;  (** marking-exploration bound for the Strict solvers *)
+  cap : int;  (** bound on every pattern and marking exploration *)
   wall : float option;  (** per-request wall-clock budget, seconds *)
   sweeps : int option;  (** iterative-sweep budget *)
   states : int option;  (** explored-state budget *)
@@ -39,6 +33,7 @@ type query = {
 }
 
 val default_cap : int
+(** {!Streaming.Throughput.default_cap}. *)
 
 type prepared = { key : string; mapping : Streaming.Mapping.t }
 
@@ -66,9 +61,10 @@ type outcome = {
 }
 
 val solve : prepared -> query -> (outcome, Supervise.Error.t) result
-(** Runs the dispatch above under a fresh budget built from the query.
-    [Invalid_argument] from a model constructor is mapped to a
-    [Numerical] solver error; no exception escapes for solver reasons. *)
+(** One call to {!Streaming.Throughput.solve} under a fresh budget built
+    from the query.  [Invalid_argument] from a model constructor is
+    mapped to a [Numerical] solver error; no exception escapes for solver
+    reasons. *)
 
 val outcome_json : outcome -> Json.t
 (** The [result] object of a [solve] reply; rendering it is what the
@@ -120,8 +116,8 @@ type multi_error =
   | Solver_failed of Supervise.Error.t
 
 val solve_multi : prepared_multi -> multi_query -> (tenant_outcome list, multi_error) result
-(** Admission first, then one exact solve per tenant on its scaled
-    mapping.  [m_wall] (when present) is divided between tenants in
+(** Admission first, then one {!Streaming.Throughput.solve} per tenant
+    on its scaled mapping.  [m_wall] (when present) is divided between tenants in
     proportion to their weights — the weighted-fair budget accounting. *)
 
 val multi_result_json : multi_query -> tenant_outcome list -> Json.t

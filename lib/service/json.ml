@@ -14,19 +14,6 @@ let exact_float v =
   let short = Printf.sprintf "%.12g" v in
   if float_of_string short = v then short else Printf.sprintf "%.17g" v
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let render v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -44,7 +31,7 @@ let render v =
         else Buffer.add_string buf "null"
     | String s ->
         Buffer.add_char buf '"';
-        escape buf s;
+        Obs.Log.add_json_escaped buf s;
         Buffer.add_char buf '"'
     | List xs ->
         Buffer.add_char buf '[';
@@ -60,7 +47,7 @@ let render v =
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char buf ',';
             Buffer.add_char buf '"';
-            escape buf k;
+            Obs.Log.add_json_escaped buf k;
             Buffer.add_string buf "\":";
             go x)
           fields;

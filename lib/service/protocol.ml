@@ -85,6 +85,35 @@ let error_json e =
      ]
     @ error_extras e)
 
+(* the inverse of [error_json] on [Solver _]: kind and typed extras back
+   to the solver failure (a NaN residual renders as null, and comes back
+   as NaN) *)
+let solver_error_of_json err =
+  let str k = Option.bind (Json.member k err) Json.to_string_opt in
+  let int k d = Option.value ~default:d (Option.bind (Json.member k err) Json.to_int_opt) in
+  let flt k d = Option.value ~default:d (Option.bind (Json.member k err) Json.to_float_opt) in
+  match str "kind" with
+  | Some "no_convergence" ->
+      Some
+        (Supervise.Error.No_convergence
+           { sweeps = int "sweeps" 0; residual = flt "residual" Float.nan })
+  | Some "state_space_exceeded" ->
+      Some
+        (Supervise.Error.State_space_exceeded { cap = int "cap" 0; explored = int "explored" 0 })
+  | Some "non_ergodic" ->
+      Some
+        (Supervise.Error.Non_ergodic { recurrent = int "recurrent" 0; transient = int "transient" 0 })
+  | Some "numerical" ->
+      Some
+        (Supervise.Error.Numerical
+           {
+             what = Option.value ~default:"(unreported)" (str "what");
+             where = Option.value ~default:"(daemon)" (str "where");
+           })
+  | Some "budget_exhausted" ->
+      Some (Supervise.Error.Budget_exhausted { elapsed = flt "elapsed_s" 0. })
+  | _ -> None
+
 (* ---- request decoding ---- *)
 
 let decode_query json =
@@ -113,7 +142,7 @@ let decode_query json =
           match str "law" with
           | None when field_type_ok "law" Json.to_string_opt -> Ok Engine.Exponential
           | Some l -> (
-              match Engine.law_of_string l with
+              match Streaming.Throughput.law_of_string l with
               | Ok law -> Ok law
               | Error msg -> Error (Bad_request msg))
           | None -> Error (Bad_request "field 'law' must be a string")
@@ -159,7 +188,7 @@ let decode_multi_query json =
           match str "law" with
           | None when field_type_ok "law" Json.to_string_opt -> Ok Engine.Exponential
           | Some l -> (
-              match Engine.law_of_string l with
+              match Streaming.Throughput.law_of_string l with
               | Ok law -> Ok law
               | Error msg -> Error (Bad_request msg))
           | None -> Error (Bad_request "field 'law' must be a string")
@@ -186,7 +215,7 @@ let query_json (q : Engine.query) =
     ([
        ("instance", Json.String q.Engine.instance);
        ("model", Json.String (Streaming.Model.to_string q.Engine.model));
-       ("law", Json.String (Engine.law_to_string q.Engine.law));
+       ("law", Json.String (Streaming.Throughput.law_to_string q.Engine.law));
        ("cap", Json.Int q.Engine.cap);
      ]
     @ opt "wall" (fun w -> Json.Float w) q.Engine.wall

@@ -56,6 +56,12 @@ val error_kind : error -> string
 val error_json : error -> Json.t
 (** The ["error"] object: kind, message, retriable, typed extras. *)
 
+val solver_error_of_json : Json.t -> Supervise.Error.t option
+(** The inverse of {!error_json} on [Solver _]: rebuild the typed solver
+    failure from an ["error"] object's kind and extras; [None] when the
+    kind is not a solver kind.  A NaN residual, rendered as [null],
+    comes back as NaN. *)
+
 type request =
   | Ping
   | Stats

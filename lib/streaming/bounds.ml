@@ -1,12 +1,8 @@
 type t = { lower : float; upper : float }
 
-let compute ?pattern_cap ?strict_cap mapping model =
-  let upper = Deterministic.throughput mapping model in
-  let lower =
-    match model with
-    | Model.Overlap -> Expo.overlap_throughput ?pattern_cap mapping
-    | Model.Strict -> Expo.strict_throughput ?cap:strict_cap mapping
-  in
+let compute ?cap mapping model =
+  let upper, _ = Throughput.solve Throughput.Deterministic model mapping in
+  let lower, _ = Throughput.solve ?cap Throughput.Exponential model mapping in
   { lower; upper }
 
 let contains ?(slack = 0.02) t rho =

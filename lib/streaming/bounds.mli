@@ -8,11 +8,11 @@ type t = {
   upper : float;  (** throughput with constant times equal to the means *)
 }
 
-val compute : ?pattern_cap:int -> ?strict_cap:int -> Mapping.t -> Model.t -> t
-(** Exact bounds: {!Deterministic.throughput} above,
-    {!Expo.throughput} below.  For the Strict model the exponential value
-    goes through the general Markov method, whose marking space is capped
-    by [strict_cap]. *)
+val compute : ?cap:int -> Mapping.t -> Model.t -> t
+(** Exact bounds: the {!Throughput.solve} table's [Deterministic] value
+    above, its [Exponential] value below.  [cap] (default
+    {!Throughput.default_cap}) bounds the exponential solve's pattern or
+    marking exploration. *)
 
 val contains : ?slack:float -> t -> float -> bool
 (** [contains b rho] with a multiplicative [slack] (default 2%) to absorb

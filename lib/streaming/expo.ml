@@ -18,8 +18,8 @@ let overlap_throughput ?pool ?pattern_cap ?(closed_form_only = false) mapping =
 
 (* Theorem 2's general method: marking exploration, then the escalation
    ladder on the recurrent class *)
-let markov_supervised ?cap ?budget ?ladder ~rates teg outputs =
-  let chain, provenance = Markov.Tpn_markov.analyse_supervised ?cap ?budget ?ladder ~rates teg in
+let markov_supervised ?cap ?budget ~rates teg outputs =
+  let chain, provenance = Markov.Tpn_markov.analyse_supervised ?cap ?budget ~rates teg in
   (Markov.Tpn_markov.throughput_of chain outputs, provenance)
 
 let markov_throughput ?cap tpn =
@@ -29,20 +29,20 @@ let markov_throughput ?cap tpn =
 let strict_throughput ?cap mapping = markov_throughput ?cap (Tpn.build mapping Model.Strict)
 
 (* Supervised variant: the exact/iterative pipeline runs under a budget and
-   an escalation ladder; if the whole ladder fails (or the state space blows
-   the cap) and a [simulate] rung is supplied, the result degrades to a
-   simulation estimate instead of an exception. *)
+   the escalation ladder; if the whole ladder fails (or the state space
+   blows the cap) and a [simulate] rung is supplied, the result degrades
+   to a simulation estimate instead of an exception. *)
 let m_des_fallback =
   Obs.Metrics.Counter.create
     ~help:"Supervised strict solves that degraded to the DES simulation rung"
     "expo_des_fallback_total"
 
-let strict_throughput_supervised ?cap ?budget ?ladder ?simulate mapping =
+let strict_throughput_supervised ?cap ?budget ?simulate mapping =
   Obs.Trace.span "expo:strict_supervised" @@ fun () ->
   let tpn = Tpn.build mapping Model.Strict in
   let teg = Tpn.teg tpn in
   try
-    markov_supervised ?cap ?budget ?ladder
+    markov_supervised ?cap ?budget
       ~rates:(fun v -> 1.0 /. Petrinet.Teg.time teg v)
       teg (Tpn.last_column tpn)
   with Supervise.Error.Solver_error err as exn -> (
@@ -84,10 +84,6 @@ let general_throughput ?cap ?(buffer = 4) mapping model =
   | Model.Strict -> ());
   markov_throughput ?cap tpn
 
-let throughput mapping = function
-  | Model.Overlap -> overlap_throughput mapping
-  | Model.Strict -> strict_throughput mapping
-
 let overlap_throughput_erlang ?pool ?pattern_cap ~phases mapping =
   if phases < 1 then invalid_arg "Expo.overlap_throughput_erlang: phases must be at least 1";
   let inner = function
@@ -114,9 +110,6 @@ let strict_throughput_erlang_supervised ?cap ?budget ~phases mapping =
     (Petrinet.Expand.teg expansion)
     (List.map (Petrinet.Expand.last expansion) (Tpn.last_column tpn))
 
-let strict_throughput_erlang ?cap ~phases mapping =
-  fst (strict_throughput_erlang_supervised ?cap ~phases mapping)
-
 let overlap_throughput_ph ?pool ?pattern_cap ~ph mapping =
   let inner = function
     | Columns.Compute { stage; proc } ->
@@ -130,9 +123,12 @@ let overlap_throughput_ph ?pool ?pattern_cap ~ph mapping =
   in
   Columns.fold_throughput ?pool mapping ~inner
 
-let strict_throughput_ph ?cap ~ph mapping =
+let strict_throughput_ph_supervised ?cap ?budget ~ph mapping =
   let tpn = Tpn.build mapping Model.Strict in
-  let teg = Tpn.teg tpn in
-  let ph_of v = ph (Tpn.resource_of tpn v) in
-  let chain = Markov.Tpn_markov_ph.analyse ?cap ~ph_of teg in
-  Markov.Tpn_markov_ph.throughput_of chain (Tpn.last_column tpn)
+  let chain =
+    Markov.Tpn_markov_ph.analyse ?cap ?budget
+      ~ph_of:(fun v -> ph (Tpn.resource_of tpn v))
+      (Tpn.teg tpn)
+  in
+  ( Markov.Tpn_markov_ph.throughput_of chain (Tpn.last_column tpn),
+    Markov.Tpn_markov_ph.provenance chain )

@@ -21,7 +21,6 @@ val strict_throughput : ?cap:int -> Mapping.t -> float
 val strict_throughput_supervised :
   ?cap:int ->
   ?budget:Supervise.Budget.t ->
-  ?ladder:Markov.Ctmc.rung list ->
   ?simulate:(unit -> float * float) ->
   Mapping.t ->
   float * Supervise.Provenance.t
@@ -29,7 +28,8 @@ val strict_throughput_supervised :
     the [budget]'s state ceiling / wall deadline, the stationary solve
     climbs {!Markov.Ctmc.stationary_supervised}'s ladder, and the returned
     provenance records every attempt.  If the whole exact/iterative
-    pipeline fails and [simulate] is supplied, its [(estimate, ci)] result
+    pipeline fails and [simulate] is supplied (the escalation ladder's
+    last rung, {!Des.Pipeline_sim.estimate}), its [(estimate, ci)] result
     is returned as a degraded [Simulated] value instead of raising;
     without [simulate] the final [Supervise.Error.Solver_error]
     propagates. *)
@@ -41,10 +41,6 @@ val general_throughput : ?cap:int -> ?buffer:int -> Mapping.t -> Model.t -> floa
     a finite blocking approximation that converges to the true throughput
     from below as [buffer] grows.  For [Model.Strict] this is exact and
     [buffer] is ignored. *)
-
-val throughput : Mapping.t -> Model.t -> float
-(** Dispatch: {!overlap_throughput} for Overlap, {!strict_throughput} for
-    Strict. *)
 
 val overlap_throughput_erlang :
   ?pool:Parallel.Pool.t -> ?pattern_cap:int -> phases:int -> Mapping.t -> float
@@ -58,13 +54,12 @@ val overlap_throughput_erlang :
     components are insensitive (a saturated serial server produces at
     rate 1/mean under any law). *)
 
-val strict_throughput_erlang : ?cap:int -> phases:int -> Mapping.t -> float
-(** The general method on the phase-expanded Strict TPN: Erlang
-    throughput, at a marking-space cost growing quickly with [phases]. *)
-
 val strict_throughput_erlang_supervised :
   ?cap:int -> ?budget:Supervise.Budget.t -> phases:int -> Mapping.t -> float * Supervise.Provenance.t
-(** {!strict_throughput_erlang} under a budget, with its provenance. *)
+(** The general method on the phase-expanded Strict TPN: Erlang
+    throughput, at a marking-space cost growing quickly with [phases].
+    Exploration and ladder run under [cap] and [budget] as in
+    {!strict_throughput_supervised}, with no DES rung. *)
 
 val overlap_throughput_ph :
   ?pool:Parallel.Pool.t -> ?pattern_cap:int -> ph:(Resource.t -> Markov.Ph.t) -> Mapping.t -> float
@@ -76,7 +71,13 @@ val overlap_throughput_ph :
     exactly.  Hyperexponential (D.F.R.) laws give exact values *below*
     the exponential bound of Theorem 7. *)
 
-val strict_throughput_ph : ?cap:int -> ph:(Resource.t -> Markov.Ph.t) -> Mapping.t -> float
+val strict_throughput_ph_supervised :
+  ?cap:int ->
+  ?budget:Supervise.Budget.t ->
+  ph:(Resource.t -> Markov.Ph.t) ->
+  Mapping.t ->
+  float * Supervise.Provenance.t
 (** The phase-augmented general method on the Strict TPN: exact throughput
-    for arbitrary phase-type operation times.  State space = markings ×
-    enabled phases; keep laws and replication small. *)
+    for arbitrary phase-type operation times, with the ladder's
+    provenance.  State space = markings × enabled phases ([cap] default
+    500_000); keep laws and replication small. *)

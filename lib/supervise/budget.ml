@@ -19,6 +19,11 @@ let create ?wall ?sweeps ?states () =
   | _ -> ());
   { started = Obs.Clock.now_ns (); wall; max_sweeps = sweeps; state_cap = states }
 
+let of_limits ?wall ?sweeps ?states () =
+  match (wall, sweeps, states) with
+  | None, None, None -> None
+  | _ -> Some (create ?wall ?sweeps ?states ())
+
 let elapsed b = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - b.started)
 
 let check b =

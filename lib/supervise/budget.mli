@@ -21,6 +21,11 @@ val create : ?wall:float -> ?sweeps:int -> ?states:int -> unit -> t
     expires nor stretches it; [sweeps] caps iterative sweeps; [states]
     caps explored states. *)
 
+val of_limits : ?wall:float -> ?sweeps:int -> ?states:int -> unit -> t option
+(** [None] when no limit is given (the solver runs unbudgeted), else
+    [Some (create ?wall ?sweeps ?states ())] — the per-request and
+    per-candidate budget of the daemon and the optimizer. *)
+
 val elapsed : t -> float
 (** Seconds since {!create} on the monotonic clock (meaningless for
     {!unlimited}). *)

@@ -19,26 +19,13 @@ let status_of_string = function
 
 (* ---- minimal JSON (objects of string fields, one per line) ---- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let encode r =
   let buf = Buffer.create (String.length r.output + 64) in
   let field k v =
     Buffer.add_char buf '"';
     Buffer.add_string buf k;
     Buffer.add_string buf "\":\"";
-    escape buf v;
+    Obs.Log.add_json_escaped buf v;
     Buffer.add_char buf '"'
   in
   Buffer.add_char buf '{';

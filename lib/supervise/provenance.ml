@@ -12,6 +12,8 @@ let quality_to_string = function
   | Iterative { residual } -> Printf.sprintf "iterative (residual %.3g)" residual
   | Simulated { ci } -> Printf.sprintf "simulated (95%% ci half-width %.3g)" ci
 
+let exact = { quality = Exact; degraded = false; attempts = [] }
+
 let solved ~rung ~prior quality =
   {
     quality;

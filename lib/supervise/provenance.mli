@@ -21,6 +21,11 @@ type t = {
   attempts : attempt list;  (** in the order tried; the last one succeeded *)
 }
 
+val exact : t
+(** A first-time exact answer with no ladder behind it — closed forms,
+    critical cycles and memoised pattern solves.  {!describe} gives
+    ["exact"]. *)
+
 val solved : rung:string -> prior:attempt list -> quality -> t
 (** [solved ~rung ~prior quality] is the provenance of a solve won by
     [rung] after the failed attempts [prior] (in order). *)

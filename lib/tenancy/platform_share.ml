@@ -138,9 +138,4 @@ let aggregate_weight t r = match Rmap.find_opt r t.load with None -> 0.0 | Some 
 let share t ~tenant r = share_of t.load t.tenants.(tenant) r
 let scaled_mapping t ~tenant = t.scaled.(tenant)
 
-let bound t ~tenant model = Deterministic.throughput t.scaled.(tenant) model
-
-let exponential_throughput ?(cap = 500_000) t ~tenant model =
-  match model with
-  | Model.Overlap -> Expo.overlap_throughput t.scaled.(tenant)
-  | Model.Strict -> Expo.strict_throughput ~cap t.scaled.(tenant)
+let bound t ~tenant model = fst (Throughput.solve Throughput.Deterministic model t.scaled.(tenant))

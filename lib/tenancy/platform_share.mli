@@ -48,10 +48,5 @@ val scaled_mapping : t -> tenant:int -> Streaming.Mapping.t
 val bound : t -> tenant:int -> Streaming.Model.t -> float
 (** Deterministic critical-cycle throughput of the scaled mapping — the
     cheap per-tenant admission bound (an upper bound on the N.B.U.E.
-    throughput by Theorem 7). *)
-
-val exponential_throughput : ?cap:int -> t -> tenant:int -> Streaming.Model.t -> float
-(** Exact per-tenant throughput under contention with I.I.D. exponential
-    operation times: Theorem 3/4 per-column decomposition (Overlap) or
-    the general method (Strict, marking exploration bounded by [cap]) on
-    the scaled mapping. *)
+    throughput by Theorem 7).  The exact per-tenant throughput under any
+    law is {!Streaming.Throughput.solve} on {!scaled_mapping}. *)

@@ -20,7 +20,7 @@ let interleaved_completions ps model ~seed ~data_sets =
 
 type estimate = { id : string; des : float; exact : float; rel_err : float }
 
-let cross_check ?(cap = 500_000) ?(warmup_fraction = 0.2) ps model ~seed ~data_sets =
+let cross_check ?cap ?(warmup_fraction = 0.2) ps model ~seed ~data_sets =
   let k = Platform_share.n_tenants ps in
   let events = interleaved_completions ps model ~seed ~data_sets in
   (* measure on the window where every tenant is still producing: up to
@@ -35,7 +35,10 @@ let cross_check ?(cap = 500_000) ?(warmup_fraction = 0.2) ps model ~seed ~data_s
     events;
   List.init k (fun i ->
       let des = float_of_int counts.(i) /. (horizon -. warm) in
-      let exact = Platform_share.exponential_throughput ~cap ps ~tenant:i model in
+      let exact, _ =
+        Throughput.solve ?cap Throughput.Exponential model
+          (Platform_share.scaled_mapping ps ~tenant:i)
+      in
       {
         id = (Platform_share.decl ps i).Instance_io.tenant_id;
         des;

@@ -21,7 +21,9 @@ val interleaved_completions :
 type estimate = {
   id : string;
   des : float;  (** throughput measured on the interleaved timeline *)
-  exact : float;  (** {!Platform_share.exponential_throughput} *)
+  exact : float;
+      (** {!Streaming.Throughput.solve} [Exponential] on the tenant's
+          {!Platform_share.scaled_mapping} *)
   rel_err : float;  (** |des - exact| / exact *)
 }
 
@@ -33,7 +35,8 @@ val cross_check :
   seed:int ->
   data_sets:int ->
   estimate list
-(** Per-tenant DES vs exact agreement.  Events are counted on the common
+(** Per-tenant DES vs exact agreement ([cap] bounds the exact solve, as
+    in {!Streaming.Throughput.solve}).  Events are counted on the common
     horizon (the earliest tenant's last completion) after discarding the
     warm-up prefix (default fraction 0.2), so every tenant is measured on
     an interval where all tenants are still active. *)

@@ -347,11 +347,15 @@ let test_batch_splits_by_ring_owner () =
    budget, marks it dead, and the router sheds with a typed retriable
    reply instead of hanging *)
 let test_crash_loop_marked_dead_and_shed () =
+  (* a stale file at the worker's path stands for the socket a killed
+     worker leaves behind: the supervisor removes it once the slot is dead *)
+  let path = temp_socket () in
+  Out_channel.with_open_bin path ignore;
   let spec =
     {
       Supervisor.argv = [| "/bin/sh"; "-c"; "exit 7" |];
       env = base_env ();
-      addr = Protocol.Unix_domain (temp_socket ());
+      addr = Protocol.Unix_domain path;
     }
   in
   let backoff =
@@ -376,6 +380,7 @@ let test_crash_loop_marked_dead_and_shed () =
   in
   wait_dead ();
   Alcotest.(check int) "restart budget consumed" 2 (Supervisor.restarts sup 0);
+  Alcotest.(check bool) "the dead worker's socket path is gone" false (Sys.file_exists path);
   let router =
     Router.create
       {

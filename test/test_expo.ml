@@ -140,7 +140,9 @@ let qcheck_throughput_dispatch =
   QCheck.Test.make ~name:"throughput dispatches to the right method" ~count:5 QCheck.small_int
     (fun seed ->
       let mapping = random_mapping (seed + 400) in
-      abs_float (Expo.throughput mapping Model.Overlap -. Expo.overlap_throughput mapping)
+      abs_float
+        (fst (Throughput.solve Throughput.Exponential Model.Overlap mapping)
+        -. Expo.overlap_throughput mapping)
       < 1e-12)
 
 
@@ -255,8 +257,8 @@ let test_strict_erlang () =
   let mapping = Mapping.create ~app ~platform ~teams:[| [| 0 |]; [| 1; 2 |] |] in
   let expo = Expo.strict_throughput ~cap:500_000 mapping in
   let det = Deterministic.throughput mapping Model.Strict in
-  let k1 = Expo.strict_throughput_erlang ~cap:500_000 ~phases:1 mapping in
-  let k3 = Expo.strict_throughput_erlang ~cap:500_000 ~phases:3 mapping in
+  let erlang k = fst (Throughput.solve ~cap:500_000 (Throughput.Erlang k) Model.Strict mapping) in
+  let k1 = erlang 1 and k3 = erlang 3 in
   Alcotest.(check (float 1e-9)) "k=1 = exponential" expo k1;
   Alcotest.(check bool)
     (Printf.sprintf "exp %.4f < k3 %.4f < det %.4f" expo k3 det)
@@ -293,37 +295,43 @@ let test_ph_hyper_matches_des () =
 let test_throughput_facade () =
   let mapping = Workload.Scenarios.single_communication ~u:2 ~v:3 () in
   let check_f tol = Alcotest.(check (float tol)) in
-  (* every spec dispatches to its reference implementation *)
+  let solve ?cap law model m = fst (Throughput.solve ?cap law model m) in
+  (* every row dispatches to its reference implementation *)
   check_f 1e-9 "constant" (Deterministic.throughput mapping Model.Overlap)
-    (Throughput.evaluate Throughput.Constant mapping Model.Overlap);
+    (solve Throughput.Deterministic Model.Overlap mapping);
   check_f 1e-9 "exponential" (Expo.overlap_throughput mapping)
-    (Throughput.evaluate Throughput.Exponential_times mapping Model.Overlap);
+    (solve Throughput.Exponential Model.Overlap mapping);
   check_f 1e-9 "erlang" (Expo.overlap_throughput_erlang ~phases:3 mapping)
-    (Throughput.evaluate (Throughput.Erlang_times 3) mapping Model.Overlap);
+    (solve (Throughput.Erlang 3) Model.Overlap mapping);
   (* Ph with an Erlang-3 law coincides with the Erlang expansion *)
   check_f 1e-9 "ph = erlang"
-    (Throughput.evaluate (Throughput.Erlang_times 3) mapping Model.Overlap)
-    (Throughput.evaluate (Throughput.Ph_times (Markov.Ph.erlang ~phases:3 ~rate:3.0)) mapping
-       Model.Overlap);
+    (solve (Throughput.Erlang 3) Model.Overlap mapping)
+    (solve (Throughput.Ph (Markov.Ph.erlang ~phases:3 ~rate:3.0)) Model.Overlap mapping);
   (* strict dispatch *)
   let app = Application.create ~work:[| 4.0; 6.0 |] ~files:[| 2.0 |] in
   let platform = Platform.fully_connected ~speeds:[| 1.0; 1.0; 1.0 |] ~bw:1.0 in
   let small = Mapping.create ~app ~platform ~teams:[| [| 0 |]; [| 1; 2 |] |] in
   check_f 1e-9 "strict exponential" (Expo.strict_throughput ~cap:500_000 small)
-    (Throughput.evaluate Throughput.Exponential_times small Model.Strict);
+    (solve Throughput.Exponential Model.Strict small);
   check_f 1e-9 "strict ph exponential = strict exponential"
-    (Throughput.evaluate Throughput.Exponential_times small Model.Strict)
-    (Throughput.evaluate (Throughput.Ph_times (Markov.Ph.exponential ~rate:1.0)) small
-       Model.Strict);
-  (* simulation spec runs and lands in the NBUE sandwich *)
-  let simulated =
-    Throughput.evaluate
-      (Throughput.Simulated
-         { family = (fun mu -> Dist.Uniform (0.5 *. mu, 1.5 *. mu)); seed = 4; data_sets = 30_000 })
-      mapping Model.Overlap
+    (solve Throughput.Exponential Model.Strict small)
+    (solve (Throughput.Ph (Markov.Ph.exponential ~rate:1.0)) Model.Strict small);
+  (* provenance: closed forms, critical cycles and pattern solves are
+     "exact"; a Strict phase-type solve reports its ladder's rung *)
+  List.iter
+    (fun law ->
+      Alcotest.(check string)
+        ("exact provenance, " ^ Throughput.law_to_string law)
+        "exact"
+        (Supervise.Provenance.describe (snd (Throughput.solve law Model.Overlap mapping))))
+    [ Throughput.Deterministic; Throughput.Exponential; Throughput.Erlang 2 ];
+  let _, prov =
+    Throughput.solve (Throughput.Ph (Markov.Ph.erlang ~phases:2 ~rate:2.0)) Model.Strict small
   in
-  let b = Bounds.compute mapping Model.Overlap in
-  Alcotest.(check bool) "simulated within bounds" true (Bounds.contains b simulated)
+  Alcotest.(check bool)
+    ("strict ph provenance names its rung: " ^ Supervise.Provenance.describe prov)
+    true
+    (prov.Supervise.Provenance.attempts <> [])
 
 
 let qcheck_erlang_monotone_in_phases =
@@ -348,6 +356,108 @@ let qcheck_erlang_monotone_in_phases =
       && List.for_all
            (fun x -> x >= b.Bounds.lower -. 1e-9 && x <= b.Bounds.upper +. 1e-9)
            values)
+
+(* ---- the solve table ---- *)
+
+(* Strict draws stay small (2-3 stages, at most 5 processors): the
+   marking space grows fast with the replication *)
+let small_mapping g model =
+  let n_stages, n_procs, max_rows =
+    match model with
+    | Model.Strict -> (2 + Prng.int g 2, 3 + Prng.int g 3, 6)
+    | Model.Overlap -> (2 + Prng.int g 3, 4 + Prng.int g 5, 12)
+  in
+  Workload.Gen.random_mapping g
+    { Workload.Gen.n_stages; n_procs; comp_range = (5.0, 15.0); comm_range = (5.0, 15.0); max_rows }
+
+let erlang2 = Markov.Ph.erlang ~phases:2 ~rate:2.0
+let laws =
+  [ Throughput.Deterministic; Throughput.Exponential; Throughput.Erlang 2; Throughput.Ph erlang2 ]
+
+let outcome f =
+  match f () with
+  | rho -> Ok (Int64.bits_of_float rho)
+  | exception Supervise.Error.Solver_error e -> Error e
+
+(* the solver call each row of the table stands for *)
+let direct ~cap law model mapping =
+  let ph law r = Markov.Ph.with_mean law (Mapping.mean_time mapping r) in
+  match (law, model) with
+  | Throughput.Deterministic, _ -> Deterministic.throughput mapping model
+  | Throughput.Exponential, Model.Overlap -> Expo.overlap_throughput ~pattern_cap:cap mapping
+  | Throughput.Exponential, Model.Strict -> Expo.strict_throughput ~cap mapping
+  | Throughput.Erlang phases, Model.Overlap ->
+      Expo.overlap_throughput_erlang ~pattern_cap:cap ~phases mapping
+  | Throughput.Erlang phases, Model.Strict ->
+      fst (Expo.strict_throughput_erlang_supervised ~cap ~phases mapping)
+  | Throughput.Ph law, Model.Overlap ->
+      Expo.overlap_throughput_ph ~pattern_cap:cap ~ph:(ph law) mapping
+  | Throughput.Ph law, Model.Strict ->
+      let tpn = Tpn.build mapping Model.Strict in
+      Markov.Tpn_markov_ph.throughput_of
+        (Markov.Tpn_markov_ph.analyse ~cap
+           ~ph_of:(fun v -> ph law (Tpn.resource_of tpn v))
+           (Tpn.teg tpn))
+        (Tpn.last_column tpn)
+
+let qcheck_solve_bit_for_bit =
+  QCheck.Test.make ~name:"solve = the direct solver call, bit for bit" ~count:10
+    QCheck.small_int (fun seed ->
+      let g = Prng.create ~seed:(seed + 2024) in
+      List.for_all
+        (fun model ->
+          let mapping = small_mapping g model in
+          List.for_all
+            (fun (cap, law) ->
+              compare
+                (outcome (fun () -> fst (Throughput.solve ~cap law model mapping)))
+                (outcome (fun () -> direct ~cap law model mapping))
+              = 0)
+            (List.concat_map (fun cap -> List.map (fun law -> (cap, law)) laws) [ 500_000; 3 ]))
+        [ Model.Overlap; Model.Strict ])
+
+let qcheck_theorem7_through_the_table =
+  QCheck.Test.make ~name:"Theorem 7 through the table: det >= erlang 2 >= exponential"
+    ~count:10 QCheck.small_int (fun seed ->
+      let g = Prng.create ~seed:(seed + 3031) in
+      List.for_all
+        (fun model ->
+          let mapping = small_mapping g model in
+          let solve law = fst (Throughput.solve law model mapping) in
+          let det = solve Throughput.Deterministic
+          and e2 = solve (Throughput.Erlang 2)
+          and ex = solve Throughput.Exponential
+          and ph2 = solve (Throughput.Ph erlang2) in
+          let at_least a b = a >= b -. (1e-9 *. Float.abs b) in
+          at_least det e2 && at_least e2 ex && Float.abs (ph2 -. e2) <= 1e-9 *. Float.abs e2)
+        [ Model.Overlap; Model.Strict ])
+
+let test_des_rung_bits () =
+  (* cap 2 stops the general method before any CTMC exists; the DES rung
+     at the daemon's seed answers, its estimate and provenance pinned bit
+     for bit *)
+  let app = Application.create ~work:[| 4.0; 6.0 |] ~files:[| 2.0 |] in
+  let platform = Platform.fully_connected ~speeds:[| 1.0; 1.5; 0.5 |] ~bw:1.0 in
+  let mapping = Mapping.create ~app ~platform ~teams:[| [| 0 |]; [| 1; 2 |] |] in
+  let rho, prov =
+    Throughput.solve ~cap:2
+      ~simulate:(Des.Pipeline_sim.estimate ~seed:20260706 mapping Model.Strict)
+      Throughput.Exponential Model.Strict mapping
+  in
+  Alcotest.(check string) "estimate bits" "0x1.c8aae165cb684p-4" (Printf.sprintf "%h" rho);
+  Alcotest.(check string) "provenance"
+    "simulated (95% ci half-width 0.00107); general-method: state space exceeded: explored 2 \
+     markings, cap 2; des: simulated (95% ci half-width 0.00107)"
+    (Supervise.Provenance.describe prov);
+  (* without the rung: the typed error of the direct call *)
+  Alcotest.(check bool) "same typed error" true
+    (match
+       ( outcome (fun () ->
+             fst (Throughput.solve ~cap:2 Throughput.Exponential Model.Strict mapping)),
+         outcome (fun () -> Expo.strict_throughput ~cap:2 mapping) )
+     with
+    | Error (Supervise.Error.State_space_exceeded { cap = 2; _ } as a), Error b -> a = b
+    | _ -> false)
 
 let () =
   Alcotest.run "expo"
@@ -379,5 +489,11 @@ let () =
           Alcotest.test_case "hyperexponential matches DES" `Slow test_ph_hyper_matches_des;
           Alcotest.test_case "throughput facade" `Quick test_throughput_facade;
           QCheck_alcotest.to_alcotest qcheck_erlang_monotone_in_phases;
+        ] );
+      ( "solve table",
+        [
+          QCheck_alcotest.to_alcotest qcheck_solve_bit_for_bit;
+          QCheck_alcotest.to_alcotest qcheck_theorem7_through_the_table;
+          Alcotest.test_case "DES rung bits" `Quick test_des_rung_bits;
         ] );
     ]

@@ -545,6 +545,37 @@ let test_default_registry_identity () =
 
 (* ---- structured JSONL log ---- *)
 
+(* the one JSON string escaper, byte by byte: the mapping is written out
+   here, not derived from the code under test *)
+let test_json_escape_table () =
+  let expected b =
+    match Char.chr b with
+    | '"' -> {|\"|}
+    | '\\' -> {|\\|}
+    | '\n' -> {|\n|}
+    | '\r' -> {|\r|}
+    | '\t' -> {|\t|}
+    | _ when b < 0x20 ->
+        let hex = "0123456789abcdef" in
+        Printf.sprintf {|\u00%c%c|} hex.[b lsr 4] hex.[b land 15]
+    | c -> String.make 1 c
+  in
+  for b = 0 to 255 do
+    let s = String.make 1 (Char.chr b) in
+    let want = expected b in
+    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" b) want (Obs.Log.json_escape s);
+    let buf = Buffer.create 8 in
+    Buffer.add_string buf "<";
+    Obs.Log.add_json_escaped buf s;
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x appended" b)
+      ("<" ^ want) (Buffer.contents buf);
+    Alcotest.(check string)
+      (Printf.sprintf "byte 0x%02x on the wire" b)
+      ("\"" ^ want ^ "\"")
+      (Service.Json.render (Service.Json.String s))
+  done
+
 let test_log_jsonl () =
   let lines = ref [] in
   let sink line = lines := line :: !lines in
@@ -763,6 +794,7 @@ let () =
       ( "log",
         [
           Alcotest.test_case "jsonl shape and rate limit" `Quick test_log_jsonl;
+          Alcotest.test_case "json escape table" `Quick test_json_escape_table;
           Alcotest.test_case "flight recorder ring and dumps" `Quick
             test_recorder_ring_and_dump;
         ] );

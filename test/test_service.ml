@@ -740,6 +740,67 @@ let test_budget_exhausted_structured () =
   let reply = parse_reply (respond server (solve_line instance)) in
   Alcotest.(check bool) "daemon still solves" true (Client.reply_ok reply)
 
+(* Overlap requests now honour their budget and cap: the pattern
+   explorations are bounded as the Strict ones always were.  The (2,3)
+   pattern of this instance is heterogeneous (two link overrides on
+   links it uses), so it is explored: S(2,3) = 12 states. *)
+let hetero_instance =
+  "stages 2\nwork 1 1\nfiles 1\nprocessors 5\nspeeds 1 1 1 1 1\nbandwidth default 1\n\
+   bandwidth 0 2 2\nbandwidth 1 3 0.5\nteam 0 1\nteam 2 3 4\n"
+
+let test_overlap_budget_binds () =
+  let server = Server.create (config ()) in
+  let line ?law ?cap ?states () =
+    solve_line ~model:Streaming.Model.Overlap ?law ?cap ?states hetero_instance
+  in
+  let exceeded ~what l =
+    let reply = parse_reply (respond server l) in
+    Alcotest.(check (option string)) (what ^ ": kind") (Some "state_space_exceeded")
+      (Client.reply_error_kind reply);
+    Alcotest.(check (option int)) (what ^ ": cap") (Some 2)
+      (Option.bind (Json.member "error" reply) (fun e ->
+           Option.bind (Json.member "cap" e) Json.to_int_opt))
+  in
+  exceeded ~what:"states budget" (line ~states:2 ());
+  exceeded ~what:"erlang:2 states budget" (line ~law:(Engine.Erlang 2) ~states:2 ());
+  exceeded ~what:"cap" (line ~cap:2 ());
+  (* without a budget the pattern is solved: the reply bytes are pinned *)
+  Alcotest.(check string) "exponential reply"
+    {|{"v":1,"ok":true,"cached":false,"result":{"throughput":1.3168927250308262,"quality":"exact","degraded":false,"provenance":"exact","pattern_states":12}}|}
+    (respond server (line ()));
+  Alcotest.(check string) "erlang:2 reply"
+    {|{"v":1,"ok":true,"cached":false,"result":{"throughput":1.4081071130945031,"quality":"exact","degraded":false,"provenance":"exact","pattern_states":12}}|}
+    (respond server (line ~law:(Engine.Erlang 2) ()))
+
+(* [Protocol.solver_error_of_json] inverts [error_json] on every solver
+   failure kind, through the rendered bytes *)
+let test_solver_errors_roundtrip () =
+  let errors =
+    Supervise.Error.
+      [
+        No_convergence { sweeps = 7; residual = 1.5e-3 };
+        No_convergence { sweeps = 0; residual = Float.nan };
+        State_space_exceeded { cap = 50; explored = 50 };
+        Non_ergodic { recurrent = 3; transient = 4 };
+        Numerical { what = "singular \"pivot\"\n"; where = "Gth.solve" };
+        Budget_exhausted { elapsed = 0.125 };
+      ]
+  in
+  List.iter
+    (fun e ->
+      let text = Json.render (Protocol.error_json (Protocol.Solver e)) in
+      match Json.parse text with
+      | Error msg -> Alcotest.fail msg
+      | Ok json ->
+          Alcotest.(check bool) (Supervise.Error.to_string e ^ " via " ^ text) true
+            (match Protocol.solver_error_of_json json with
+            | Some e' -> compare e e' = 0
+            | None -> false))
+    errors;
+  Alcotest.(check bool) "busy is not a solver error" true
+    (Protocol.solver_error_of_json (Protocol.error_json (Protocol.Busy { inflight = 1; limit = 1 }))
+    = None)
+
 (* a Strict erlang:2 draw at cold-solves' (3,7) shape: its phase-expanded
    chain has thousands of markings, so the general method's ladder starts
    on Gauss–Seidel, and the request's budget binds as it does for the
@@ -1472,6 +1533,8 @@ let () =
             test_metrics_fleet_flag_single_daemon;
           Alcotest.test_case "budget exhausted" `Quick test_budget_exhausted_structured;
           Alcotest.test_case "strict erlang budget" `Quick test_strict_erlang_budget;
+          Alcotest.test_case "overlap budget binds" `Quick test_overlap_budget_binds;
+          Alcotest.test_case "solver errors survive the wire" `Quick test_solver_errors_roundtrip;
           Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;
           Alcotest.test_case "batch isolates bad items" `Quick test_batch_isolates_bad_items;
           Alcotest.test_case "shutdown command" `Quick test_shutdown_command;

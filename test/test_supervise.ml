@@ -189,7 +189,11 @@ let test_full_ladder_degrades_to_des () =
   let exact = Streaming.Expo.strict_throughput mapping in
   (* cap 2 forces State_space_exceeded before any CTMC exists; the DES
      rung answers with a confidence interval *)
-  let rho, prov = Experiments.Solve.throughput ~cap:2 ~data_sets:4_000 ~seed:42 mapping in
+  let rho, prov =
+    Streaming.Throughput.solve ~cap:2
+      ~simulate:(Des.Pipeline_sim.estimate ~data_sets:4_000 ~seed:42 mapping Streaming.Model.Strict)
+      Streaming.Throughput.Exponential Streaming.Model.Strict mapping
+  in
   Alcotest.(check bool) "degraded" true prov.Provenance.degraded;
   (match prov.Provenance.quality with
   | Provenance.Simulated { ci } -> Alcotest.(check bool) "ci positive" true (ci > 0.0)

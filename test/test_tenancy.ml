@@ -85,7 +85,10 @@ let qcheck_bound_admissible =
       List.for_all
         (fun i ->
           let bound = Tenancy.Platform_share.bound ps ~tenant:i Model.Overlap in
-          let exact = Tenancy.Platform_share.exponential_throughput ps ~tenant:i Model.Overlap in
+          let exact, _ =
+            Throughput.solve Throughput.Exponential Model.Overlap
+              (Tenancy.Platform_share.scaled_mapping ps ~tenant:i)
+          in
           exact <= bound *. (1.0 +. 1e-9))
         (List.init (Tenancy.Platform_share.n_tenants ps) Fun.id))
 
