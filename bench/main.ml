@@ -174,6 +174,25 @@ let run_benchmarks () =
         analysis)
     all_tests
 
+(* ---- the members every BENCH record opens with, as perfbench's header
+   has them: the commit, the host's recommended domain count and the
+   compiler ---- *)
+
+let header =
+  lazy
+    (let commit =
+       match Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" with
+       | ic -> (
+           let line = In_channel.input_line ic in
+           match (Unix.close_process_in ic, line) with
+           | Unix.WEXITED 0, Some c when c <> "" -> c
+           | _ -> "unknown")
+       | exception Unix.Unix_error _ -> "unknown"
+     in
+     Printf.sprintf "\"commit\": \"%s\", \"nproc\": %d, \"ocaml\": \"%s\""
+       (Obs.Log.json_escape commit) (Domain.recommended_domain_count ())
+       (Obs.Log.json_escape Sys.ocaml_version))
+
 (* ---- parallel & caching study: 1 domain vs N domains, byte-identical
    output check, pattern-cache cold/warm timing; emits BENCH_parallel.json ---- *)
 
@@ -254,6 +273,7 @@ let parallel_study ~domains =
   let oc = open_out "BENCH_parallel.json" in
   Printf.fprintf oc
     "{\n\
+    \  %s,\n\
     \  \"kernel\": \"6 heterogeneous pattern CTMCs + 8 DES + 8 event-graph replications\",\n\
     \  \"domains_compared\": [1, %d],\n\
     \  \"host_recommended_domains\": %d,\n\
@@ -270,7 +290,7 @@ let parallel_study ~domains =
     \  \"cache_structures\": %d,\n\
     \  \"cache_results\": %d\n\
      }\n"
-    domains host seq_time par_time par_speedup identical cold_time warm_time cache_speedup
+    (Lazy.force header) domains host seq_time par_time par_speedup identical cold_time warm_time cache_speedup
     cache_ok stats.Young.Pattern.hits stats.Young.Pattern.misses
     stats.Young.Pattern.structures stats.Young.Pattern.results;
   close_out oc;
@@ -322,6 +342,7 @@ let obs_study () =
   let oc = open_out "BENCH_obs.json" in
   Printf.fprintf oc
     "{\n\
+    \  %s,\n\
     \  \"kernel\": \"state-space ladder (9 patterns x 3 phase counts), best of 3 interleaved passes\",\n\
     \  \"wall_disabled_s\": %.6f,\n\
     \  \"wall_enabled_s\": %.6f,\n\
@@ -331,7 +352,7 @@ let obs_study () =
     \  \"threshold_frac\": %.2f,\n\
     \  \"pass\": %b\n\
      }\n"
-    disabled_s enabled_s overhead overhead_raw !events threshold pass;
+    (Lazy.force header) disabled_s enabled_s overhead overhead_raw !events threshold pass;
   close_out oc;
   Format.printf "wrote BENCH_obs.json@.";
   if not pass then exit 1
@@ -351,7 +372,8 @@ let statespace_study ~big ~domains =
     end
     else None
   in
-  Experiments.Statespace.write_json ?big ~path:"BENCH_statespace.json" rungs;
+  Experiments.Statespace.write_json ?big ~header:(Lazy.force header) ~path:"BENCH_statespace.json"
+    rungs;
   Format.printf "wrote BENCH_statespace.json@."
 
 (* ---- multi-tenant tier study: admission-audit latency, per-tenant
@@ -424,6 +446,7 @@ let tenancy_study () =
   Printf.fprintf oc
     "{\n\
     \  \"bench\": \"tenancy\",\n\
+    \  %s,\n\
     \  \"version\": 1,\n\
     \  \"model\": \"strict\",\n\
     \  \"workload\": \"random tenant mixes on one shared 8-processor platform (default_mix)\",\n\
@@ -431,7 +454,7 @@ let tenancy_study () =
     \  \"bound_admissible\": %b,\n\
     \  \"mixes\": [%s]\n\
      }\n"
-    admission_reps all_admissible
+    (Lazy.force header) admission_reps all_admissible
     (String.concat ", "
        (List.map
           (fun (seed, k, admission_us, aggregate, worst_gap, _, per_tenant) ->

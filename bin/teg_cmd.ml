@@ -1,23 +1,16 @@
-(* Standalone timed-event-graph tool — the role of the ERS toolbox
+(* teg: standalone timed event graphs — the role of the ERS toolbox
    (scscyc / eg_sim) on generic nets, not tied to a pipeline mapping. *)
 
 open Cmdliner
 open Petrinet
+open Common
 
-let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"NET" ~doc:"Timed event graph file.")
-
-let load path =
-  match Teg_io.parse_file path with
-  | Ok teg -> teg
-  | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      exit 2
+let net_arg = file_arg ~docv:"NET" "Timed event graph file."
 
 (* analyze: validation, boundedness, critical cycle (the scscyc role) *)
 
 let analyze_run path =
-  let teg = load path in
+  let teg = load Teg_io.parse_file path in
   Format.printf "transitions           : %d@." (Teg.n_transitions teg);
   Format.printf "places                : %d@." (Teg.n_places teg);
   (match Teg.validate teg with
@@ -41,12 +34,12 @@ let analyze_run path =
 
 let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Validate a net and compute its critical cycle (scscyc role)")
-    Term.(const analyze_run $ file_arg)
+    Term.(const analyze_run $ net_arg)
 
 (* simulate: the eg_sim role *)
 
 let simulate_run path iterations exponential seed =
-  let teg = load path in
+  let teg = load Teg_io.parse_file path in
   let watch = List.init (Teg.n_transitions teg) Fun.id in
   let sample =
     if exponential then begin
@@ -77,29 +70,22 @@ let simulate_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate the dater recurrence (eg_sim role)")
-    Term.(const simulate_run $ file_arg $ iterations $ exponential $ seed)
+    Term.(const simulate_run $ net_arg $ iterations $ exponential $ seed)
 
 (* markov: exponential stationary analysis *)
 
 let markov_run path cap =
-  let teg = load path in
+  let teg = load Teg_io.parse_file path in
   let rates v =
     let t = Teg.time teg v in
-    if t <= 0.0 then (
-      Format.eprintf "error: transition %s has zero duration, no exponential rate@."
-        (Teg.label teg v);
-      exit 2)
+    if t <= 0.0 then
+      die ~code:2
+        (Printf.sprintf "transition %s has zero duration, no exponential rate" (Teg.label teg v))
     else 1.0 /. t
   in
   let chain =
     try fst (Markov.Tpn_markov.analyse_supervised ~cap ~rates teg)
-    with Supervise.Error.Solver_error err ->
-      Format.eprintf "error: %s@." (Supervise.Error.to_string err);
-      (match err with
-      | Supervise.Error.State_space_exceeded _ ->
-          Format.eprintf "hint: retry with a larger --cap (currently %d)@." cap
-      | _ -> ());
-      exit 3
+    with Supervise.Error.Solver_error err -> solver_error_exit ~mapping:false ~cap err
   in
   Format.printf "reachable markings    : %d (%d recurrent)@." (Markov.Tpn_markov.n_markings chain)
     (Markov.Tpn_markov.n_recurrent chain);
@@ -116,20 +102,18 @@ let markov_cmd =
   in
   Cmd.v
     (Cmd.info "markov" ~doc:"Exponential stationary analysis of the marking chain (Theorem 2)")
-    Term.(const markov_run $ file_arg $ cap)
+    Term.(const markov_run $ net_arg $ cap)
 
 (* dot *)
 
 let dot_run path =
-  Format.printf "%a" (Dot.pp ?rankdir:None) (load path);
+  Format.printf "%a" (Dot.pp ?rankdir:None) (load Teg_io.parse_file path);
   0
 
 let dot_cmd =
-  Cmd.v (Cmd.info "dot" ~doc:"Print the net in Graphviz format") Term.(const dot_run $ file_arg)
+  Cmd.v (Cmd.info "dot" ~doc:"Print the net in Graphviz format") Term.(const dot_run $ net_arg)
 
-let main =
+let cmd =
   Cmd.group
-    (Cmd.info "tpn_cli" ~version:"1.0.0" ~doc:"Timed event graph analysis tools")
+    (Cmd.info "teg" ~doc:"Timed event graph analysis tools (the ERS scscyc and eg_sim roles)")
     [ analyze_cmd; simulate_cmd; markov_cmd; dot_cmd ]
-
-let () = exit (Cmd.eval' main)

@@ -392,6 +392,7 @@ let fleet_metrics t conns =
     Unix.gettimeofday () +. Float.min 2.0 t.config.request_deadline
   in
   let n = Supervisor.size t.sup in
+  let scrape = Json.render (Client.metrics_request ()) in
   let sections = ref [] in
   let skipped = Buffer.create 64 in
   let skip w why =
@@ -401,15 +402,12 @@ let fleet_metrics t conns =
     if not (Supervisor.alive t.sup w) then
       skip w (Supervisor.state_to_string (Supervisor.state t.sup w))
     else
-      match worker_rpc t conns w "{\"v\":1,\"cmd\":\"metrics\"}" ~deadline with
+      match worker_rpc t conns w scrape ~deadline with
       | Error e -> skip w (Client.error_message e)
       | Ok reply -> (
           match Json.parse reply with
           | Ok json when Client.reply_ok json -> (
-              match
-                Option.bind (Client.reply_result json) (fun r ->
-                    Option.bind (Json.member "text" r) Json.to_string_opt)
-              with
+              match Client.metrics_text json with
               | Some text -> sections := (string_of_int w, text) :: !sections
               | None -> skip w "reply carried no text field")
           | Ok _ -> skip w "worker refused the scrape"

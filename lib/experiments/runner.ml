@@ -20,6 +20,34 @@ type health = { exact : int; degraded : int; failed : int; reused : int }
 
 type inject = exp:string -> point:string -> attempt:int -> unit
 
+let inject_of_rules rules =
+  let rules =
+    List.filter_map
+      (fun (kind, target) ->
+        let exp, point =
+          match String.index_opt target ':' with
+          | None -> (target, None)
+          | Some j ->
+              (String.sub target 0 j, Some (String.sub target (j + 1) (String.length target - j - 1)))
+        in
+        match kind with
+        | "fail" -> Some (`Fail, exp, point)
+        | "flaky" | "degrade" -> Some (`Flaky, exp, point)
+        | _ -> None)
+      rules
+  in
+  if rules = [] then None
+  else
+    Some
+      (fun ~exp ~point ~attempt ->
+        List.iter
+          (fun (kind, e, p) ->
+            if e = exp && (match p with None -> true | Some p -> p = point) then
+              if kind = `Fail || attempt = 0 then
+                Supervise.Error.raise_
+                  (Supervise.Error.Numerical { what = "injected fault"; where = exp ^ "/" ^ point }))
+          rules)
+
 let ok ?(status = Supervise.Journal.Exact) ?(detail = "") output = { status; detail; output }
 
 let render f =

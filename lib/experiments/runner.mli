@@ -29,6 +29,13 @@ type inject = exp:string -> point:string -> attempt:int -> unit
 (** Fault-injection hook, called before every solve attempt; raising
     [Supervise.Error.Solver_error] simulates that attempt failing. *)
 
+val inject_of_rules : (string * string) list -> inject option
+(** The hook for this layer's [SUPERVISE_INJECT] rules
+    ([Supervise.Inject.of_env]): [fail=EXP[:POINT]] fails every attempt
+    at that point (every point of [EXP] without [:POINT]), and
+    [flaky=EXP[:POINT]] (alias [degrade]) fails the first attempt only.
+    Other kinds are ignored; [None] when no rule is this layer's. *)
+
 val ok : ?status:Supervise.Journal.status -> ?detail:string -> string -> outcome
 
 val render : (Format.formatter -> unit) -> string

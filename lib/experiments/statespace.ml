@@ -222,9 +222,9 @@ let seed_baseline =
 
 let rung_cold r = r.r_explore_s +. r.r_structure_s +. r.r_solve_s
 
-let write_json ?big ~path rungs =
+let write_json ?big ~header ~path rungs =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"ladder\": [\n";
+  Printf.fprintf oc "{\n  %s,\n  \"ladder\": [\n" header;
   List.iteri
     (fun i r ->
       Printf.fprintf oc

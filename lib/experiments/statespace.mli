@@ -73,4 +73,6 @@ val big_study :
 
 val print_big : Format.formatter -> big -> unit
 
-val write_json : ?big:big -> path:string -> rung list -> unit
+val write_json : ?big:big -> header:string -> path:string -> rung list -> unit
+(** Writes the record to [path]; [header] holds its leading JSON members
+    (the commit, [nproc] and OCaml version), rendered without braces. *)

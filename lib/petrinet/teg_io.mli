@@ -1,5 +1,5 @@
 (** Textual format for standalone timed event graphs, so the generic net
-    tool ([bin/tpn_cli]) can analyse nets that do not come from a
+    tool ([streaming_cli teg]) can analyse nets that do not come from a
     pipeline mapping — the role of the ERS toolbox's net files.
 
     {v

@@ -47,8 +47,17 @@ let reply_retriable reply =
 
 let reply_result reply = Json.member "result" reply
 
-let command cmd ?deadline t =
-  rpc ?deadline t (Json.Obj [ ("v", Json.Int Protocol.version); ("cmd", Json.String cmd) ])
+let obs_member = function
+  | None -> []
+  | Some (trace, span) -> [ Protocol.obs_field ~trace ~span ]
+
+let request ?id ?obs cmd fields =
+  Json.Obj
+    ([ ("v", Json.Int Protocol.version); ("cmd", Json.String cmd) ]
+    @ (match id with Some id -> [ ("id", id) ] | None -> [])
+    @ obs_member obs @ fields)
+
+let command cmd ?deadline t = rpc ?deadline t (request cmd [])
 
 let ping ?deadline t = command "ping" ?deadline t
 let stats ?deadline t = command "stats" ?deadline t
@@ -68,23 +77,16 @@ let solve_fields ?model ?law ?cap ?wall ?sweeps ?states ?simulate ~instance () =
       opt "simulate" (fun b -> Json.Bool b) simulate;
     ]
 
-let obs_member = function
-  | None -> []
-  | Some (trace, span) -> [ Protocol.obs_field ~trace ~span ]
-
 let fresh_obs () = (Obs.Trace.fresh_id (), Obs.Trace.fresh_id ())
 
-let solve_request ?id ?obs ?model ?law ?cap ?wall ?sweeps ?states ?simulate
+let solve_request ?id ?obs ?(cmd = "solve") ?model ?law ?cap ?wall ?sweeps ?states ?simulate
     ~instance () =
-  Json.Obj
-    ([ ("v", Json.Int Protocol.version); ("cmd", Json.String "solve") ]
-    @ (match id with Some id -> [ ("id", id) ] | None -> [])
-    @ obs_member obs
-    @ solve_fields ?model ?law ?cap ?wall ?sweeps ?states ?simulate ~instance ())
+  request ?id ?obs cmd (solve_fields ?model ?law ?cap ?wall ?sweeps ?states ?simulate ~instance ())
 
-let batch_request ?id ?obs items =
-  Json.Obj
-    ([ ("v", Json.Int Protocol.version); ("cmd", Json.String "batch") ]
-    @ (match id with Some id -> [ ("id", id) ] | None -> [])
-    @ obs_member obs
-    @ [ ("requests", Json.List items) ])
+let batch_request ?id ?obs items = request ?id ?obs "batch" [ ("requests", Json.List items) ]
+
+let metrics_request ?(fleet = false) () =
+  request "metrics" (if fleet then [ ("fleet", Json.Bool true) ] else [])
+
+let metrics_text reply =
+  Option.bind (reply_result reply) (fun r -> Option.bind (Json.member "text" r) Json.to_string_opt)

@@ -50,7 +50,11 @@ val reply_retriable : Json.t -> bool
 
 val reply_result : Json.t -> Json.t option
 
-(* ---- canned requests ---- *)
+(* ---- requests ---- *)
+
+val request : ?id:Json.t -> ?obs:string * string -> string -> (string * Json.t) list -> Json.t
+(** [request cmd fields] is the envelope every request shares: [v], [cmd],
+    the optional [id] and ["obs"] context, then [fields]. *)
 
 val ping : ?deadline:float -> t -> (Json.t, error) result
 val stats : ?deadline:float -> t -> (Json.t, error) result
@@ -64,6 +68,7 @@ val fresh_obs : unit -> string * string
 val solve_request :
   ?id:Json.t ->
   ?obs:string * string ->
+  ?cmd:string ->
   ?model:Streaming.Model.t ->
   ?law:Engine.law ->
   ?cap:int ->
@@ -77,9 +82,19 @@ val solve_request :
 (** The request object for one solve; omitted fields are left to the
     daemon's defaults.  [?obs] is a [(trace_id, parent_span_id)] context
     carried in the optional ["obs"] envelope (outside the cache key).
-    Compose with {!rpc}, or wrap a list of them as a batch with
-    {!batch_request}. *)
+    [?cmd] (default ["solve"]) names the command: ["solve_multi"] and
+    ["admit"] take the same fields, with a multi-tenant file as the
+    instance.  Compose with {!rpc}, or wrap a list of solves as a batch
+    with {!batch_request}. *)
 
 val batch_request : ?id:Json.t -> ?obs:string * string -> Json.t list -> Json.t
 (** Wraps solve request objects (their [cmd]/[v] fields are ignored by
     the daemon) into one [batch] request. *)
+
+val metrics_request : ?fleet:bool -> unit -> Json.t
+(** The [metrics] request; [~fleet:true] asks a cluster router to
+    federate every Up worker's registry behind its own. *)
+
+val metrics_text : Json.t -> string option
+(** The Prometheus exposition text a [metrics] reply carries
+    ([result.text]). *)

@@ -10,11 +10,11 @@ type config = {
 }
 
 (* Deterministic fault injection, driven by the SUPERVISE_INJECT
-   environment variable (grammar in EXPERIMENTS.md).  The cluster chaos
-   harness uses these to crash, slow down and corrupt individual workers
-   at exact request counts; rule kinds belonging to the experiment
-   runner's grammar (fail/flaky/degrade) are ignored here, and vice
-   versa, so one variable drives both layers. *)
+   environment variable (split by [Supervise.Inject]; kinds in
+   EXPERIMENTS.md).  The cluster chaos harness uses these to crash, slow
+   down and corrupt individual workers at exact request counts; rule
+   kinds belonging to the experiment runner (fail/flaky/degrade) are
+   ignored here, and vice versa, so one variable drives both layers. *)
 type inject = {
   kill_after : int option;  (* kill-after=K: die, unacknowledged, on solve K+1 *)
   delay_ms : float option;  (* delay-ms=D: sleep D ms before every solve reply *)
@@ -25,36 +25,27 @@ type inject = {
 let no_inject = { kill_after = None; delay_ms = None; torn_every = None; refuse_s = None }
 
 let inject_of_env () =
-  match Sys.getenv_opt "SUPERVISE_INJECT" with
-  | None | Some "" -> no_inject
-  | Some spec ->
-      List.fold_left
-        (fun acc rule ->
-          match String.index_opt rule '=' with
-          | None -> acc
-          | Some i -> (
-              let kind = String.sub rule 0 i in
-              let arg = String.sub rule (i + 1) (String.length rule - i - 1) in
-              match kind with
-              | "kill-after" -> (
-                  match int_of_string_opt arg with
-                  | Some k when k >= 0 -> { acc with kill_after = Some k }
-                  | _ -> acc)
-              | "delay-ms" -> (
-                  match float_of_string_opt arg with
-                  | Some d when d >= 0.0 -> { acc with delay_ms = Some d }
-                  | _ -> acc)
-              | "torn-reply" -> (
-                  match int_of_string_opt arg with
-                  | Some n when n >= 1 -> { acc with torn_every = Some n }
-                  | _ -> acc)
-              | "refuse-accept" -> (
-                  match float_of_string_opt arg with
-                  | Some s when s >= 0.0 -> { acc with refuse_s = Some s }
-                  | _ -> acc)
-              | _ -> acc))
-        no_inject
-        (String.split_on_char ',' spec)
+  List.fold_left
+    (fun acc (kind, arg) ->
+      match kind with
+      | "kill-after" -> (
+          match int_of_string_opt arg with
+          | Some k when k >= 0 -> { acc with kill_after = Some k }
+          | _ -> acc)
+      | "delay-ms" -> (
+          match float_of_string_opt arg with
+          | Some d when d >= 0.0 -> { acc with delay_ms = Some d }
+          | _ -> acc)
+      | "torn-reply" -> (
+          match int_of_string_opt arg with
+          | Some n when n >= 1 -> { acc with torn_every = Some n }
+          | _ -> acc)
+      | "refuse-accept" -> (
+          match float_of_string_opt arg with
+          | Some s when s >= 0.0 -> { acc with refuse_s = Some s }
+          | _ -> acc)
+      | _ -> acc)
+    no_inject (Supervise.Inject.of_env ())
 
 let default_config () =
   {

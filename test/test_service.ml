@@ -644,6 +644,48 @@ let test_metrics_fleet_flag_single_daemon () =
   Alcotest.(check bool) "build info exported" true
     (contains text "streaming_build_info{")
 
+(* every request line the CLI and the router send comes from Client's
+   builders: the bytes are the ones the hand-built objects had, and the
+   daemon decodes them to the intended request *)
+let test_client_request_builders () =
+  let check_line label want req = Alcotest.(check string) label want (Json.render req) in
+  check_line "ping" {|{"v":1,"cmd":"ping"}|} (Client.request "ping" []);
+  check_line "metrics" {|{"v":1,"cmd":"metrics"}|} (Client.metrics_request ());
+  check_line "metrics fleet" {|{"v":1,"cmd":"metrics","fleet":true}|}
+    (Client.metrics_request ~fleet:true ());
+  List.iter
+    (fun (fleet, req) ->
+      match Protocol.parse_request req with
+      | Ok (None, Protocol.Metrics { fleet = f }) -> Alcotest.(check bool) "fleet decoded" fleet f
+      | _ -> Alcotest.fail "metrics request did not decode")
+    [ (false, Client.metrics_request ()); (true, Client.metrics_request ~fleet:true ()) ];
+  (* the multi-tenant lines: v, cmd, instance, model, law, then cap and
+     wall when given *)
+  let multi cmd extra =
+    Json.Obj
+      ([
+         ("v", Json.Int Protocol.version);
+         ("cmd", Json.String cmd);
+         ("instance", Json.String "tenancy 1\n");
+         ("model", Json.String "strict");
+         ("law", Json.String "erlang:2");
+       ]
+      @ extra)
+  in
+  check_line "solve_multi"
+    (Json.render (multi "solve_multi" [ ("cap", Json.Int 7); ("wall", Json.Float 1.5) ]))
+    (Client.solve_request ~cmd:"solve_multi" ~model:Streaming.Model.Strict ~law:(Engine.Erlang 2)
+       ~cap:7 ~wall:1.5 ~instance:"tenancy 1\n" ());
+  check_line "admit" (Json.render (multi "admit" []))
+    (Client.solve_request ~cmd:"admit" ~model:Streaming.Model.Strict ~law:(Engine.Erlang 2)
+       ~instance:"tenancy 1\n" ());
+  let text line = Option.bind (Result.to_option (Json.parse line)) Client.metrics_text in
+  Alcotest.(check (option string)) "text of a metrics reply" (Some "a 1\n")
+    (text {|{"ok":true,"result":{"text":"a 1\n"}}|});
+  Alcotest.(check (option string)) "no text field" None (text {|{"ok":true,"result":{}}|});
+  Alcotest.(check (option string)) "error reply" None
+    (text {|{"ok":false,"error":{"kind":"busy"}}|})
+
 (* the daemon's uptime runs on the monotonic clock: never negative, never
    more than the monotonic time since just before the metrics existed *)
 let test_uptime_monotonic () =
@@ -1531,6 +1573,7 @@ let () =
             test_obs_envelope_threads_trace_into_span;
           Alcotest.test_case "metrics fleet flag on a single daemon" `Quick
             test_metrics_fleet_flag_single_daemon;
+          Alcotest.test_case "client request builders" `Quick test_client_request_builders;
           Alcotest.test_case "budget exhausted" `Quick test_budget_exhausted_structured;
           Alcotest.test_case "strict erlang budget" `Quick test_strict_erlang_budget;
           Alcotest.test_case "overlap budget binds" `Quick test_overlap_budget_binds;

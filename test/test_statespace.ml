@@ -31,7 +31,8 @@ let test_smoke () =
 let test_json () =
   let rungs = Experiments.Statespace.study ~ladder:[ (2, 3) ] ~phases:[ 1 ] () in
   let path = Filename.temp_file "statespace" ".json" in
-  Experiments.Statespace.write_json ~path rungs;
+  let header = {|"commit": "0123456789ab", "nproc": 2, "ocaml": "5.1.1"|} in
+  Experiments.Statespace.write_json ~header ~path rungs;
   let ic = open_in path in
   let len = in_channel_length ic in
   let s = really_input_string ic len in
@@ -42,6 +43,8 @@ let test_json () =
     let rec at i = i + n <= h && (String.sub s i n = needle || at (i + 1)) in
     at 0
   in
+  Alcotest.(check bool) "opens with the header" true
+    (String.starts_with ~prefix:("{\n  " ^ header ^ ",\n") s);
   Alcotest.(check bool) "mentions the rung" true (contains "\"u\": 2, \"v\": 3");
   Alcotest.(check bool) "has a largest entry" true (contains "\"largest\"");
   Alcotest.(check bool) "has the seed baseline" true (contains "\"seed_baseline\"")

@@ -384,6 +384,73 @@ let test_fig10_points_match_run () =
         && String.sub whole 0 (String.length fragment) = fragment)
   | [] -> Alcotest.fail "no points"
 
+(* ---- the SUPERVISE_INJECT grammar ---- *)
+
+(* one spec mixing both layers' kinds with malformed and unknown rules:
+   the shared reader keeps every kind=arg rule in order, and the
+   experiments layer acts on fail/flaky/degrade only *)
+let test_inject_table () =
+  let spec =
+    "fail=fig10:head,kill-after=3,bogus,flaky=table1,delay-ms=abc,=orphan,degrade=fig11:p2,\
+     frobnicate=1,torn-reply=2=3,,fail=fig12"
+  in
+  Alcotest.(check (list (pair string string)))
+    "rules, in order"
+    [
+      ("fail", "fig10:head");
+      ("kill-after", "3");
+      ("flaky", "table1");
+      ("delay-ms", "abc");
+      ("", "orphan");
+      ("degrade", "fig11:p2");
+      ("frobnicate", "1");
+      ("torn-reply", "2=3");
+      ("fail", "fig12");
+    ]
+    (Inject.parse spec);
+  Alcotest.(check (list (pair string string))) "empty spec" [] (Inject.parse "");
+  let hook =
+    match Experiments.Runner.inject_of_rules (Inject.parse spec) with
+    | Some f -> f
+    | None -> Alcotest.fail "the experiments layer saw no rule"
+  in
+  List.iter
+    (fun (exp, point, attempt, raises) ->
+      let raised =
+        match hook ~exp ~point ~attempt with
+        | () -> false
+        | exception Error.Solver_error (Error.Numerical { what = "injected fault"; where }) ->
+            Alcotest.(check string) "where" (exp ^ "/" ^ point) where;
+            true
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s:%s attempt %d" exp point attempt) raises raised)
+    [
+      ("fig10", "head", 0, true);
+      ("fig10", "head", 1, true);
+      ("fig10", "tail", 0, false);
+      ("table1", "any", 0, true);
+      ("table1", "any", 1, false);
+      ("fig11", "p2", 0, true);
+      ("fig11", "p2", 1, false);
+      ("fig11", "p1", 0, false);
+      ("fig12", "x", 3, true);
+      ("kill-after", "3", 0, false);
+      ("frobnicate", "1", 0, false);
+      ("3", "", 0, false);
+    ];
+  Alcotest.(check bool) "service kinds only: no experiments hook" true
+    (Experiments.Runner.inject_of_rules (Inject.parse "kill-after=25,delay-ms=5") = None);
+  List.iter
+    (fun (kv, binding) -> Alcotest.(check bool) kv binding (Inject.is_binding kv))
+    [
+      ("SUPERVISE_INJECT=kill-after=1", true);
+      ("SUPERVISE_INJECT=", true);
+      ("SUPERVISE_INJECTED=1", false);
+      ("SUPERVISE_INJECT_LOG=1", false);
+      ("SUPERVISE_INJECT", false);
+      ("XSUPERVISE_INJECT=1", false);
+    ]
+
 (* ---- CLI exit-code contract ---- *)
 
 (* locate the CLI relative to this test binary so the tests work from any
@@ -520,6 +587,7 @@ let () =
           Alcotest.test_case "quick/full mismatch" `Quick test_runner_quick_full_mismatch;
           Alcotest.test_case "fig10 decomposition" `Quick test_fig10_points_match_run;
         ] );
+      ("fault injection", [ Alcotest.test_case "SUPERVISE_INJECT table" `Quick test_inject_table ]);
       ( "cli contract",
         [
           Alcotest.test_case "bad instance exit 2" `Slow test_cli_bad_instance_exit_2;
