@@ -54,13 +54,17 @@ let tenants_solve_run path model law cap wall socket check_des seed data_sets =
           let cap = Option.value cap ~default:Service.Engine.default_cap in
           Format.printf "%-10s %8s %10s %12s %12s@." "tenant" "weight" "floor" "bound"
             (Throughput.law_to_string law);
+          (* a solver failure gets the typed error line and exit 3, as in
+             [analyze], not an uncaught exception *)
+          let solved f =
+            try f () with Supervise.Error.Solver_error err -> solver_error_exit ~cap err
+          in
           let violated = ref [] in
           for i = 0 to k - 1 do
             let d = Tenancy.Platform_share.decl ps i in
             let bound = Tenancy.Platform_share.bound ps ~tenant:i model in
-            let rho, _ =
-              Throughput.solve ~cap law model (Tenancy.Platform_share.scaled_mapping ps ~tenant:i)
-            in
+            let mapping = Tenancy.Platform_share.scaled_mapping ps ~tenant:i in
+            let rho, _ = solved (fun () -> Throughput.solve ~cap law model mapping) in
             if bound < d.Instance_io.floor then
               violated := d.Instance_io.tenant_id :: !violated;
             Format.printf "%-10s %8.4f %10.6g %12.6g %12.6g%s@." d.Instance_io.tenant_id
@@ -75,7 +79,7 @@ let tenants_solve_run path model law cap wall socket check_des seed data_sets =
           | None -> if !violated = [] then () else exit 5
           | Some tol ->
               let estimates =
-                Tenancy.Sim.cross_check ~cap ps model ~seed ~data_sets
+                solved (fun () -> Tenancy.Sim.cross_check ~cap ps model ~seed ~data_sets)
               in
               Format.printf "-- DES cross-check (seed %d, %d data sets per tenant) --@." seed
                 data_sets;

@@ -78,7 +78,11 @@ let to_json e =
 type sink = string -> unit
 
 let stderr_sink line = prerr_endline line
-let formatter_sink ppf line = Format.fprintf ppf "%s@." line
+(* a formatter is not safe to share between domains, and the service's
+   connection threads log from several at once *)
+let formatter_mutex = Mutex.create ()
+let formatter_sink ppf line =
+  Mutex.protect formatter_mutex (fun () -> Format.fprintf ppf "%s@." line)
 let null_sink (_ : string) = ()
 
 let tap : (event -> unit) option Atomic.t = Atomic.make None

@@ -53,7 +53,8 @@ val stderr_sink : sink
 
 val formatter_sink : Format.formatter -> sink
 (** Write the line (newline-terminated, flushed) to a formatter — used to
-    route daemon logs through an existing [config.log]. *)
+    route daemon logs through an existing [config.log].  Writes are
+    serialised, so threads on several domains may share the formatter. *)
 
 val null_sink : sink
 

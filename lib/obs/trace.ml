@@ -34,9 +34,10 @@ let buffer_of : (int * int, buffer) Hashtbl.t = Hashtbl.create 16
 let buffers_mutex = Mutex.create ()
 let next_tid = Atomic.make 1
 
-(* Thread.id distinguishes the service's per-connection systhreads, which
-   all share domain 0. On a fresh worker domain the threads runtime may not
-   be initialised yet; fall back to 0 (the domain's only thread). *)
+(* Thread.id distinguishes the systhreads that share a domain: the
+   service's per-connection threads and, on a worker domain, the pool's
+   own loop. On a fresh worker domain the threads runtime may not be
+   initialised yet; fall back to 0 (the domain's only thread). *)
 let thread_id () = try Thread.id (Thread.self ()) with _ -> 0
 
 type cached = No_buffer | Cached of int * buffer

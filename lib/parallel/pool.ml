@@ -3,6 +3,9 @@ type t = {
   mutex : Mutex.t;
   cond : Condition.t;  (** signalled on enqueue, task completion and close *)
   queue : (unit -> unit) Queue.t;
+  inboxes : (unit -> unit) Queue.t array;
+      (** [run_on] jobs, one inbox per domain; worker [d] takes from [d]
+          before the shared queue, and [0] (the caller's) stays empty *)
   mutable closed : bool;
   mutable drained : bool;  (** workers joined; only ever set after [closed] *)
   mutable workers : unit Domain.t list;
@@ -52,14 +55,18 @@ let timed_task busy tasks task =
   Obs.Metrics.Counter.add busy (Obs.Clock.now_ns () - t0);
   Obs.Metrics.Counter.incr tasks
 
-let worker pool =
+(* Worker [d] runs the jobs in its own inbox first, then the shared
+   queue's tasks, and exits once both are empty and the pool is closed. *)
+let worker pool d =
+  let inbox = pool.inboxes.(d) in
   let rec loop () =
     Mutex.lock pool.mutex;
     let rec next () =
-      if not (Queue.is_empty pool.queue) then begin
+      if not (Queue.is_empty inbox) then Some (Queue.pop inbox)
+      else if not (Queue.is_empty pool.queue) then begin
         let task = Queue.pop pool.queue in
         note_depth pool;
-        Some task
+        Some (fun () -> timed_task m_busy_worker m_tasks_worker task)
       end
       else if pool.closed then None
       else begin
@@ -69,9 +76,9 @@ let worker pool =
     in
     match next () with
     | None -> Mutex.unlock pool.mutex
-    | Some task ->
+    | Some run ->
         Mutex.unlock pool.mutex;
-        timed_task m_busy_worker m_tasks_worker task;
+        run ();
         loop ()
   in
   loop ()
@@ -84,12 +91,13 @@ let create ~domains =
       mutex = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
+      inboxes = Array.init domains (fun _ -> Queue.create ());
       closed = false;
       drained = false;
       workers = [];
     }
   in
-  pool.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
+  pool.workers <- List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker pool (i + 1)));
   Obs.Metrics.Gauge.set m_pool_domains (float_of_int domains);
   pool
 
@@ -119,6 +127,19 @@ let shutdown pool =
     Condition.broadcast pool.cond;
     Mutex.unlock pool.mutex
   end
+
+let run_on pool d job =
+  if d < 0 || d >= pool.size then invalid_arg "Pool.run_on: no such domain";
+  Mutex.lock pool.mutex;
+  let queued = d > 0 && not pool.closed in
+  if queued then begin
+    (* an escaping exception would end the worker's loop, and the domain
+       with it *)
+    Queue.add (fun () -> try job () with _ -> ()) pool.inboxes.(d);
+    Condition.broadcast pool.cond
+  end;
+  Mutex.unlock pool.mutex;
+  if not queued then job ()
 
 let with_pool ~domains f =
   let pool = create ~domains in

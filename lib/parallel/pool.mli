@@ -23,16 +23,29 @@ val create : domains:int -> t
     spawned. *)
 
 val shutdown : t -> unit
-(** Drains the queue, terminates and joins the workers.  Idempotent and
-    safe under concurrency: any number of callers, from any thread, may
-    shut the same pool down — one of them joins the workers and the rest
-    block until the join has finished, so every call returns with the
-    workers gone.  A map in flight when shutdown starts completes
-    normally (workers finish the queued tasks before exiting, and the
-    mapping caller keeps executing its own tasks).  A map started {e
+(** Drains the queue and the {!run_on} inboxes, terminates and joins the
+    workers; joining a worker domain also waits for every thread started
+    on it.  Idempotent and safe under concurrency: any number of callers,
+    from any thread, may shut the same pool down — one of them joins the
+    workers and the rest block until the join has finished, so every call
+    returns with the workers gone.  A map in flight when shutdown starts
+    completes normally (workers finish the queued tasks before exiting,
+    and the mapping caller keeps executing its own tasks).  A map started {e
     after} shutdown still returns the right result: with the workers
     gone, the caller executes every task itself — the daemon's graceful
     drain relies on both properties. *)
+
+val run_on : t -> int -> (unit -> unit) -> unit
+(** [run_on pool d job] runs [job] on domain [d] of the pool: [0] is the
+    calling domain, where [job] runs at once, and [1 .. size - 1] are the
+    worker domains.  A worker takes [job] before any queued task, but only
+    once the task it is running, if any, ends; [run_on] returns without
+    waiting for that.  Once {!shutdown} has started, every [job] runs in
+    the caller.  [job] must be short and must not wait, since it holds its
+    worker: the service listener uses it to start a connection's thread
+    on a chosen domain.  An exception escaping [job] reaches the caller
+    when [job] ran there, and is discarded on a worker, which goes on.
+    Raises [Invalid_argument] unless [0 <= d < size pool]. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] on a fresh pool and shuts it down

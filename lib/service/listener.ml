@@ -9,6 +9,7 @@ type t = {
   live_mutex : Mutex.t;
   idle : Condition.t;  (* signalled when [live] falls to 0 *)
   mutable live : int;
+  mutable placed : int array;  (* live connections per pool domain *)
 }
 
 let create () =
@@ -18,6 +19,7 @@ let create () =
     live_mutex = Mutex.create ();
     idle = Condition.create ();
     live = 0;
+    placed = [| 0 |];
   }
 
 let request_stop t =
@@ -34,9 +36,22 @@ let live t =
   Mutex.unlock t.live_mutex;
   n
 
-let add_live t d =
+(* A new connection goes to the domain with the fewest live ones, the
+   lowest on a tie.  It is counted before its thread starts, so the drain
+   cannot miss it. *)
+let place t =
   Mutex.lock t.live_mutex;
-  t.live <- t.live + d;
+  let d = ref 0 in
+  Array.iteri (fun i n -> if n < t.placed.(!d) then d := i) t.placed;
+  t.placed.(!d) <- t.placed.(!d) + 1;
+  t.live <- t.live + 1;
+  Mutex.unlock t.live_mutex;
+  !d
+
+let release t d =
+  Mutex.lock t.live_mutex;
+  t.placed.(d) <- t.placed.(d) - 1;
+  t.live <- t.live - 1;
   if t.live = 0 then Condition.broadcast t.idle;
   Mutex.unlock t.live_mutex
 
@@ -51,10 +66,10 @@ let rec wait_readable fd stop_rd =
 
 (* One connection's thread.  Its cleanup runs even when [make_conn] or
    [respond] raises, so neither the socket nor the live count leaks. *)
-let conn_loop t ~send ~on_frame_error ~max_frame stop_rd make_conn fd =
+let conn_loop t ~send ~on_frame_error ~max_frame stop_rd make_conn d fd =
   Fun.protect ~finally:(fun () ->
       close_quietly fd;
-      add_live t (-1))
+      release t d)
   @@ fun () ->
   let conn = make_conn () in
   Fun.protect ~finally:conn.close @@ fun () ->
@@ -99,9 +114,11 @@ let conn_loop t ~send ~on_frame_error ~max_frame stop_rd make_conn fd =
       | exception Unix.Unix_error _ -> alive := false
   done
 
-let serve t ?(send = fun fd line -> Result.is_ok (Sockets.send_line fd line))
-    ?(on_frame_error = ignore) ~log ~listening:(event, attrs) ~max_frame addr make_conn =
+let serve t ?(pool = Parallel.Pool.get ())
+    ?(send = fun fd line -> Result.is_ok (Sockets.send_line fd line)) ?(on_frame_error = ignore)
+    ~log ~listening:(event, attrs) ~max_frame addr make_conn =
   Sockets.ignore_sigpipe ();
+  t.placed <- Array.make (Parallel.Pool.size pool) 0;
   let stop_rd, stop_wr = Unix.pipe () in
   t.stop_pipe <- Some (stop_rd, stop_wr);
   if Atomic.get t.stop then ignore (Unix.write_substring stop_wr "x" 0 1);
@@ -137,10 +154,18 @@ let serve t ?(send = fun fd line -> Result.is_ok (Sockets.send_line fd line))
       if wait_readable listen_fd stop_rd then begin
         (match Sockets.accept listen_fd with
         | Ok (fd, _) ->
-            (* counted before the thread starts, so the drain cannot miss it *)
-            add_live t 1;
-            ignore
-              (Thread.create (conn_loop t ~send ~on_frame_error ~max_frame stop_rd make_conn) fd)
+            let d = place t in
+            (* the thread starts on domain [d]; one that cannot start is a
+               refused connection *)
+            Parallel.Pool.run_on pool d (fun () ->
+                try
+                  ignore
+                    (Thread.create
+                       (conn_loop t ~send ~on_frame_error ~max_frame stop_rd make_conn d)
+                       fd)
+                with _ ->
+                  close_quietly fd;
+                  release t d)
         | Error _ -> ());
         accept_loop ()
       end

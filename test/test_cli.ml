@@ -125,6 +125,9 @@ let test_tenants () =
        "c310e9dae11e182b16f7f136182fd621");
       ("solve strict erlang:2", [ "tenants"; "solve"; "-m"; "strict"; "-l"; "erlang:2"; mix ], 0,
        "1a5d09bf08f2466979a2fe2704a319e9");
+      (* a solver failure: the table head, then the typed error on stderr *)
+      ("solve strict over the cap", [ "tenants"; "solve"; "-m"; "strict"; "--cap"; "3"; mix ], 3,
+       "1821306103b33d83303dbb20cdc53a8c");
       ("admit overlap", [ "tenants"; "admit"; mix ], 0, "c0c3fec6c710f310b2b1bbcf1cc4f554");
       ("admit strict", [ "tenants"; "admit"; "-m"; "strict"; mix ], 0,
        "856cdb43704a169732dbe9d1ac222e0c");

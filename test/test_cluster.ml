@@ -81,8 +81,7 @@ let temp_socket () =
 
 let base_env () =
   Unix.environment () |> Array.to_list
-  |> List.filter (fun kv ->
-         not (String.length kv >= 16 && String.sub kv 0 16 = "SUPERVISE_INJECT"))
+  |> List.filter (fun kv -> not (Supervise.Inject.is_binding kv))
   |> Array.of_list
 
 let worker_spec ?inject () =

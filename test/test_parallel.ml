@@ -124,6 +124,33 @@ let test_shutdown_during_inflight_map () =
   Thread.join closer;
   Alcotest.(check (list int)) "in-flight map completes" (List.map succ xs) ys
 
+(* [run_on] runs a job on the chosen domain: 0 is the caller, at once; a
+   worker runs it on its own domain and outlives a job that raises; once
+   the pool is shut down, the caller runs every job *)
+let test_run_on () =
+  let pool = Parallel.Pool.create ~domains:2 in
+  let here = (Domain.self () :> int) in
+  let ran = Atomic.make (-1) in
+  let on d =
+    Atomic.set ran (-1);
+    Parallel.Pool.run_on pool d (fun () -> Atomic.set ran (Domain.self () :> int));
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get ran < 0 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done;
+    Atomic.get ran
+  in
+  Alcotest.(check int) "domain 0 is the caller" here (on 0);
+  Parallel.Pool.run_on pool 1 (fun () -> failwith "a job that raises");
+  let worker = on 1 in
+  Alcotest.(check bool) "domain 1 is a worker's" true (worker >= 0 && worker <> here);
+  Alcotest.(check (list int)) "maps still run" [ 2; 4 ]
+    (Parallel.Pool.map_list pool (fun x -> 2 * x) [ 1; 2 ]);
+  Alcotest.check_raises "no domain 2" (Invalid_argument "Pool.run_on: no such domain") (fun () ->
+      Parallel.Pool.run_on pool 2 ignore);
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "after shutdown, the caller" here (on 1)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -138,6 +165,7 @@ let () =
         [
           Alcotest.test_case "nested maps" `Quick test_nested_map_no_deadlock;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
+          Alcotest.test_case "run_on picks the domain" `Quick test_run_on;
         ] );
       ( "shutdown",
         [

@@ -1361,7 +1361,7 @@ let serve_returned s = wait_until "serve returned" (fun () -> Atomic.get s.retur
 
 (* [f s] runs once a listener serving [respond] on a fresh socket is up;
    afterwards the listener is stopped and [serve] must return *)
-let with_stub ?(stop_first = false) respond f =
+let with_stub ?pool ?(stop_first = false) respond f =
   let s =
     {
       listener = Listener.create ();
@@ -1376,7 +1376,7 @@ let with_stub ?(stop_first = false) respond f =
   let make_conn () = { Listener.respond; close = (fun () -> Atomic.incr s.closed) } in
   let serve () =
     Fun.protect ~finally:(fun () -> Atomic.set s.returned true) @@ fun () ->
-    Listener.serve s.listener ~log:(Obs.Log.create ~sink ~comp:"test" ())
+    Listener.serve s.listener ?pool ~log:(Obs.Log.create ~sink ~comp:"test" ())
       ~listening:("listening", []) ~max_frame:64 (Protocol.Unix_domain s.path) make_conn
   in
   let thread = Thread.create serve () in
@@ -1473,6 +1473,78 @@ let test_listener_sequential_connections () =
         (Option.bind (logged s "draining") (fun j ->
              Option.bind (Json.member "attrs" j) (Json.member "connections")
              |> Fun.flip Option.bind Json.to_string_opt)))
+
+(* the connection threads run on the pool's domains: two open connections
+   answer from different domains, and a third joins the one with fewer
+   live connections *)
+let test_listener_placement () =
+  Parallel.Pool.with_pool ~domains:2 @@ fun pool ->
+  let respond _ = (string_of_int (Domain.self () :> int), `Continue) in
+  with_stub ~pool respond (fun s ->
+      let ask fd ic =
+        raw_send fd "domain?\n";
+        read_reply ic
+      in
+      let fd_a, ic_a = raw_connect s in
+      let fd_b, ic_b = raw_connect s in
+      Fun.protect ~finally:(fun () -> List.iter close_in_noerr [ ic_a; ic_b ]) @@ fun () ->
+      let a = ask fd_a ic_a in
+      Alcotest.(check bool) "two connections, two domains" true (a <> ask fd_b ic_b);
+      Unix.shutdown fd_a Unix.SHUTDOWN_SEND;
+      Alcotest.(check (option string)) "the first connection closes" None (read_reply ic_a);
+      wait_until "the first connection released" (fun () -> Listener.live s.listener = 1);
+      let fd_c, ic_c = raw_connect s in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic_c) @@ fun () ->
+      Alcotest.(check (option string)) "the third joins the emptier domain" a (ask fd_c ic_c))
+
+(* a drain with a request in flight on the worker domain: serve returns
+   only after its reply, and the pool then shuts down *)
+let test_listener_drain_on_worker () =
+  let pool = Parallel.Pool.create ~domains:2 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let respond line =
+    if line <> "slow" then echo line
+    else begin
+      Atomic.set started true;
+      while not (Atomic.get release) do
+        Thread.delay 0.005
+      done;
+      (string_of_int (Domain.self () :> int), `Continue)
+    end
+  in
+  with_stub ~pool respond (fun s ->
+      let fd_a, ic_a = raw_connect s in
+      Fun.protect ~finally:(fun () ->
+          Atomic.set release true;
+          close_in_noerr ic_a)
+      @@ fun () ->
+      raw_send fd_a "hello\n";
+      Alcotest.(check (option string)) "the first connection answers" (Some "echo hello")
+        (read_reply ic_a);
+      let fd_b, ic_b = raw_connect s in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic_b) @@ fun () ->
+      raw_send fd_b "slow\n";
+      wait_until "the slow request started" (fun () -> Atomic.get started);
+      raw_send fd_a "shutdown\n";
+      Alcotest.(check (option string)) "shutdown answered" (Some "bye") (read_reply ic_a);
+      Thread.delay 0.1;
+      Alcotest.(check bool) "serve waits for the in-flight request" false (Atomic.get s.returned);
+      Atomic.set release true;
+      (match read_reply ic_b with
+      | Some d ->
+          Alcotest.(check bool) "answered on the worker domain" true
+            (d <> string_of_int (Domain.self () :> int))
+      | None -> Alcotest.fail "the in-flight request got no reply");
+      Alcotest.(check (option string)) "then its connection closes" None (read_reply ic_b);
+      serve_returned s);
+  let joined = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Parallel.Pool.shutdown pool;
+         Atomic.set joined true)
+       ());
+  wait_until "the pool shut down" (fun () -> Atomic.get joined)
 
 let test_listener_raising_respond () =
   let raised = Atomic.make [] in
@@ -1614,6 +1686,10 @@ let () =
           Alcotest.test_case "200 connections, bounded bookkeeping" `Quick
             test_listener_sequential_connections;
           Alcotest.test_case "a raising respond" `Quick test_listener_raising_respond;
+          Alcotest.test_case "connections spread over the pool's domains" `Quick
+            test_listener_placement;
+          Alcotest.test_case "drain with a request in flight on a worker domain" `Quick
+            test_listener_drain_on_worker;
         ] );
       ("cli", [ Alcotest.test_case "serve/query/SIGTERM" `Quick test_cli_serve_query_sigterm ]);
     ]
