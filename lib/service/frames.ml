@@ -30,23 +30,28 @@ let add_run t bytes i stop emit =
     end
     else Buffer.add_subbytes t.acc bytes i (stop - i)
 
+(* the first newline in bytes [i, n), or [n] *)
+let newline bytes i n =
+  let j = ref i in
+  while !j < n && Bytes.unsafe_get bytes !j <> '\n' do
+    incr j
+  done;
+  !j
+
 let feed t bytes n emit =
-  let rec go i =
-    let stop = ref i in
-    while !stop < n && Bytes.get bytes !stop <> '\n' do
-      incr stop
-    done;
-    add_run t bytes i !stop emit;
-    if !stop < n then begin
-      if t.skipping then t.skipping <- false
-      else begin
-        let line = Buffer.contents t.acc in
-        Buffer.clear t.acc;
-        emit (Line line)
-      end;
-      go (!stop + 1)
-    end
-  in
-  go 0
+  if n < 0 || n > Bytes.length bytes then invalid_arg "Frames.feed: n outside the buffer";
+  let i = ref 0 in
+  while !i <= n do
+    let stop = newline bytes !i n in
+    add_run t bytes !i stop emit;
+    (if stop < n then
+       if t.skipping then t.skipping <- false
+       else begin
+         let line = Buffer.contents t.acc in
+         Buffer.clear t.acc;
+         emit (Line line)
+       end);
+    i := stop + 1
+  done
 
 let pending t = (not t.skipping) && Buffer.length t.acc > 0

@@ -15,7 +15,8 @@ val create : max_frame:int -> t
 
 val feed : t -> bytes -> int -> (event -> unit) -> unit
 (** Process the first [n] bytes of the buffer, invoking the callback for
-    each event in order. *)
+    each event in order.  Raises [Invalid_argument] if [n] is negative
+    or past the end of the buffer. *)
 
 val pending : t -> bool
 (** True when a partial frame is buffered — at EOF this is a truncated

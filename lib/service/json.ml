@@ -7,13 +7,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* shortest decimal that parses back to the same float, as in
-   [Instance_io]: the cache replays rendered results byte for byte, so
-   rendering must be stable *)
-let exact_float v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
-
 let render v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -22,7 +15,10 @@ let render v =
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f ->
         if Float.is_finite f then begin
-          let s = exact_float f in
+          (* the shortest decimal that parses back to the same float: the
+             cache replays rendered results byte for byte, so rendering
+             must be stable *)
+          let s = Streaming.Decimal.exact_float f in
           Buffer.add_string buf s;
           (* keep the int/float distinction on the wire *)
           if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then
@@ -58,6 +54,20 @@ let render v =
 
 exception Bad of string
 
+(* the end of the run at [i] of bytes that stand for themselves in a
+   string: the first '"', '\\' or control character, or [n] *)
+let plain_run line i n =
+  let i = ref i in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get line !i in
+    c <> '"' && c <> '\\' && c >= ' '
+  do
+    incr i
+  done;
+  !i
+
 let parse line =
   let n = String.length line in
   let pos = ref 0 in
@@ -72,74 +82,85 @@ let parse line =
       advance ()
     done
   in
-  (* BMP code point to UTF-8; surrogates are rejected where they are read *)
-  let add_utf8 buf code =
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-    end
-  in
+  (* four hex digits, by hand: [int_of_string] would also take a '_' *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let code =
-      try int_of_string ("0x" ^ String.sub line !pos 4) with _ -> fail "bad \\u escape"
-    in
+    let code = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match line.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> fail "bad \\u escape"
+      in
+      code := (!code lsl 4) lor d
+    done;
     pos := !pos + 4;
-    code
+    !code
   in
-  (* skip a run of characters that stand for themselves *)
-  let skip_plain () =
-    while
-      !pos < n
-      &&
-      let c = line.[!pos] in
-      c <> '"' && c <> '\\' && Char.code c >= 0x20
-    do
-      advance ()
-    done
-  in
+  (* A string with no escape is one [String.sub].  Otherwise it is
+     decoded into a buffer as long as the rest of the line (an escape
+     never decodes longer than it is written) and cut once at the end.
+     The first such string sizes the buffer and later ones, which start
+     further on, reuse it: a line of many escaped strings allocates it
+     once, not once per string. *)
+  let scratch = ref Bytes.empty in
   let parse_string () =
     expect '"';
     let start = !pos in
-    skip_plain ();
-    if !pos < n && line.[!pos] = '"' then begin
-      advance ();
-      String.sub line start (!pos - 1 - start)
+    let stop = plain_run line start n in
+    if stop < n && line.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub line start (stop - start)
     end
     else begin
-      let buf = Buffer.create (2 * (!pos - start) + 16) in
-      Buffer.add_substring buf line start (!pos - start);
+      if Bytes.length !scratch < n - start then scratch := Bytes.create (n - start);
+      let out = !scratch in
+      let len = ref (stop - start) in
+      Bytes.blit_string line start out 0 !len;
+      let put c =
+        Bytes.unsafe_set out !len c;
+        incr len
+      in
+      pos := stop;
       let rec go () =
         let c = peek () in
         advance ();
         match c with
-        | '"' -> Buffer.contents buf
+        | '"' -> Bytes.sub_string out 0 !len
         | '\\' ->
             let e = peek () in
             advance ();
             (match e with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
+            | '"' -> put '"'
+            | '\\' -> put '\\'
+            | '/' -> put '/'
+            | 'b' -> put '\b'
+            | 'f' -> put '\012'
+            | 'n' -> put '\n'
+            | 'r' -> put '\r'
+            | 't' -> put '\t'
             | 'u' ->
+                (* a BMP code point, as UTF-8 *)
                 let code = hex4 () in
                 if code >= 0xd800 && code <= 0xdfff then fail "surrogate in \\u escape"
-                else add_utf8 buf code
+                else if code < 0x80 then put (Char.chr code)
+                else if code < 0x800 then begin
+                  put (Char.chr (0xc0 lor (code lsr 6)));
+                  put (Char.chr (0x80 lor (code land 0x3f)))
+                end
+                else begin
+                  put (Char.chr (0xe0 lor (code lsr 12)));
+                  put (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+                  put (Char.chr (0x80 lor (code land 0x3f)))
+                end
             | _ -> fail "unknown escape");
             let run = !pos in
-            skip_plain ();
-            Buffer.add_substring buf line run (!pos - run);
+            let stop = plain_run line run n in
+            Bytes.blit_string line run out !len (stop - run);
+            len := !len + (stop - run);
+            pos := stop;
             go ()
         | _ -> fail "raw control character in string"
       in

@@ -1,90 +1,179 @@
-(* ---- reading: one pass over the text, tokens found in place ---- *)
+(* ---- reading: one pass over the text, numbers read where they lie ---- *)
 
 exception Bad of string
 
-let fail lineno msg = raise (Bad (Printf.sprintf "line %d: %s" lineno msg))
-
-(* The tokens of the current line as offsets into the text: token [k] is
-   [String.sub text starts.(k) (stops.(k) - starts.(k))].  One record
-   serves every line of a parse. *)
-type line = {
+(* The scanner walks the text once.  Lines end at newlines, a line's
+   comment starts at its first '#', and tokens are separated by spaces
+   and tabs.  [tok, pos) is the token just read, [kw, kw_end) the line's
+   first.  Numbers are converted where they lie; only a token the
+   in-place readers cannot decide is copied out, for the standard
+   library to read. *)
+type scanner = {
   text : string;
-  mutable count : int;
-  mutable starts : int array;
-  mutable stops : int array;
-  mutable keyword : string;  (* token 0 *)
+  mutable lineno : int;
+  mutable kw : int;
+  mutable kw_end : int;
+  mutable tok : int;
+  mutable pos : int;
+  cell : float array;  (* where a lone float lands *)
+  icell : int array;  (* where a lone int lands *)
 }
 
-let token l k = String.sub l.text l.starts.(k) (l.stops.(k) - l.starts.(k))
+let fail sc msg = raise (Bad (Printf.sprintf "line %d: %s" sc.lineno msg))
+let ends_token c = c = ' ' || c = '\t' || c = '\n' || c = '#'
+let is_digit c = c >= '0' && c <= '9'
 
-let push l start stop =
-  if l.count = Array.length l.starts then begin
-    let grow a = Array.append a (Array.make (Array.length a) 0) in
-    l.starts <- grow l.starts;
-    l.stops <- grow l.stops
-  end;
-  l.starts.(l.count) <- start;
-  l.stops.(l.count) <- stop;
-  l.count <- l.count + 1
+(* skip spaces and tabs: does another token start on this line? *)
+let more sc =
+  let s = sc.text in
+  let n = String.length s in
+  let p = ref sc.pos in
+  while !p < n && (String.unsafe_get s !p = ' ' || String.unsafe_get s !p = '\t') do
+    incr p
+  done;
+  sc.pos <- !p;
+  !p < n && String.unsafe_get s !p <> '\n' && String.unsafe_get s !p <> '#'
 
-(* [f lineno line] for every line that holds a token, in order.  Lines
-   end at newlines, a line's comment starts at its first '#', and tokens
-   are separated by spaces and tabs. *)
-let iter_lines text f =
-  let n = String.length text in
-  let l = { text; count = 0; starts = Array.make 16 0; stops = Array.make 16 0; keyword = "" } in
-  let lineno = ref 0 and pos = ref 0 in
-  while !pos <= n do
-    incr lineno;
-    l.count <- 0;
-    let i = ref !pos and start = ref (-1) and comment = ref false in
-    while !i < n && String.unsafe_get text !i <> '\n' do
-      (if not !comment then
-         match String.unsafe_get text !i with
-         | (' ' | '\t' | '#') as c ->
-             if !start >= 0 then begin
-               push l !start !i;
-               start := -1
-             end;
-             if c = '#' then comment := true
-         | _ -> if !start < 0 then start := !i);
-      incr i
-    done;
-    if !start >= 0 then push l !start !i;
-    if l.count > 0 then begin
-      l.keyword <- token l 0;
-      f !lineno l
-    end;
-    pos := !i + 1
-  done
+(* the next token of the line, if any *)
+let next sc =
+  more sc
+  &&
+  let s = sc.text in
+  let n = String.length s in
+  let p = ref sc.pos in
+  while !p < n && not (ends_token (String.unsafe_get s !p)) do
+    incr p
+  done;
+  sc.tok <- sc.pos;
+  sc.pos <- !p;
+  true
 
-let int_at l k = int_of_string_opt (token l k)
-let float_at l k = float_of_string_opt (token l k)
+(* how many tokens are left on the line; none is consumed *)
+let count_rest sc =
+  let tok = sc.tok and pos = sc.pos and c = ref 0 in
+  while next sc do
+    incr c
+  done;
+  sc.tok <- tok;
+  sc.pos <- pos;
+  !c
 
-(* tokens 1.. of the line; [None] when one of them does not parse *)
-let floats_after l =
-  match Array.init (l.count - 1) (fun k -> float_of_string (token l (k + 1))) with
-  | a -> Some a
-  | exception Failure _ -> None
+(* back to the line's first token, just read *)
+let rewind sc =
+  sc.tok <- sc.kw;
+  sc.pos <- sc.kw_end
 
-let ints_after l =
-  match Array.init (l.count - 1) (fun k -> int_of_string (token l (k + 1))) with
-  | a -> Some a
-  | exception Failure _ -> None
+let text_of sc = String.sub sc.text sc.tok (sc.pos - sc.tok)
+
+(* the token just read is [word] *)
+let is sc word =
+  let n = String.length word in
+  sc.pos - sc.tok = n
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get sc.text (sc.tok + !i) = String.unsafe_get word !i do
+    incr i
+  done;
+  !i = n
+
+(* the token after the one just read is [word]; none is consumed *)
+let next_is sc word =
+  let tok = sc.tok and pos = sc.pos in
+  let found = next sc && is sc word in
+  sc.tok <- tok;
+  sc.pos <- pos;
+  found
+
+(* The next token as [int_of_string] reads it, into [a.(i)]; false when
+   it does not.  [-?D+] with at most 18 digits, which no int overflows,
+   is read in place; any other token goes to [int_of_string]. *)
+let int_into sc a i =
+  more sc
+  &&
+  let s = sc.text and start = sc.pos in
+  let n = String.length s in
+  let neg = String.unsafe_get s start = '-' in
+  let first = if neg then start + 1 else start in
+  let j = ref first and v = ref 0 in
+  while !j < n && is_digit (String.unsafe_get s !j) do
+    v := (!v * 10) + Char.code (String.unsafe_get s !j) - 48;
+    incr j
+  done;
+  if !j > first && !j - first <= 18 && (!j = n || ends_token (String.unsafe_get s !j)) then begin
+    a.(i) <- (if neg then - !v else !v);
+    sc.tok <- start;
+    sc.pos <- !j;
+    true
+  end
+  else
+    next sc
+    &&
+    match int_of_string_opt (text_of sc) with
+    | Some v ->
+        a.(i) <- v;
+        true
+    | None -> false
+
+(* the next token as an int; [fail msg] when it is none *)
+let int_token sc msg = if int_into sc sc.icell 0 then sc.icell.(0) else fail sc msg
+
+(* The next token as [float_of_string] reads it, into [dst.(k)]; false
+   when it does not.  {!Decimal.read} decides it in place, or the token
+   goes to [float_of_string]. *)
+let float_into sc dst k =
+  more sc
+  &&
+  let j = Decimal.read sc.text sc.pos dst k in
+  if j >= 0 && (j = String.length sc.text || ends_token (String.unsafe_get sc.text j)) then begin
+    sc.tok <- sc.pos;
+    sc.pos <- j;
+    true
+  end
+  else
+    next sc
+    &&
+    match float_of_string_opt (text_of sc) with
+    | Some v ->
+        dst.(k) <- v;
+        true
+    | None -> false
+
+(* the rest of the line as numbers; [fail msg] at the first that does
+   not parse *)
+let floats_rest sc msg =
+  let a = Array.create_float (count_rest sc) in
+  for k = 0 to Array.length a - 1 do
+    if not (float_into sc a k) then fail sc msg
+  done;
+  a
+
+let ints_rest sc msg =
+  let a = Array.make (count_rest sc) 0 in
+  for k = 0 to Array.length a - 1 do
+    if not (int_into sc a k) then fail sc msg
+  done;
+  a
 
 (* numeric sanity is checked where the line number is still at hand, so a
    NaN three screens into a file is reported as "line 47: ...", not as a
    late [Invalid_argument] from the model constructors *)
-let bad ~strict v = (not (Float.is_finite v)) || if strict then v <= 0.0 else v < 0.0
-let any_bad ~strict a = Array.exists (bad ~strict) a
+let[@inline] bad ~strict v = (not (Float.is_finite v)) || if strict then v <= 0.0 else v < 0.0
+let any_bad ~strict a =
+  let rec from i = i < Array.length a && (bad ~strict a.(i) || from (i + 1)) in
+  from 0
 
 (* The platform lines read so far.  Counts keep their line numbers, so
-   the checks made once every line is read can point at them. *)
+   the checks made once every line is read can point at them; so do the
+   bandwidth overrides, kept in line order as four columns. *)
 type platform_lines = {
   mutable procs : (int * int) option;  (* line, processor count *)
   mutable speeds : (int * float array) option;  (* line, speeds *)
   mutable bw_default : float option;
-  mutable overrides : (int * int * int * float) list;  (* reversed: line, src, dst, value *)
+  mutable n_over : int;
+  mutable over_line : int array;
+  mutable over_src : int array;
+  mutable over_dst : int array;
+  mutable over_bw : float array;
 }
 
 (* one pipeline's lines read so far *)
@@ -95,64 +184,135 @@ type pipeline_lines = {
   mutable teams : int array list;  (* reversed *)
 }
 
-let platform_lines () = { procs = None; speeds = None; bw_default = None; overrides = [] }
+let platform_lines () =
+  {
+    procs = None;
+    speeds = None;
+    bw_default = None;
+    n_over = 0;
+    over_line = [||];
+    over_src = [||];
+    over_dst = [||];
+    over_bw = [||];
+  }
+
 let pipeline_lines () = { stages = None; work = None; files = None; teams = [] }
 
-type kind = Platform_line | Pipeline_line | Other_line
+(* The slot of a new override on [line].  The columns start with room for
+   every link of the processors declared so far, if any, and double when
+   full. *)
+let add_override p line =
+  let k = p.n_over in
+  if k = Array.length p.over_bw then begin
+    let cap =
+      match p.procs with
+      | Some (_, m) when k = 0 && m > 1 && m <= 16 -> m * (m - 1)
+      | _ -> max 16 (2 * k)
+    in
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 k;
+      b
+    in
+    let bw = Array.create_float cap in
+    Array.blit p.over_bw 0 bw 0 k;
+    p.over_line <- grow p.over_line;
+    p.over_src <- grow p.over_src;
+    p.over_dst <- grow p.over_dst;
+    p.over_bw <- bw
+  end;
+  p.over_line.(k) <- line;
+  p.n_over <- k + 1;
+  k
 
-let kind l =
-  match (l.keyword, l.count) with
-  | "processors", 2 | "speeds", _ | "bandwidth", 4 -> Platform_line
-  | "bandwidth", 3 when token l 1 = "default" -> Platform_line
-  | "stages", 2 | "work", _ | "files", _ | "team", _ -> Pipeline_line
-  | _ -> Other_line
+type platform_line = Processors | Speeds | Bandwidth
+type pipeline_line = Stages | Work | Files | Team
+type line = Platform of platform_line | Pipeline of pipeline_line | Other
 
-(* the two readers take the lines [kind] sorted to them *)
-let read_platform_line p lineno l =
-  match (l.keyword, l.count) with
-  | "processors", _ -> (
-      match int_at l 1 with
-      | Some m -> p.procs <- Some (lineno, m)
-      | None -> fail lineno "bad processor count")
-  | "speeds", _ -> (
-      match floats_after l with
-      | Some a when any_bad ~strict:true a -> fail lineno "speeds must be finite and positive"
-      | Some a -> p.speeds <- Some (lineno, a)
-      | None -> fail lineno "bad speeds")
-  | _, 3 -> (
-      match float_at l 2 with
-      | Some b when bad ~strict:true b ->
-          fail lineno "default bandwidth must be finite and positive"
-      | Some b -> p.bw_default <- Some b
-      | None -> fail lineno "bad default bandwidth")
-  | _ -> (
-      match (int_at l 1, int_at l 2, float_at l 3) with
-      | Some _, Some _, Some b when bad ~strict:true b ->
-          fail lineno "bandwidth must be finite and positive"
-      | Some src, Some dst, Some b -> p.overrides <- (lineno, src, dst, b) :: p.overrides
-      | _ -> fail lineno "bad bandwidth override")
+(* What a line is, from its keyword (the token just read) and the number
+   of tokens after it.  A bandwidth line's shape is checked as it is
+   read, by [bandwidth_shaped] where that fails: most lines of an
+   instance are overrides, and counting their tokens first would read
+   them twice. *)
+let classify sc =
+  if is sc "bandwidth" then Platform Bandwidth
+  else if is sc "team" then Pipeline Team
+  else if is sc "speeds" then Platform Speeds
+  else if is sc "work" then Pipeline Work
+  else if is sc "files" then Pipeline Files
+  else if is sc "processors" then if count_rest sc = 1 then Platform Processors else Other
+  else if is sc "stages" then if count_rest sc = 1 then Pipeline Stages else Other
+  else Other
 
-let read_pipeline_line t lineno l =
-  match l.keyword with
-  | "stages" -> (
-      match int_at l 1 with
-      | Some n -> t.stages <- Some n
-      | None -> fail lineno "bad stage count")
-  | "work" -> (
-      match floats_after l with
-      | Some a when any_bad ~strict:true a -> fail lineno "work sizes must be finite and positive"
-      | Some a -> t.work <- Some a
-      | None -> fail lineno "bad work sizes")
-  | "files" -> (
-      match floats_after l with
-      | Some a when any_bad ~strict:false a ->
-          fail lineno "file sizes must be finite and non-negative"
-      | Some a -> t.files <- Some a
-      | None -> fail lineno "bad file sizes")
-  | _ -> (
-      match ints_after l with
-      | Some a when Array.length a > 0 -> t.teams <- a :: t.teams
-      | _ -> fail lineno "bad team")
+(* [bandwidth default B] or [bandwidth SRC DST B], from the keyword *)
+let bandwidth_shaped sc =
+  rewind sc;
+  match count_rest sc with 3 -> true | 2 -> next_is sc "default" | _ -> false
+
+(* [bandwidth SRC DST B], read in place: false when a token does not
+   parse or the line holds other than three *)
+let read_override p sc =
+  let k = add_override p sc.lineno in
+  int_into sc p.over_src k
+  && int_into sc p.over_dst k
+  && float_into sc p.over_bw k
+  && not (more sc)
+
+(* the two readers take the lines [classify] sorted to them *)
+let read_platform_line p sc = function
+  | Processors -> p.procs <- Some (sc.lineno, int_token sc "bad processor count")
+  | Speeds ->
+      let a = floats_rest sc "bad speeds" in
+      if any_bad ~strict:true a then fail sc "speeds must be finite and positive";
+      p.speeds <- Some (sc.lineno, a)
+  | Bandwidth when next_is sc "default" && count_rest sc = 2 ->
+      ignore (next sc);
+      if not (float_into sc sc.cell 0) then fail sc "bad default bandwidth";
+      if bad ~strict:true sc.cell.(0) then fail sc "default bandwidth must be finite and positive";
+      p.bw_default <- Some sc.cell.(0)
+  | Bandwidth ->
+      if not (read_override p sc) then
+        if bandwidth_shaped sc then fail sc "bad bandwidth override"
+        else fail sc ("unknown keyword " ^ text_of sc);
+      if bad ~strict:true p.over_bw.(p.n_over - 1) then
+        fail sc "bandwidth must be finite and positive"
+
+let read_pipeline_line t sc = function
+  | Stages -> t.stages <- Some (int_token sc "bad stage count")
+  | Work ->
+      let a = floats_rest sc "bad work sizes" in
+      if any_bad ~strict:true a then fail sc "work sizes must be finite and positive";
+      t.work <- Some a
+  | Files ->
+      let a = floats_rest sc "bad file sizes" in
+      if any_bad ~strict:false a then fail sc "file sizes must be finite and non-negative";
+      t.files <- Some a
+  | Team ->
+      let a = ints_rest sc "bad team" in
+      if Array.length a = 0 then fail sc "bad team";
+      t.teams <- a :: t.teams
+
+(* [f sc] on every line that holds a token, with that first token read;
+   [f] reads the line's other tokens, and the rest of the line (its
+   comment) is skipped *)
+let iter_lines text f =
+  let sc =
+    { text; lineno = 0; kw = 0; kw_end = 0; tok = 0; pos = 0; cell = Array.create_float 2; icell = [| 0 |] }
+  in
+  let n = String.length text in
+  while sc.pos <= n do
+    sc.lineno <- sc.lineno + 1;
+    if next sc then begin
+      sc.kw <- sc.tok;
+      sc.kw_end <- sc.pos;
+      f sc
+    end;
+    let p = ref sc.pos in
+    while !p < n && String.unsafe_get text !p <> '\n' do
+      incr p
+    done;
+    sc.pos <- !p + 1
+  done
 
 let max_processors = 1024
 
@@ -161,7 +321,12 @@ let max_processors = 1024
    allocated, so a short text cannot ask for gigabytes: even a text that
    lists all its speeds gets at most two 8 MiB matrices (the parse and
    the [Platform.create] copy). *)
-let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default overrides =
+let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default p =
+  let out k =
+    let src = p.over_src.(k) and dst = p.over_dst.(k) in
+    src < 0 || src >= m || dst < 0 || dst >= m
+  in
+  let rec first_out k = if k = p.n_over || out k then k else first_out (k + 1) in
   if m < 1 then Error (Printf.sprintf "line %d: processor count must be positive" procs_line)
   else if Array.length speeds <> m then
     Error
@@ -171,18 +336,20 @@ let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default
       (Printf.sprintf "line %d: %d processors exceed the limit of %d" procs_line m
          max_processors)
   else
-    let overrides = List.rev overrides in
-    match List.find_opt (fun (_, p, q, _) -> p < 0 || p >= m || q < 0 || q >= m) overrides with
-    | Some (lineno, p, q, _) ->
-        Error
-          (Printf.sprintf "line %d: bandwidth override %d %d out of range (processors %d)" lineno
-             p q m)
-    | None -> (
-        let bandwidth = Array.init m (fun _ -> Array.make m default) in
-        List.iter (fun (_, p, q, b) -> bandwidth.(p).(q) <- b) overrides;
-        match Platform.create ~speeds ~bandwidth with
-        | platform -> Ok platform
-        | exception Invalid_argument msg -> Error msg)
+    let k = first_out 0 in
+    if k < p.n_over then
+      Error
+        (Printf.sprintf "line %d: bandwidth override %d %d out of range (processors %d)"
+           p.over_line.(k) p.over_src.(k) p.over_dst.(k) m)
+    else begin
+      let bandwidth = Array.init m (fun _ -> Array.make m default) in
+      for k = 0 to p.n_over - 1 do
+        bandwidth.(p.over_src.(k)).(p.over_dst.(k)) <- p.over_bw.(k)
+      done;
+      match Platform.create ~speeds ~bandwidth with
+      | platform -> Ok platform
+      | exception Invalid_argument msg -> Error msg
+    end
 
 let build_mapping ~work ~files ~teams platform =
   let files = Option.value files ~default:[||] in
@@ -193,11 +360,11 @@ let build_mapping ~work ~files ~teams platform =
 let parse text =
   let plat = platform_lines () and pipe = pipeline_lines () in
   match
-    iter_lines text (fun lineno l ->
-        match kind l with
-        | Platform_line -> read_platform_line plat lineno l
-        | Pipeline_line -> read_pipeline_line pipe lineno l
-        | Other_line -> fail lineno ("unknown keyword " ^ l.keyword))
+    iter_lines text (fun sc ->
+        match classify sc with
+        | Platform k -> read_platform_line plat sc k
+        | Pipeline k -> read_pipeline_line pipe sc k
+        | Other -> fail sc ("unknown keyword " ^ text_of sc))
   with
   | exception Bad msg -> Error msg
   | () -> (
@@ -211,14 +378,8 @@ let parse text =
           let teams = Array.of_list (List.rev pipe.teams) in
           if Array.length teams <> n then Error "need exactly one 'team' line per stage"
           else
-            Result.bind (build_platform ~procs ~speeds ~default plat.overrides)
+            Result.bind (build_platform ~procs ~speeds ~default plat)
               (build_mapping ~work ~files:pipe.files ~teams))
-
-(* shortest decimal representation that parses back to the same float,
-   so that printed instances round-trip exactly *)
-let exact_float v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -233,23 +394,23 @@ let print ppf mapping =
   Format.fprintf ppf "stages %d@\n" n;
   Format.fprintf ppf "work";
   for i = 0 to n - 1 do
-    Format.fprintf ppf " %s" (exact_float (Application.work app i))
+    Format.fprintf ppf " %s" (Decimal.exact_float (Application.work app i))
   done;
   Format.fprintf ppf "@\nfiles";
   for i = 0 to n - 2 do
-    Format.fprintf ppf " %s" (exact_float (Application.file_size app i))
+    Format.fprintf ppf " %s" (Decimal.exact_float (Application.file_size app i))
   done;
   Format.fprintf ppf "@\nprocessors %d@\nspeeds" m;
   for p = 0 to m - 1 do
-    Format.fprintf ppf " %s" (exact_float (Platform.speed platform p))
+    Format.fprintf ppf " %s" (Decimal.exact_float (Platform.speed platform p))
   done;
   Format.fprintf ppf "@\nbandwidth default %s@\n"
-    (exact_float (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1))));
+    (Decimal.exact_float (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1))));
   let default = Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)) in
   for p = 0 to m - 1 do
     for q = 0 to m - 1 do
       if p <> q && Platform.bandwidth platform ~src:p ~dst:q <> default then
-        Format.fprintf ppf "bandwidth %d %d %s@\n" p q (exact_float (Platform.bandwidth platform ~src:p ~dst:q))
+        Format.fprintf ppf "bandwidth %d %d %s@\n" p q (Decimal.exact_float (Platform.bandwidth platform ~src:p ~dst:q))
     done
   done;
   for i = 0 to n - 1 do
@@ -269,7 +430,7 @@ let to_string mapping =
 
    Every count precedes what it counts, so the encoding is prefix-free.
    Floats go in as their IEEE-754 bits: two finite floats have the same
-   bits exactly when [exact_float] writes them the same way (-0.0 and 0.0
+   bits exactly when [Decimal.exact_float] writes them the same way (-0.0 and 0.0
    differ in both). *)
 
 let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
@@ -368,52 +529,55 @@ let build_tenants platform pendings =
   | [] -> Error "a tenancy block needs at least one tenant"
   | _ -> go [] pendings
 
+(* [tenant ID weight W floor F], the keyword just read *)
+let read_tenant sc =
+  let shape_error () = fail sc "tenant line is 'tenant ID weight W floor F'" in
+  if count_rest sc <> 5 then shape_error ();
+  ignore (next sc);
+  let id = text_of sc in
+  let weight_word = next sc && is sc "weight" in
+  let weight_ok = float_into sc sc.cell 0 in
+  let floor_word = next sc && is sc "floor" in
+  let floor_ok = float_into sc sc.cell 1 in
+  if not (weight_word && floor_word) then shape_error ();
+  let weight = sc.cell.(0) and floor = sc.cell.(1) in
+  if weight_ok && bad ~strict:true weight then fail sc "tenant weight must be finite and positive";
+  if floor_ok && bad ~strict:false floor then fail sc "tenant floor must be finite and non-negative";
+  if not (weight_ok && floor_ok) then fail sc "bad tenant weight or floor";
+  { p_line = sc.lineno; p_id = id; p_weight = weight; p_floor = floor; p_lines = pipeline_lines () }
+
 let parse_multi text =
   let version = ref false in
   let plat = platform_lines () in
   let pendings = ref [] (* reversed *) in
   match
-    iter_lines text (fun lineno l ->
-        match (l.keyword, l.count) with
-        | "tenancy", 2 ->
-            let v = token l 1 in
-            if !version then fail lineno "duplicate 'tenancy' line"
-            else if v <> "1" then
-              fail lineno (Printf.sprintf "unsupported tenancy version %s (this reader speaks 1)" v)
-            else version := true
-        | _ when not !version -> fail lineno "multi-tenant instances start with 'tenancy 1'"
-        | _ -> (
-            match kind l with
-            | Platform_line ->
-                (* the shared platform is declared once, before the first tenant *)
-                if !pendings <> [] then fail lineno "platform line after the first 'tenant'"
-                else read_platform_line plat lineno l
-            | Pipeline_line -> (
-                match !pendings with
-                | [] ->
-                    fail lineno (Printf.sprintf "'%s' outside a tenant declaration" l.keyword)
-                | t :: _ -> read_pipeline_line t.p_lines lineno l)
-            | Other_line -> (
-                match (l.keyword, l.count) with
-                | "tenant", 6 when token l 2 = "weight" && token l 4 = "floor" -> (
-                    match (float_at l 3, float_at l 5) with
-                    | Some w, _ when bad ~strict:true w ->
-                        fail lineno "tenant weight must be finite and positive"
-                    | _, Some f when bad ~strict:false f ->
-                        fail lineno "tenant floor must be finite and non-negative"
-                    | Some w, Some f ->
-                        pendings :=
-                          {
-                            p_line = lineno;
-                            p_id = token l 1;
-                            p_weight = w;
-                            p_floor = f;
-                            p_lines = pipeline_lines ();
-                          }
-                          :: !pendings
-                    | _ -> fail lineno "bad tenant weight or floor")
-                | "tenant", _ -> fail lineno "tenant line is 'tenant ID weight W floor F'"
-                | keyword, _ -> fail lineno ("unknown keyword " ^ keyword))))
+    iter_lines text (fun sc ->
+        if is sc "tenancy" && count_rest sc = 1 then begin
+          ignore (next sc);
+          if !version then fail sc "duplicate 'tenancy' line"
+          else if not (is sc "1") then
+            fail sc
+              (Printf.sprintf "unsupported tenancy version %s (this reader speaks 1)" (text_of sc))
+          else version := true
+        end
+        else if not !version then fail sc "multi-tenant instances start with 'tenancy 1'"
+        else
+          match classify sc with
+          | Platform k ->
+              (* the shared platform is declared once, before the first
+                 tenant; a bandwidth line of no platform shape is an
+                 unknown keyword wherever it stands *)
+              if !pendings = [] then read_platform_line plat sc k
+              else if k = Bandwidth && not (bandwidth_shaped sc) then
+                fail sc ("unknown keyword " ^ text_of sc)
+              else fail sc "platform line after the first 'tenant'"
+          | Pipeline k -> (
+              match !pendings with
+              | [] -> fail sc (Printf.sprintf "'%s' outside a tenant declaration" (text_of sc))
+              | t :: _ -> read_pipeline_line t.p_lines sc k)
+          | Other ->
+              if is sc "tenant" then pendings := read_tenant sc :: !pendings
+              else fail sc ("unknown keyword " ^ text_of sc))
   with
   | exception Bad msg -> Error msg
   | () -> (
@@ -424,7 +588,7 @@ let parse_multi text =
         | _, None, _ -> Error "missing 'speeds'"
         | _, _, None -> Error "missing 'bandwidth default'"
         | Some procs, Some speeds, Some default ->
-            Result.bind (build_platform ~procs ~speeds ~default plat.overrides) (fun platform ->
+            Result.bind (build_platform ~procs ~speeds ~default plat) (fun platform ->
                 build_tenants platform (List.rev !pendings)))
 
 let parse_multi_file path =
@@ -468,30 +632,30 @@ let print_multi ppf decls =
   Format.fprintf ppf "tenancy 1@\n";
   Format.fprintf ppf "processors %d@\nspeeds" m;
   for p = 0 to m - 1 do
-    Format.fprintf ppf " %s" (exact_float (Platform.speed platform p))
+    Format.fprintf ppf " %s" (Decimal.exact_float (Platform.speed platform p))
   done;
   let default = Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)) in
-  Format.fprintf ppf "@\nbandwidth default %s@\n" (exact_float default);
+  Format.fprintf ppf "@\nbandwidth default %s@\n" (Decimal.exact_float default);
   for p = 0 to m - 1 do
     for q = 0 to m - 1 do
       if p <> q && Platform.bandwidth platform ~src:p ~dst:q <> default then
         Format.fprintf ppf "bandwidth %d %d %s@\n" p q
-          (exact_float (Platform.bandwidth platform ~src:p ~dst:q))
+          (Decimal.exact_float (Platform.bandwidth platform ~src:p ~dst:q))
     done
   done;
   List.iter
     (fun d ->
       let app = Mapping.app d.tenant_mapping in
       let n = Application.n_stages app in
-      Format.fprintf ppf "tenant %s weight %s floor %s@\n" d.tenant_id (exact_float d.weight)
-        (exact_float d.floor);
+      Format.fprintf ppf "tenant %s weight %s floor %s@\n" d.tenant_id (Decimal.exact_float d.weight)
+        (Decimal.exact_float d.floor);
       Format.fprintf ppf "stages %d@\nwork" n;
       for i = 0 to n - 1 do
-        Format.fprintf ppf " %s" (exact_float (Application.work app i))
+        Format.fprintf ppf " %s" (Decimal.exact_float (Application.work app i))
       done;
       Format.fprintf ppf "@\nfiles";
       for i = 0 to n - 2 do
-        Format.fprintf ppf " %s" (exact_float (Application.file_size app i))
+        Format.fprintf ppf " %s" (Decimal.exact_float (Application.file_size app i))
       done;
       Format.fprintf ppf "@\n";
       for i = 0 to n - 1 do

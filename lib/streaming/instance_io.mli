@@ -17,7 +17,12 @@
     team 6
     v}
 
-    Lines starting with [#] (or trailing [#] comments) are ignored. *)
+    Lines starting with [#] (or trailing [#] comments) are ignored.
+    Tokens are separated by spaces and tabs.  Numbers are accepted
+    exactly as [float_of_string] and [int_of_string] accept them, with
+    the same values: plain decimals are read in place by {!Decimal.read},
+    and any other spelling ([1_0], [0x1F], [nan], [.5], ...) is left to
+    the standard library. *)
 
 val parse : string -> (Mapping.t, string) result
 (** Parse the contents of an instance description.  Numeric values are
@@ -27,7 +32,9 @@ val parse : string -> (Mapping.t, string) result
     reported with the offending line number.  The processor count must be
     positive, match the number of speeds and stay within
     {!max_processors}; all three are checked before the bandwidth matrix
-    is allocated.  Never raises. *)
+    is allocated.  The text is read in one pass, with no copy of a token
+    that reads as a plain number, and no state outside the call: any
+    number of domains may parse at once.  Never raises. *)
 
 val max_processors : int
 (** The largest processor count {!parse} and {!parse_multi} accept

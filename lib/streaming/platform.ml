@@ -3,15 +3,18 @@ type t = { speeds : float array; bandwidth : float array array }
 let create ~speeds ~bandwidth =
   let m = Array.length speeds in
   if m = 0 then invalid_arg "Platform.create: no processors";
-  Array.iter (fun s -> if s <= 0.0 then invalid_arg "Platform.create: speed must be positive") speeds;
+  (* plain loops: a closure over a float array would box every element *)
+  for p = 0 to m - 1 do
+    if speeds.(p) <= 0.0 then invalid_arg "Platform.create: speed must be positive"
+  done;
   if Array.length bandwidth <> m then invalid_arg "Platform.create: bandwidth matrix size mismatch";
-  Array.iteri
-    (fun p row ->
-      if Array.length row <> m then invalid_arg "Platform.create: bandwidth matrix not square";
-      Array.iteri
-        (fun q b -> if p <> q && b <= 0.0 then invalid_arg "Platform.create: bandwidth must be positive")
-        row)
-    bandwidth;
+  for p = 0 to m - 1 do
+    let row = bandwidth.(p) in
+    if Array.length row <> m then invalid_arg "Platform.create: bandwidth matrix not square";
+    for q = 0 to m - 1 do
+      if p <> q && row.(q) <= 0.0 then invalid_arg "Platform.create: bandwidth must be positive"
+    done
+  done;
   { speeds = Array.copy speeds; bandwidth = Array.map Array.copy bandwidth }
 
 let of_link_function ~n ~speeds ~bw =

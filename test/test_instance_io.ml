@@ -363,6 +363,337 @@ let test_example_c_structure () =
      stage 1's aggregate rate 5 and every other column *)
   Alcotest.(check (float 1e-9)) "rho = 4.2 (Theorem 4 on example C)" 4.2 rho
 
+(* ---- the decimal reader: bit for bit what float_of_string gives ---- *)
+
+let bits = Int64.bits_of_float
+
+let same_opt a b =
+  match (a, b) with
+  | Some x, Some y -> Int64.equal (bits x) (bits y)
+  | None, None -> true
+  | _ -> false
+
+(* the reader on a whole string, and the standard library where it does
+   not decide or does not span it: what the instance parser does with a
+   token *)
+let read_or_defer s =
+  let cell = Array.create_float 1 in
+  if Decimal.read s 0 cell 0 = String.length s then Some cell.(0) else float_of_string_opt s
+
+let agrees s =
+  same_opt (read_or_defer s) (float_of_string_opt s)
+  || QCheck.Test.fail_reportf "%S: reader %s, float_of_string %s" s
+       (match read_or_defer s with Some v -> Printf.sprintf "%h" v | None -> "none")
+       (match float_of_string_opt s with Some v -> Printf.sprintf "%h" v | None -> "none")
+
+(* the reader decides [s] itself, spanning all of it *)
+let decides s = Decimal.read s 0 (Array.create_float 1) 0 = String.length s
+
+let test_power_table () =
+  let entry q = Decimal.power_of_five q in
+  let check q (hi, lo) =
+    Alcotest.(check (pair int64 int64)) (Printf.sprintf "5^%d" q) (hi, lo) (entry q)
+  in
+  (* the entries printed in the paper *)
+  check (-342) (0xeef453d6923bd65aL, 0x113faa2906a13b3fL);
+  check (-1) (0xccccccccccccccccL, 0xcccccccccccccccdL);
+  check 308 (0x8e679c2f5e44ff8fL, 0x570f09eaa7ea7648L);
+  check 0 (Int64.min_int, 0L);
+  for q = -342 to 308 do
+    (* every entry lies in [2^127, 2^128) *)
+    Alcotest.(check bool) (Printf.sprintf "5^%d normalised" q) true (Int64.compare (fst (entry q)) 0L < 0);
+    (* and reads right at both ends of its decade *)
+    List.iter
+      (fun m ->
+        let s = Printf.sprintf "%se%d" m q in
+        Alcotest.(check bool) s true (same_opt (read_or_defer s) (float_of_string_opt s)))
+      [ "1"; "9.999999999999999"; "1.2345678901234567"; "7.0000000000000001" ]
+  done
+
+let test_decimal_edges () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " agrees") true (agrees s);
+      Alcotest.(check bool) (s ^ " decided") true (decides s))
+    [ "0"; "-0"; "0.0"; "-0e5"; "1e-400"; "-1e-400"; "1e400"; "-1e400"; "4.9406564584124654e-324";
+      "5e-324"; "2.4703282292062328e-324"; "2.4703282292062327e-324"; "2.2250738585072011e-308";
+      "2.2250738585072014e-308"; "1.7976931348623157e308"; "1.7976931348623158e308";
+      "1.7976931348623159e308"; "9007199254740993"; "9007199254740993.0"; "1e23"; "8.589973e9";
+      "123456789012345678"; "1234567890123456789"; "9999999999999999999"; "007.50"; "1E5";
+      "1e+5"; "0.000001234"; "1e0000000000000000000000000003" ];
+  (* forms the reader leaves to the standard library *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " agrees") true (agrees s);
+      Alcotest.(check bool) (s ^ " deferred") false (decides s))
+    [ "1_0"; "0x1p3"; "nan"; "-nan"; "inf"; "-inf"; "infinity"; ".5"; "1."; "+1"; "1e"; "1e+";
+      "-"; ""; " 1"; "1 "; "1\r"; "12345678901234567890"; "0.12345678901234567890" ]
+
+(* random doubles, negative and subnormal ones included *)
+let gen_double =
+  QCheck.Gen.(
+    map2
+      (fun b sub -> Int64.float_of_bits (if sub then Int64.logand b 0x800F_FFFF_FFFF_FFFFL else b))
+      ui64 (map (fun k -> k = 0) (int_bound 9)))
+
+let finite_double = QCheck.Gen.(map (fun v -> if Float.is_finite v then v else 1.5) gen_double)
+
+let qcheck_decimal_exact_float =
+  QCheck.Test.make ~name:"reader decides every exact_float rendering, bit for bit" ~count:2000
+    ~long_factor:200
+    (QCheck.make ~print:(Printf.sprintf "%h") finite_double)
+    (fun v ->
+      let s = Decimal.exact_float v in
+      agrees s && (decides s || QCheck.Test.fail_reportf "%s deferred" s))
+
+let qcheck_decimal_renderings =
+  QCheck.Test.make ~name:"reader agrees on %.17g and %.16e renderings" ~count:2000
+    ~long_factor:150
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_double)
+    (fun v -> agrees (Printf.sprintf "%.17g" v) && agrees (Printf.sprintf "%.16e" v))
+
+(* up to 25 digits, maybe a point, an exponent in [-350, 350], a sign *)
+let gen_digits =
+  QCheck.Gen.(
+    let digits k = string_size ~gen:(char_range '0' '9') (return k) in
+    let* total = int_range 1 25 in
+    let* whole = int_range 1 total in
+    let frac = total - whole in
+    let* a = digits whole and* b = digits frac in
+    let* e = int_range (-350) 350 and* form = int_bound 5 and* neg = bool in
+    let body = if frac > 0 then a ^ "." ^ b else a in
+    let exp = match form with 0 -> "" | 1 -> Printf.sprintf "E%+d" e | _ -> Printf.sprintf "e%d" e in
+    return ((if neg then "-" else "") ^ body ^ exp))
+
+let qcheck_decimal_digits =
+  QCheck.Test.make ~name:"reader agrees on random digit strings" ~count:2000 ~long_factor:150
+    (QCheck.make ~print:Fun.id gen_digits) agrees
+
+(* Exact decimal digits of m * 2^e (m > 0): an integer's digits and the
+   power of ten they are scaled by.  Base-10^9 limbs, little-endian. *)
+let exact_decimal m e =
+  let mul limbs c =
+    let carry = ref 0 in
+    let limbs =
+      List.map
+        (fun x ->
+          let v = (x * c) + !carry in
+          carry := v / 1_000_000_000;
+          v mod 1_000_000_000)
+        limbs
+    in
+    let rec spill c acc = if c = 0 then List.rev acc else spill (c / 1_000_000_000) ((c mod 1_000_000_000) :: acc) in
+    limbs @ spill !carry []
+  in
+  let rec power limbs base chunk chunk_exp k =
+    if k = 0 then limbs
+    else if k >= chunk_exp then power (mul limbs chunk) base chunk chunk_exp (k - chunk_exp)
+    else power (mul limbs base) base chunk chunk_exp (k - 1)
+  in
+  let limbs = mul [ 1 ] m in
+  let limbs =
+    if e >= 0 then power limbs 2 (1 lsl 29) 29 e else power limbs 5 1_220_703_125 13 (-e)
+  in
+  let digits =
+    match List.rev limbs with
+    | [] -> "0"
+    | top :: rest -> String.concat "" (string_of_int top :: List.map (Printf.sprintf "%09d") rest)
+  in
+  (digits, if e >= 0 then 0 else e)
+
+(* [digits] cut to [k] significant ones, rounded down or up one unit in
+   the last place, as scientific text *)
+let cut (digits, point) k ~up =
+  let k = min k (String.length digits) in
+  let head = Bytes.of_string (String.sub digits 0 k) in
+  let exponent = point + String.length digits - 1 in
+  let exponent =
+    if not up then exponent
+    else begin
+      let i = ref (k - 1) in
+      while !i >= 0 && Bytes.get head !i = '9' do
+        Bytes.set head !i '0';
+        decr i
+      done;
+      if !i >= 0 then begin
+        Bytes.set head !i (Char.chr (Char.code (Bytes.get head !i) + 1));
+        exponent
+      end
+      else begin
+        Bytes.set head 0 '1';
+        exponent + 1
+      end
+    end
+  in
+  let h = Bytes.to_string head in
+  Printf.sprintf "%c.%se%d" h.[0] (if k > 1 then String.sub h 1 (k - 1) else "0") exponent
+
+(* The halfway point between a random double and the next, cut to 15-21
+   digits: just below or just above a tie, or at it. *)
+let gen_near_halfway =
+  QCheck.Gen.(
+    let* v = map Float.abs finite_double and* k = int_range 15 21 and* up = bool in
+    let m, e =
+      let f, x = Float.frexp v in
+      if v = 0.0 then (0, -1074)
+      else if x - 53 < -1074 then (int_of_float (Float.ldexp f (x + 1074)), -1074)
+      else (int_of_float (Float.ldexp f 53), x - 53)
+    in
+    return (cut (exact_decimal ((2 * m) + 1) (e - 1)) k ~up))
+
+let qcheck_decimal_near_halfway =
+  QCheck.Test.make ~name:"reader agrees next to halfway points" ~count:1000 ~long_factor:100
+    (QCheck.make ~print:Fun.id gen_near_halfway) agrees
+
+(* Exact ties with at most 19 digits: N odd in (2^53, 2^54) is halfway
+   between two doubles, as is N * 2^q, which is (N / 5^q) * 10^q, and
+   N / 2^k, which is (N * 5^k) * 10^-k. *)
+let gen_tie =
+  QCheck.Gen.(
+    let* negative = int_bound 4 in
+    if negative = 0 then
+      let* q = int_range 0 23 in
+      let p = int_of_float (5.0 ** float_of_int q) in
+      let lo = ((1 lsl 53) / p) + 1 and hi = ((1 lsl 54) - 1) / p in
+      let* w = int_range lo hi in
+      let w = if w land 1 = 0 then w + 1 else w in
+      let w = if w > hi then w - 2 else w in
+      let* zeros = int_bound 2 in
+      return (Printf.sprintf "%d%se%d" w (String.make zeros '0') (q - zeros))
+    else
+      let k = negative in
+      let p = int_of_float (5.0 ** float_of_int k) in
+      (* N * 5^k below 10^19, read as an unsigned 64-bit product *)
+      let* n = int_range ((1 lsl 53) + 1) (min ((1 lsl 54) - 1) (1_000_000_000_000_000_000 / p * 10)) in
+      let n = n lor 1 in
+      return (Printf.sprintf "%Lue-%d" (Int64.mul (Int64.of_int n) (Int64.of_int p)) k))
+
+let qcheck_decimal_ties =
+  QCheck.Test.make ~name:"reader decides exact ties, to even" ~count:1000 ~long_factor:100
+    (QCheck.make ~print:Fun.id gen_tie) (fun s ->
+      agrees s && (decides s || QCheck.Test.fail_reportf "%s deferred" s))
+
+(* ---- the one-pass scanner against the line tokenizer it replaced ---- *)
+
+(* everything a mapping holds: its key, and the diagonal the key skips *)
+let fingerprint_platform buf platform =
+  for p = 0 to Platform.n_processors platform - 1 do
+    Buffer.add_int64_le buf (bits (Platform.bandwidth platform ~src:p ~dst:p))
+  done
+
+let fingerprint mapping =
+  let buf = Buffer.create 256 in
+  Instance_io.add_key buf mapping;
+  fingerprint_platform buf (Mapping.platform mapping);
+  Buffer.contents buf
+
+let fingerprint_multi decls =
+  let buf = Buffer.create 256 in
+  Instance_io.add_multi_key buf decls;
+  List.iter (fun d -> fingerprint_platform buf (Mapping.platform d.Instance_io.tenant_mapping)) decls;
+  Buffer.contents buf
+
+let agree name text fingerprint ours reference =
+  match (ours, reference) with
+  | Ok a, Ok b -> fingerprint a = fingerprint b || QCheck.Test.fail_reportf "%s %S: values differ" name text
+  | Error a, Error b -> a = b || QCheck.Test.fail_reportf "%s %S: %S, reference %S" name text a b
+  | Ok _, Error b -> QCheck.Test.fail_reportf "%s %S: ok, reference %S" name text b
+  | Error a, Ok _ -> QCheck.Test.fail_reportf "%s %S: %S, reference ok" name text a
+
+(* the same values, or the same line-numbered error, from both parsers *)
+let same_as_reference text =
+  agree "parse" text fingerprint (Instance_io.parse text) (Ref_instance_io.parse text)
+  && agree "parse_multi" text fingerprint_multi (Instance_io.parse_multi text)
+       (Ref_instance_io.parse_multi text)
+
+let qcheck_reference_random_bytes =
+  QCheck.Test.make ~name:"scanner matches the reference tokenizer on random bytes" ~count:500
+    QCheck.string same_as_reference
+
+(* keywords, separators and every spelling of a number either reader
+   treats apart: plain, deferred to the standard library, out of range *)
+let qcheck_reference_token_soup =
+  let pieces =
+    [ "stages "; "work "; "files "; "processors "; "speeds "; "bandwidth "; "default "; "team ";
+      "tenancy "; "tenant "; "weight "; "floor "; "1 "; "0 "; "-1 "; "2 "; "3 "; "4000 "; "nan ";
+      "inf "; "-0 "; "0.5 "; "1e0 "; "x "; "\t"; "\n"; "\n"; "\n"; "# "; "1_0 "; "0x1F "; "+1 ";
+      ".5 "; "1. "; "1e "; "007 "; "1.5\r"; "4611686018427387903 "; "4611686018427387904 ";
+      "-4611686018427387904 "; "1234567890123456789 "; "99999999999999999999 ";
+      "0.071428571428571425 "; "7.3456789012345678e-05 "; "1e400 "; "1e-400 "; "2.5#"; "a " ]
+  in
+  let gen = QCheck.Gen.(map (String.concat "") (list_size (int_bound 80) (oneofl pieces))) in
+  QCheck.Test.make ~name:"scanner matches the reference tokenizer on token soup" ~count:1000
+    (QCheck.make ~print:String.escaped gen) same_as_reference
+
+let random_single g seed =
+  Instance_io.to_string
+    (Workload.Gen.random_mapping g
+       {
+         Workload.Gen.n_stages = 1 + (seed mod 5);
+         n_procs = 5 + (seed mod 10);
+         comp_range = (0.5, 20.);
+         comm_range = (0.25, 10.);
+         max_rows = 40;
+       })
+
+let qcheck_reference_mutations =
+  QCheck.Test.make ~name:"scanner matches the reference tokenizer on mutated instances"
+    ~count:500 QCheck.small_int (fun seed ->
+      let g = Prng.create ~seed:(13_000 + seed) in
+      let single = random_single g seed in
+      let multi = Instance_io.multi_to_string (Workload.Gen.random_tenant_mix g Workload.Gen.default_mix) in
+      same_as_reference (mutate g single) && same_as_reference (mutate g multi))
+
+(* a canonical rendering with each decimal respelled: more digits, an
+   exponent, a leading zero, comments and tabs *)
+let respell g text =
+  let spell t =
+    match float_of_string_opt t with
+    | Some v when String.contains t '.' -> (
+        match Prng.int g 5 with
+        | 0 -> Printf.sprintf "%.17g" v
+        | 1 -> Printf.sprintf "%.16e" v
+        | 2 -> Printf.sprintf "%.21e" v
+        | 3 -> "0" ^ t ^ "0"
+        | _ -> t ^ "E0")
+    | _ -> t
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         String.concat (if Prng.int g 4 = 0 then "\t " else " ")
+           (List.map spell (String.split_on_char ' ' l))
+         ^ if Prng.int g 6 = 0 then " # a comment 1.5" else "")
+  |> String.concat "\n"
+
+let qcheck_reference_renders =
+  QCheck.Test.make ~name:"scanner matches the reference tokenizer on respelled renders"
+    ~count:200 QCheck.small_int (fun seed ->
+      let g = Prng.create ~seed:(17_000 + seed) in
+      let single = random_single g seed in
+      let multi = Instance_io.multi_to_string (Workload.Gen.random_tenant_mix g Workload.Gen.default_mix) in
+      same_as_reference single && same_as_reference multi
+      && same_as_reference (respell g single)
+      && same_as_reference (respell g multi))
+
+(* the reader holds no state: parses on two domains at once give the
+   keys of one sequential pass *)
+let test_parse_on_domains () =
+  let texts = Array.init 64 (fun seed -> random_single (Prng.create ~seed:(19_000 + seed)) seed) in
+  let keys () = Array.map (fun t -> fingerprint (Result.get_ok (Instance_io.parse t))) texts in
+  let sequential = keys () in
+  let parallel =
+    Parallel.Pool.with_pool ~domains:2 (fun pool ->
+        Parallel.Pool.map pool
+          (fun t ->
+            let k = fingerprint (Result.get_ok (Instance_io.parse t)) in
+            for _ = 1 to 20 do
+              if fingerprint (Result.get_ok (Instance_io.parse t)) <> k then failwith "unstable parse"
+            done;
+            k)
+          texts)
+  in
+  Alcotest.(check (array string)) "same keys" sequential parallel
+
 let () =
   Alcotest.run "instance_io"
     [
@@ -385,4 +716,22 @@ let () =
           Alcotest.test_case "signed zero" `Quick test_key_signed_zero;
         ] );
       ("example C", [ Alcotest.test_case "structure" `Quick test_example_c_structure ]);
+      ( "decimal",
+        [
+          Alcotest.test_case "power table" `Quick test_power_table;
+          Alcotest.test_case "edges and deferred forms" `Quick test_decimal_edges;
+          QCheck_alcotest.to_alcotest qcheck_decimal_exact_float;
+          QCheck_alcotest.to_alcotest qcheck_decimal_renderings;
+          QCheck_alcotest.to_alcotest qcheck_decimal_digits;
+          QCheck_alcotest.to_alcotest qcheck_decimal_near_halfway;
+          QCheck_alcotest.to_alcotest qcheck_decimal_ties;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest qcheck_reference_random_bytes;
+          QCheck_alcotest.to_alcotest qcheck_reference_token_soup;
+          QCheck_alcotest.to_alcotest qcheck_reference_mutations;
+          QCheck_alcotest.to_alcotest qcheck_reference_renders;
+          Alcotest.test_case "parses on two domains" `Quick test_parse_on_domains;
+        ] );
     ]

@@ -100,6 +100,35 @@ let test_json_rejects () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" text))
     bad
 
+(* a \u escape is exactly four hex digits: [int_of_string] would also
+   have taken OCaml's '_' separators and a sign *)
+let test_json_unicode_hex () =
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Error msg -> Alcotest.(check string) (text ^ " rejected") "bad \\u escape at offset 3" msg
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" text))
+    [ {|"\u0_41"|}; {|"\u004_"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u00g1"|} ];
+  match Json.parse {|"\u00e9\u0041\u20AC"|} with
+  | Ok (Json.String s) -> Alcotest.(check string) "decoded" "\xc3\xa9A\xe2\x82\xac" s
+  | _ -> Alcotest.fail "valid escapes rejected"
+
+(* a line of many escaped strings decodes them through one buffer: the
+   words allocated grow with the line, not with the line times the number
+   of strings *)
+let test_json_escaped_strings_allocation () =
+  let line = "[" ^ String.concat "," (List.init 2000 (fun _ -> {|"a\nb"|})) ^ "]" in
+  let before = Gc.minor_words () in
+  let _, _, major0 = Gc.counters () in
+  (match Json.parse line with
+  | Ok (Json.List items) -> Alcotest.(check int) "strings" 2000 (List.length items)
+  | _ -> Alcotest.fail "rejected");
+  let _, _, major1 = Gc.counters () in
+  let words = Gc.minor_words () -. before +. (major1 -. major0) in
+  (* the list, its strings and their decoding take about 62 000 words; a
+     buffer per string as long as the rest of the line would add 1.7 M *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words" words) true (words < 200_000.0)
+
 (* ---- framing ---- *)
 
 (* Framing depends on the bytes, not on how reads split them: any
@@ -146,6 +175,48 @@ let qcheck_frames_chunking =
     (fun (stream, sizes) ->
       let want = expected stream in
       run stream [] = want && run stream sizes = want)
+
+(* ---- what a warm reply allocates ---- *)
+
+(* Words one cached [Server.respond] allocates, in the minor heap and
+   straight into the major heap, on a (5,14) request of the warm-hits
+   shape: decode, instance parse, key, lookup and reply.  For one build
+   the count repeats exactly; the budget is the measured 5 581 words plus
+   10%. *)
+let warm_respond_budget = 6139
+
+let test_warm_respond_allocation () =
+  let mapping =
+    Workload.Gen.random_mapping (Prng.create ~seed:27)
+      {
+        Workload.Gen.n_stages = 5;
+        n_procs = 14;
+        comp_range = (4.0, 12.0);
+        comm_range = (4.0, 12.0);
+        max_rows = 60;
+      }
+  in
+  let line =
+    solve_line ~model:Streaming.Model.Overlap ~law:Engine.Exponential
+      (Streaming.Instance_io.to_string mapping)
+  in
+  let server = Server.create (config ()) in
+  ignore (respond server line);
+  ignore (respond server line);
+  (* an empty minor heap: nothing is promoted while the reply is made *)
+  Gc.minor ();
+  let minor0 = Gc.minor_words () in
+  let _, _, major0 = Gc.counters () in
+  let reply = respond server line in
+  let _, _, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  Alcotest.(check bool) "a cache hit" true
+    (Json.member "cached" (parse_reply reply) = Some (Json.Bool true));
+  let words = int_of_float (minor1 -. minor0 +. (major1 -. major0)) in
+  Printf.printf "a cached reply allocated %d words\n" words;
+  if words > warm_respond_budget then
+    Alcotest.failf "a cached reply allocated %d words, over its budget of %d" words
+      warm_respond_budget
 
 (* ---- wire-parser fuzzing: a value or a typed error, never an exception ---- *)
 
@@ -1618,10 +1689,14 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "\\u takes four hex digits" `Quick test_json_unicode_hex;
+          Alcotest.test_case "escaped strings share one buffer" `Quick
+            test_json_escaped_strings_allocation;
           QCheck_alcotest.to_alcotest qcheck_json_parse_total;
           QCheck_alcotest.to_alcotest qcheck_json_fixed_point;
         ] );
       ("frames", [ QCheck_alcotest.to_alcotest qcheck_frames_chunking ]);
+      ("alloc", [ Alcotest.test_case "a warm reply's words" `Quick test_warm_respond_allocation ]);
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
