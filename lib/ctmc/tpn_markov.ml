@@ -1,7 +1,6 @@
 open Petrinet
 
 type t = {
-  teg : Teg.t;
   rates : float array;
   pi : float array;  (** stationary distribution over the recurrent class *)
   total_markings : int;
@@ -15,11 +14,12 @@ type t = {
 (* The reachable marking graph and its recurrent class depend only on the
    structure of the net (places, tokens), never on the transition rates, so
    they can be computed once and reused across rate assignments — this is
-   what [Young.Pattern]'s per-shape cache shares between sweep points.
-   The graph is kept as [Marking.explore_graph] produces it: packed codes
-   and three flat CSR int arrays. *)
+   what the shape cache below shares between solves.  The graph is kept as
+   [Marking.explore_graph] produces it: packed codes and three flat CSR int
+   arrays.  Only the net's transition count is kept, not the net, so a
+   stored structure holds no firing time of the net it was walked on. *)
 type structure = {
-  s_teg : Teg.t;
+  transitions : int;  (** transitions of the explored net *)
   graph : Marking.graph;
   s_recurrent : int array;  (** global state ids of the recurrent class *)
   local : int array;  (** global id -> recurrent index, -1 if transient *)
@@ -136,7 +136,7 @@ let recurrent_class ~row_ptr ~succ =
 
 let structure_of_graph teg (g : Marking.graph) =
   let s_recurrent, local = recurrent_class ~row_ptr:g.Marking.row_ptr ~succ:g.Marking.succ in
-  { s_teg = teg; graph = g; s_recurrent; local }
+  { transitions = Teg.n_transitions teg; graph = g; s_recurrent; local }
 
 let structure ?cap ?budget ?pool teg =
   structure_of_graph teg (Marking.explore_graph ?cap ?budget ?pool teg)
@@ -144,14 +144,14 @@ let structure ?cap ?budget ?pool teg =
 let structure_states s = Marking.n_states s.graph
 let structure_edges s = Array.length s.graph.Marking.succ
 
-let rate_array teg rates =
-  Array.init (Teg.n_transitions teg) (fun v ->
+let rate_array s rates =
+  Array.init s.transitions (fun v ->
       let r = rates v in
       if r <= 0.0 then invalid_arg (Printf.sprintf "Tpn_markov: rate of t%d not positive" v);
       r)
 
 let build_chain s ~rates =
-  let rate_array = rate_array s.s_teg rates in
+  let rate_array = rate_array s rates in
   let { Marking.row_ptr; succ; via; _ } = s.graph and recurrent = s.s_recurrent and local = s.local in
   let chain = Ctmc.create (Array.length recurrent) in
   Array.iter
@@ -185,14 +185,13 @@ let assemble s ~rate_array ~chain ~pi =
     let st = recurrent.(k) in
     Array.blit via row_ptr.(st) rec_via rec_row.(k) (row_ptr.(st + 1) - row_ptr.(st))
   done;
-  let enab = Array.make (Teg.n_transitions s.s_teg) 0.0 in
+  let enab = Array.make s.transitions 0.0 in
   for k = 0 to n_rec - 1 do
     for e = rec_row.(k) to rec_row.(k + 1) - 1 do
       enab.(rec_via.(e)) <- enab.(rec_via.(e)) +. pi.(k)
     done
   done;
   {
-    teg = s.s_teg;
     rates = rate_array;
     pi;
     total_markings = Marking.n_states s.graph;
@@ -284,7 +283,7 @@ let m_lumped_analyses =
 
 let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
   Obs.Trace.span "ctmc:analyse_lumped" (fun () ->
-      let rate_array = rate_array s.s_teg rates in
+      let rate_array = rate_array s rates in
       let n_trans = Array.length rate_array in
       (* lumpability needs the symmetry to preserve rates exactly *)
       for v = 0 to n_trans - 1 do
@@ -368,3 +367,137 @@ let expected_firings ?tol t ~horizon transitions =
           done;
           acc +. (t.rates.(v) *. !time_enabled))
         0.0 transitions
+
+(* ---- the shape cache ----
+
+   One bounded table of completed walks, shared by every solver whose net
+   shape recurs: the u×v patterns of [Young.Pattern] and the Strict nets
+   of [Streaming.Tpn].  A walk runs outside the lock, so a slow
+   exploration never blocks a lookup; two domains that miss on one key
+   both walk and store equal values, and the second store is dropped.  An
+   entry's size is measured once, when it is stored, and the least
+   recently used entries leave until the new one fits.  An eviction scans
+   the table for its victim, which is cheap at the few hundred shapes a
+   process meets. *)
+
+type net = Pattern of { u : int; v : int } | Strict of int array
+type shape = { structure : structure; expansion : Expand.t option }
+
+let shape_capacity_words = 8 * 1024 * 1024
+
+let walk_shape ?cap ?budget ?pool teg ~phases =
+  if phases = 1 then { structure = structure ?cap ?budget ?pool teg; expansion = None }
+  else
+    let e = Expand.erlang ~phases:(fun _ -> phases) teg in
+    { structure = structure ?cap ?budget ?pool (Expand.teg e); expansion = Some e }
+
+(* the one key derivation: family, phases, then the dimensions, each a
+   fixed-width int after its count, so the encoding is prefix-free *)
+let shape_key net ~phases =
+  let family, dims = match net with Pattern { u; v } -> (0, [| u; v |]) | Strict r -> (1, r) in
+  let n = Array.length dims in
+  let b = Bytes.create (8 * (3 + n)) in
+  Bytes.set_int64_le b 0 (Int64.of_int family);
+  Bytes.set_int64_le b 8 (Int64.of_int phases);
+  Bytes.set_int64_le b 16 (Int64.of_int n);
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * (3 + i)) (Int64.of_int dims.(i))
+  done;
+  Bytes.unsafe_to_string b
+
+type entry = { shape : shape; states : int; words : int; mutable used : int }
+
+let shapes : (string, entry) Hashtbl.t = Hashtbl.create 64
+let shapes_mutex = Mutex.create ()
+let stored_words = ref 0
+let tick = ref 0
+
+let m_shape_hits =
+  Obs.Metrics.Counter.create ~help:"Shape-cache lookups answered by a stored walk"
+    "shape_cache_hits_total"
+
+let m_shape_misses =
+  Obs.Metrics.Counter.create ~help:"Shape-cache lookups that walked the net"
+    "shape_cache_misses_total"
+
+let m_shape_evictions =
+  Obs.Metrics.Counter.create ~help:"Walks the shape cache dropped to stay within its bound"
+    "shape_cache_evictions_total"
+
+let g_shape_words =
+  Obs.Metrics.Gauge.create ~help:"Words held by the shape cache's walks" "shape_cache_words"
+
+let with_shapes f =
+  Mutex.lock shapes_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock shapes_mutex) f
+
+let set_stored words =
+  stored_words := words;
+  Obs.Metrics.Gauge.set g_shape_words (float_of_int words)
+
+let lookup key ~cap =
+  with_shapes (fun () ->
+      match Hashtbl.find_opt shapes key with
+      | Some e when e.states <= cap ->
+          incr tick;
+          e.used <- !tick;
+          Some e.shape
+      | _ -> None)
+
+let evict_lru () =
+  let victim =
+    Hashtbl.fold
+      (fun k e acc -> match acc with Some (_, u) when u <= e.used -> acc | _ -> Some (k, e.used))
+      shapes None
+  in
+  Option.iter
+    (fun (k, _) ->
+      set_stored (!stored_words - (Hashtbl.find shapes k).words);
+      Hashtbl.remove shapes k;
+      Obs.Metrics.Counter.incr m_shape_evictions)
+    victim
+
+let store key shape =
+  let words = Obj.reachable_words (Obj.repr shape) in
+  if words <= shape_capacity_words then
+    with_shapes (fun () ->
+        if not (Hashtbl.mem shapes key) then begin
+          while !stored_words + words > shape_capacity_words do
+            evict_lru ()
+          done;
+          incr tick;
+          Hashtbl.add shapes key
+            { shape; states = structure_states shape.structure; words; used = !tick };
+          set_stored (!stored_words + words)
+        end)
+
+let cached_shape ?cap ?budget net ~phases ~walk =
+  let key = shape_key net ~phases in
+  match lookup key ~cap:(Marking.effective_cap ?cap ?budget ()) with
+  | Some shape ->
+      Obs.Metrics.Counter.incr m_shape_hits;
+      (* the wall poll a walk makes at its first state *)
+      Option.iter Supervise.Budget.check budget;
+      shape
+  | None ->
+      Obs.Metrics.Counter.incr m_shape_misses;
+      let shape = walk () in
+      store key shape;
+      shape
+
+type shape_stats = { entries : int; words : int; hits : int; misses : int; evictions : int }
+
+let shape_stats () =
+  with_shapes (fun () ->
+      {
+        entries = Hashtbl.length shapes;
+        words = !stored_words;
+        hits = Obs.Metrics.Counter.value m_shape_hits;
+        misses = Obs.Metrics.Counter.value m_shape_misses;
+        evictions = Obs.Metrics.Counter.value m_shape_evictions;
+      })
+
+let clear_shapes () =
+  with_shapes (fun () ->
+      Hashtbl.reset shapes;
+      set_stored 0)

@@ -14,8 +14,9 @@ type structure
 (** The rate-independent part of the analysis: reachable markings, the
     marking graph and its unique recurrent class.  It depends only on the
     net structure, so one [structure] can be reused across any number of
-    rate assignments (and shared between domains — it is never mutated
-    after construction). *)
+    rate assignments, on any net with the same transitions, places and
+    tokens (and shared between domains — it is never mutated after
+    construction).  It keeps the net's transition count, not the net. *)
 
 val structure :
   ?cap:int -> ?budget:Supervise.Budget.t -> ?pool:Parallel.Pool.t -> Petrinet.Teg.t -> structure
@@ -142,3 +143,72 @@ val expected_firings : ?tol:float -> t -> horizon:float -> int list -> float
     (exact transient counterpart of {!throughput_of}: their ratio tends to
     the stationary throughput as the horizon grows).  Raises
     [Invalid_argument] if the initial marking is not recurrent. *)
+
+(** {1 The shape cache}
+
+    A {!structure} depends on the net's places and tokens, never on its
+    firing times, and two solvers meet the same nets again and again: the
+    u×v patterns of [Young.Pattern], and the Strict net [Streaming.Tpn]
+    builds, whose places and tokens come from the replication vector
+    (R_1 … R_N) alone.  One process-wide table keeps their completed
+    walks, keyed on the net's shape.  It is thread-safe, and a stored walk
+    is the value a fresh walk of the same net would return, so cached and
+    uncached solves give the same floats. *)
+
+type net =
+  | Pattern of { u : int; v : int }  (** [Young.Pattern.build]'s u×v pattern *)
+  | Strict of int array
+      (** the Strict net [Streaming.Tpn.build] makes for this replication
+          vector *)
+
+type shape = {
+  structure : structure;
+  expansion : Petrinet.Expand.t option;
+      (** the Erlang expansion the structure was walked on; [None] for the
+          net itself (one phase) *)
+}
+
+val shape_capacity_words : int
+(** The bound on the words the table holds, headers included: 8 Mi words
+    (64 MiB on a 64-bit host).  An entry's words are measured once, when it
+    is stored; storing evicts the least recently used entries until the new
+    one fits, and a walk larger than the whole bound is not stored. *)
+
+val walk_shape :
+  ?cap:int -> ?budget:Supervise.Budget.t -> ?pool:Parallel.Pool.t -> Petrinet.Teg.t -> phases:int -> shape
+(** The walk of a net ([phases = 1]) or of its expansion into [phases]
+    Erlang phases per transition, under {!structure}'s contract. *)
+
+val cached_shape :
+  ?cap:int ->
+  ?budget:Supervise.Budget.t ->
+  net ->
+  phases:int ->
+  walk:(unit -> shape) ->
+  shape
+(** [cached_shape net ~phases ~walk] is the stored walk of [net] expanded
+    into [phases] Erlang phases ([1] for the net itself), or else
+    [walk ()], which is stored once it returns.  [walk] must explore that
+    net under the same [cap] and [budget]; a walk that raises stores
+    nothing.  A stored walk answers only when its reachable markings fit
+    the cap the walk would run under ({!Petrinet.Marking.effective_cap});
+    otherwise [walk] runs and raises the walk's own
+    [State_space_exceeded].  A stored walk that answers checks the
+    budget's wall deadline once, as a walk does at its first state
+    ([Budget_exhausted]). *)
+
+type shape_stats = {
+  entries : int;  (** walks held *)
+  words : int;  (** their words, at most {!shape_capacity_words} *)
+  hits : int;  (** lookups a stored walk answered (process lifetime) *)
+  misses : int;  (** lookups that walked *)
+  evictions : int;  (** walks dropped to make room *)
+}
+(** The counts are also the [shape_cache_hits_total],
+    [shape_cache_misses_total] and [shape_cache_evictions_total] counters
+    and the [shape_cache_words] gauge of {!Obs.Metrics.default}. *)
+
+val shape_stats : unit -> shape_stats
+
+val clear_shapes : unit -> unit
+(** Drop every stored walk (the counters keep counting). *)

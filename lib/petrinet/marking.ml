@@ -578,7 +578,9 @@ let explore_codes ~cap ~budget ~pool teg =
   in
   climb (codecs teg)
 
-let effective_cap cap budget =
+let default_cap = 200_000
+
+let effective_cap ?(cap = default_cap) ?budget () =
   match budget with None -> cap | Some b -> Supervise.Budget.cap_allowed b cap
 
 let m_states_explored =
@@ -594,9 +596,9 @@ let m_sharded_explorations =
     ~help:"Explorations that took the sharded level-synchronous path"
     "marking_sharded_explorations_total"
 
-let explore_graph ?(cap = 200_000) ?budget ?pool teg =
+let explore_graph ?cap ?budget ?pool teg =
   Obs.Trace.span "petrinet:explore_graph" (fun () ->
-      let cap = effective_cap cap budget in
+      let cap = effective_cap ?cap ?budget () in
       let pool =
         match pool with
         | Some p when Parallel.Pool.size p > 1 ->
@@ -615,8 +617,8 @@ let explore_graph ?(cap = 200_000) ?budget ?pool teg =
       Obs.Trace.add_attr "edges" (string_of_int edges);
       g)
 
-let explore ?(cap = 200_000) ?budget teg =
-  let g = explore_codes ~cap:(effective_cap cap budget) ~budget ~pool:None teg in
+let explore ?cap ?budget teg =
+  let g = explore_codes ~cap:(effective_cap ?cap ?budget ()) ~budget ~pool:None teg in
   Array.init (n_states g) (marking g)
 
 (* ---- code table over a finished graph ---- *)

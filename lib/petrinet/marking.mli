@@ -99,10 +99,19 @@ val budget_poll_stride : int
     the budget's wall deadline.  Shared by the serial and the sharded BFS
     so both abort at the same registration counts. *)
 
+val default_cap : int
+(** The explorers' state cap when none is given: 200_000. *)
+
+val effective_cap : ?cap:int -> ?budget:Supervise.Budget.t -> unit -> int
+(** The cap an exploration runs under: [cap] (default {!default_cap}),
+    tightened by the [budget]'s state ceiling.  A walk that finishes has
+    registered at most this many states, and a net with more reachable
+    markings raises [State_space_exceeded] with it. *)
+
 val explore : ?cap:int -> ?budget:Supervise.Budget.t -> Teg.t -> t array
 (** Breadth-first enumeration of the reachable markings, starting from the
-    initial one (index 0 of the result).  [cap] (default 200_000) bounds
-    the exploration; exceeding it raises
+    initial one (index 0 of the result).  [cap] (default {!default_cap})
+    bounds the exploration; exceeding it raises
     [Supervise.Error.Solver_error (State_space_exceeded _)] — which is
     the signature of a token-unbounded net such as the full Overlap TPN.
     A [budget] tightens the cap with its state ceiling, and its wall

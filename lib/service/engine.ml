@@ -21,11 +21,11 @@ let prepare q =
   match Instance_io.parse q.instance with
   | Error msg -> Error msg
   | Ok mapping ->
-      let buf = Buffer.create 1024 in
-      Printf.bprintf buf "v2|model=%s|law=%s|cap=%d|sim=%b\n" (Model.to_string q.model)
-        (Throughput.law_to_string q.law) q.cap q.simulate;
-      Instance_io.add_key buf mapping;
-      Ok { key = Buffer.contents buf; mapping }
+      let header =
+        Printf.sprintf "v2|model=%s|law=%s|cap=%d|sim=%b\n" (Model.to_string q.model)
+          (Throughput.law_to_string q.law) q.cap q.simulate
+      in
+      Ok { key = Instance_io.key ~header mapping; mapping }
 
 type outcome = {
   throughput : float;
@@ -109,11 +109,11 @@ let prepare_multi q =
       match Tenancy.Platform_share.create ~tenants:decls with
       | Error msg -> Error msg
       | Ok share ->
-          let buf = Buffer.create 1024 in
-          Printf.bprintf buf "v2|multi|model=%s|law=%s|cap=%d\n" (Model.to_string q.m_model)
-            (Throughput.law_to_string q.m_law) q.m_cap;
-          Instance_io.add_multi_key buf decls;
-          Ok { m_key = Buffer.contents buf; m_share = share })
+          let header =
+            Printf.sprintf "v2|multi|model=%s|law=%s|cap=%d\n" (Model.to_string q.m_model)
+              (Throughput.law_to_string q.m_law) q.m_cap
+          in
+          Ok { m_key = Instance_io.multi_key ~header decls; m_share = share })
 
 type tenant_outcome = {
   t_id : string;

@@ -42,7 +42,7 @@ val prepare : query -> (prepared, string) result
     cache key from the parsed values: [key] is a text header naming every
     solve-relevant parameter (model, law, cap, simulate; budgets are
     excluded, because they bound effort, not the value) followed by the
-    binary {!Streaming.Instance_io.add_key} encoding of the mapping.  Two
+    binary {!Streaming.Instance_io.key} encoding of the mapping.  Two
     requests share a key exactly when their parameters agree and their
     parsed mappings render identically through
     {!Streaming.Instance_io.to_string} — so textually different
@@ -96,7 +96,7 @@ val prepare_multi : multi_query -> (prepared_multi, string) result
 (** Parse, build the contention structure, derive the key.  Like
     {!prepare}, the key is a header of every value-relevant parameter
     (model, law, cap) followed by the parsed mix's
-    {!Streaming.Instance_io.add_multi_key} encoding, so texts that
+    {!Streaming.Instance_io.multi_key} encoding, so texts that
     {!Streaming.Instance_io.multi_to_string} renders identically share a
     cache entry. *)
 

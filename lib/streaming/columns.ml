@@ -73,7 +73,9 @@ let row_class mapping replication = function
   | Communication { file; residue; _ } ->
       (residue, gcd replication.(file) replication.(file + 1))
 
-let propagate mapping comps inners =
+(* [propagate], reporting to [on_input] each component's input rate per
+   row — the least rate of its rows before it — and its row count *)
+let sweep mapping comps inners ~on_input =
   let m = Mapping.rows mapping in
   let replication = Mapping.replication mapping in
   let row_rate = Array.make m infinity in
@@ -86,12 +88,15 @@ let propagate mapping comps inners =
       for i = 0 to count - 1 do
         input_rate := min !input_rate row_rate.(first + (i * step))
       done;
+      on_input k ~count !input_rate;
       let rate = min inner_per_row !input_rate in
       for i = 0 to count - 1 do
         row_rate.(first + (i * step)) <- rate
       done)
     comps;
   Array.fold_left ( +. ) 0.0 row_rate
+
+let propagate mapping comps inners = sweep mapping comps inners ~on_input:(fun _ ~count:_ _ -> ())
 
 let fold_throughput ?pool mapping ~inner =
   let pool = match pool with Some p -> p | None -> Parallel.Pool.get () in
@@ -100,3 +105,70 @@ let fold_throughput ?pool mapping ~inner =
      independent and dominate the cost: run them on the pool, then do the
      cheap rate propagation sequentially in column order *)
   propagate mapping comps (Parallel.Pool.map pool inner comps)
+
+(* ---- pruned folds ----
+
+   [propagate] keeps min(inner rate per row, input rate per row) for every
+   component, and it is monotone in every inner rate.  Propagating upper
+   bounds therefore bounds every component's input from above, and a
+   component whose lower bound per row already reaches that bound cannot
+   set a row's rate: [min] returns the input whatever the exact inner
+   rate, so +∞ stands in for it and the sum is the same float. *)
+
+type bound = Exact of float | Between of { lower : float; upper : float }
+
+let skip_margin = 1e-9
+
+let m_bound_violations =
+  Obs.Metrics.Counter.create
+    ~labels:[ ("check", "pattern_bounds") ]
+    ~help:"Solved values outside the bounds the paper proves for them"
+    "solver_invariant_violations_total"
+
+let within ~lower ~upper x =
+  lower *. (1.0 -. skip_margin) <= x && x <= upper *. (1.0 +. skip_margin)
+
+let fold_pruned ?pool mapping ~bound ~solve ~skip =
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.get () in
+  let comps = Array.of_list (components mapping) in
+  (* a saturated serial server completes at 1/mean under any law *)
+  let bounds =
+    Array.map
+      (function
+        | Compute { stage; proc } -> Exact (1.0 /. Mapping.comp_time mapping ~stage ~proc)
+        | Communication comm -> bound comm)
+      comps
+  in
+  let open_ = ref [] and needed = Array.make (Array.length comps) false in
+  ignore
+    (sweep mapping comps
+       (Array.map (function Exact x -> x | Between { upper; _ } -> upper) bounds)
+       ~on_input:(fun k ~count input ->
+         match (bounds.(k), comps.(k)) with
+         | Between { lower; _ }, Communication comm ->
+             open_ := (k, comm) :: !open_;
+             (* a margin far above solver error, so rounding in the exact
+                solve cannot put it under the input *)
+             needed.(k) <- lower /. float_of_int count *. (1.0 -. skip_margin) < input
+         | Between _, Compute _ | Exact _, _ -> ()));
+  let open_ = Array.of_list (List.rev !open_) in
+  let values =
+    Parallel.Pool.map pool
+      (fun (k, comm) ->
+        if needed.(k) then solve comm
+        else begin
+          skip comm;
+          infinity
+        end)
+      open_
+  in
+  let inners = Array.map (function Exact x -> x | Between _ -> infinity) bounds in
+  Array.iteri
+    (fun i (k, _) ->
+      inners.(k) <- values.(i);
+      match bounds.(k) with
+      | Between { lower; upper } when needed.(k) && not (within ~lower ~upper values.(i)) ->
+          Obs.Metrics.Counter.incr m_bound_violations
+      | _ -> ())
+    open_;
+  propagate mapping comps inners

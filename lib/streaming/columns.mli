@@ -51,3 +51,38 @@ val fold_throughput : ?pool:Parallel.Pool.t -> Mapping.t -> inner:(component -> 
     must therefore be safe to call from several domains, which every
     solver in this repository is.  The result is identical for every pool
     size. *)
+
+(** {1 Pruned folds} *)
+
+type bound =
+  | Exact of float  (** the component's inner throughput itself *)
+  | Between of { lower : float; upper : float }
+      (** bounds on an inner throughput that takes a solve to know *)
+
+val skip_margin : float
+(** [1e-9]: the relative slack of the skip test and of the bound check of
+    {!fold_pruned}, far above the error of an exact solve. *)
+
+val fold_pruned :
+  ?pool:Parallel.Pool.t ->
+  Mapping.t ->
+  bound:(communication -> bound) ->
+  solve:(communication -> float) ->
+  skip:(communication -> unit) ->
+  float
+(** {!fold_throughput} that solves only the communication components
+    that can set a row's rate.  A computation component runs at
+    1/mean, its inner rate under every law.  The fold first propagates
+    the upper bounds (the [Exact] value, else [upper]), which bounds each
+    component's input rate per row from above, because {!propagate} is
+    monotone in every inner rate.  A [Between] component whose [lower]
+    per row, shrunk by {!skip_margin}, still reaches that input bound
+    cannot change the answer: {!propagate}'s [min] keeps its input, so it
+    gets +∞ and [skip] runs on it instead of [solve].  Both run on [pool]
+    (default {!Parallel.Pool.get}); the others' [solve] values are
+    propagated as they are.  When every component's exact rate lies
+    within its bounds, the result is the float {!fold_throughput} gives
+    with [solve] on every communication component.  Each solved value is
+    checked against its bounds (up to the margin), and one outside them
+    counts in [solver_invariant_violations_total{check="pattern_bounds"}].
+    An exception from [solve] or [skip] propagates. *)

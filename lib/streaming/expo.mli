@@ -7,10 +7,18 @@ val overlap_throughput :
 (** Theorem 3's per-column decomposition for the Overlap model.
     Each communication component is analysed through its pattern CTMC
     (S(u,v) states), except that components with homogeneous link times use
-    Theorem 4's closed form u*v*lambda/(u+v-1) directly.  With
-    [closed_form_only] (default false), a heterogeneous component raises
-    [Invalid_argument] instead of building the CTMC — this is the
-    polynomial-time algorithm of Theorem 4. *)
+    Theorem 4's closed form u*v*lambda/(u+v-1) directly.  A heterogeneous
+    pattern is solved only when it can set a row's rate
+    ({!Columns.fold_pruned}): when Theorem 4's closed form at its slowest
+    link, a lower bound, is below the upper bound on its input that the
+    deterministic values propagate.  A skipped pattern still walks its
+    shape (or finds it in the shape cache), so one past [pattern_cap]
+    raises as its solve would; skips count in
+    [pattern_solves_skipped_total{law="exponential"}], and the result is
+    the float solving every pattern gives.  With [closed_form_only]
+    (default false), a heterogeneous component raises [Invalid_argument]
+    instead of building the CTMC — this is the polynomial-time algorithm of
+    Theorem 4. *)
 
 val strict_throughput : ?cap:int -> Mapping.t -> float
 (** Theorem 2's general method on the Strict TPN: reachable markings →
@@ -25,7 +33,11 @@ val strict_throughput_supervised :
   Mapping.t ->
   float * Supervise.Provenance.t
 (** {!strict_throughput} under supervision: exploration respects [cap] and
-    the [budget]'s state ceiling / wall deadline, the stationary solve
+    the [budget]'s state ceiling / wall deadline, and its walk is taken
+    from the shape cache ({!Markov.Tpn_markov.cached_shape}), keyed on the
+    replication vector, whose places and tokens the Strict net comes from;
+    a stored walk whose states do not fit the cap walks again and raises
+    as a walk does.  The stationary solve
     climbs {!Markov.Ctmc.stationary_supervised}'s ladder, and the returned
     provenance records every attempt.  If the whole exact/iterative
     pipeline fails and [simulate] is supplied (the escalation ladder's
@@ -52,14 +64,21 @@ val overlap_throughput_erlang :
     towards the deterministic case — an exact refinement of the Theorem 7
     sandwich for Erlang laws (which are N.B.U.E.).  Computation
     components are insensitive (a saturated serial server produces at
-    rate 1/mean under any law). *)
+    rate 1/mean under any law).  As in {!overlap_throughput}, a pattern —
+    homogeneous ones included, since each takes a CTMC here — is solved
+    only when Theorem 4's closed form at its slowest link, which bounds
+    every N.B.U.E. law from below, leaves it able to set a row's rate
+    (skips count in [pattern_solves_skipped_total{law="erlang:K"}]). *)
 
 val strict_throughput_erlang_supervised :
   ?cap:int -> ?budget:Supervise.Budget.t -> phases:int -> Mapping.t -> float * Supervise.Provenance.t
 (** The general method on the phase-expanded Strict TPN: Erlang
     throughput, at a marking-space cost growing quickly with [phases].
-    Exploration and ladder run under [cap] and [budget] as in
-    {!strict_throughput_supervised}, with no DES rung. *)
+    Exploration (through the shape cache, keyed on the replication vector
+    and [phases]) and ladder run under [cap] and [budget] as in
+    {!strict_throughput_supervised}, with no DES rung.  [phases = 1] is
+    the exponential chain itself, the float an expansion into one phase
+    gives. *)
 
 val overlap_throughput_ph :
   ?pool:Parallel.Pool.t -> ?pattern_cap:int -> ph:(Resource.t -> Markov.Ph.t) -> Mapping.t -> float

@@ -319,8 +319,8 @@ let max_processors = 1024
 (* The platform, once every line is read.  The processor count and the
    number of speeds are checked before the m x m bandwidth matrix is
    allocated, so a short text cannot ask for gigabytes: even a text that
-   lists all its speeds gets at most two 8 MiB matrices (the parse and
-   the [Platform.create] copy). *)
+   lists all its speeds gets one 8 MiB matrix, which the platform keeps
+   without a copy. *)
 let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default p =
   let out k =
     let src = p.over_src.(k) and dst = p.over_dst.(k) in
@@ -346,7 +346,7 @@ let build_platform ~procs:(procs_line, m) ~speeds:(speeds_line, speeds) ~default
       for k = 0 to p.n_over - 1 do
         bandwidth.(p.over_src.(k)).(p.over_dst.(k)) <- p.over_bw.(k)
       done;
-      match Platform.create ~speeds ~bandwidth with
+      match Platform.create_owned ~speeds ~bandwidth with
       | platform -> Ok platform
       | exception Invalid_argument msg -> Error msg
     end
@@ -431,50 +431,87 @@ let to_string mapping =
    Every count precedes what it counts, so the encoding is prefix-free.
    Floats go in as their IEEE-754 bits: two finite floats have the same
    bits exactly when [Decimal.exact_float] writes them the same way (-0.0 and 0.0
-   differ in both). *)
+   differ in both).  A key is measured first and written once into a
+   string of its final length, so it is neither grown nor copied. *)
 
-let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
-let add_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
+type sink = { bytes : Bytes.t; mutable pos : int }
 
-let add_stages_key buf app =
+let sink ~header length =
+  let h = String.length header in
+  let bytes = Bytes.create (h + length) in
+  Bytes.blit_string header 0 bytes 0 h;
+  { bytes; pos = h }
+
+let contents s =
+  assert (s.pos = Bytes.length s.bytes);
+  Bytes.unsafe_to_string s.bytes
+
+let put_int s n =
+  Bytes.set_int64_le s.bytes s.pos (Int64.of_int n);
+  s.pos <- s.pos + 8
+
+let put_float s v =
+  Bytes.set_int64_le s.bytes s.pos (Int64.bits_of_float v);
+  s.pos <- s.pos + 8
+
+let put_string s str =
+  Bytes.blit_string str 0 s.bytes s.pos (String.length str);
+  s.pos <- s.pos + String.length str
+
+let stages_key_length app = 8 * 2 * Application.n_stages app
+
+let put_stages s app =
   let n = Application.n_stages app in
-  add_int buf n;
+  put_int s n;
   for i = 0 to n - 1 do
-    add_float buf (Application.work app i)
+    put_float s (Application.work app i)
   done;
   for i = 0 to n - 2 do
-    add_float buf (Application.file_size app i)
+    put_float s (Application.file_size app i)
   done
+
+let platform_key_length platform =
+  let m = Platform.n_processors platform in
+  8 * (2 + m + (m * (m - 1)))
 
 (* the printed default bandwidth ([0 -> min 1 (m-1)], the diagonal when
    m = 1) and every off-diagonal bandwidth; like [print], the key skips
    the other diagonal entries *)
-let add_platform_key buf platform =
+let put_platform s platform =
   let m = Platform.n_processors platform in
-  add_int buf m;
+  put_int s m;
   for p = 0 to m - 1 do
-    add_float buf (Platform.speed platform p)
+    put_float s (Platform.speed platform p)
   done;
-  add_float buf (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)));
+  put_float s (Platform.bandwidth platform ~src:0 ~dst:(min 1 (m - 1)));
   for p = 0 to m - 1 do
     for q = 0 to m - 1 do
-      if p <> q then add_float buf (Platform.bandwidth platform ~src:p ~dst:q)
+      if p <> q then put_float s (Platform.bandwidth platform ~src:p ~dst:q)
     done
   done
 
-let add_teams_key buf mapping =
+let teams_key_length mapping =
+  8 * Array.fold_left (fun acc size -> acc + 1 + size) 0 (Mapping.replication mapping)
+
+let put_teams s mapping =
   Array.iteri
     (fun stage size ->
-      add_int buf size;
+      put_int s size;
       for row = 0 to size - 1 do
-        add_int buf (Mapping.proc_at mapping ~stage ~row)
+        put_int s (Mapping.proc_at mapping ~stage ~row)
       done)
     (Mapping.replication mapping)
 
-let add_key buf mapping =
-  add_stages_key buf (Mapping.app mapping);
-  add_platform_key buf (Mapping.platform mapping);
-  add_teams_key buf mapping
+let key ~header mapping =
+  let app = Mapping.app mapping and platform = Mapping.platform mapping in
+  let s =
+    sink ~header
+      (stages_key_length app + platform_key_length platform + teams_key_length mapping)
+  in
+  put_stages s app;
+  put_platform s platform;
+  put_teams s mapping;
+  contents s
 
 (* ---- multi-tenant blocks (version 1) ---- *)
 
@@ -672,15 +709,25 @@ let multi_to_string decls =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let add_multi_key buf decls =
-  add_platform_key buf (shared_platform decls);
-  add_int buf (List.length decls);
+let multi_key ~header decls =
+  let platform = shared_platform decls in
+  let tenant d =
+    24 + String.length d.tenant_id + stages_key_length (Mapping.app d.tenant_mapping)
+    + teams_key_length d.tenant_mapping
+  in
+  let s =
+    sink ~header
+      (platform_key_length platform + 8 + List.fold_left (fun acc d -> acc + tenant d) 0 decls)
+  in
+  put_platform s platform;
+  put_int s (List.length decls);
   List.iter
     (fun d ->
-      add_int buf (String.length d.tenant_id);
-      Buffer.add_string buf d.tenant_id;
-      add_float buf d.weight;
-      add_float buf d.floor;
-      add_stages_key buf (Mapping.app d.tenant_mapping);
-      add_teams_key buf d.tenant_mapping)
-    decls
+      put_int s (String.length d.tenant_id);
+      put_string s d.tenant_id;
+      put_float s d.weight;
+      put_float s d.floor;
+      put_stages s (Mapping.app d.tenant_mapping);
+      put_teams s d.tenant_mapping)
+    decls;
+  contents s

@@ -52,10 +52,11 @@ val to_string : Mapping.t -> string
     (whatever their spacing, comments, line order or float spellings), and
     the rendering parses back to the same mapping — [parse ∘ to_string =
     id].  The experiment journals key on this rendering; the query
-    service keys on {!add_key}, which groups mappings the same way. *)
+    service keys on {!key}, which groups mappings the same way. *)
 
-val add_key : Buffer.t -> Mapping.t -> unit
-(** Append the mapping's cache-key encoding: the values {!print} writes
+val key : header:string -> Mapping.t -> string
+(** [header] followed by the mapping's cache-key encoding, written once
+    into a string of its final length: the values {!print} writes
     (stage count, work, file sizes, processor count, speeds, the printed
     default bandwidth, every off-diagonal bandwidth, the teams) as
     length-prefixed 8-byte little-endian integers and raw IEEE-754 bits.
@@ -118,8 +119,8 @@ val multi_to_string : tenant_decl list -> string
     = id].  Raises [Invalid_argument] if the declarations do not share one
     platform. *)
 
-val add_multi_key : Buffer.t -> tenant_decl list -> unit
-(** {!add_key} for a tenant block: the shared platform, then each
+val multi_key : header:string -> tenant_decl list -> string
+(** {!key} for a tenant block: the shared platform, then each
     tenant's id, weight, floor, stages and teams in declaration order.
     Two blocks get the same encoding exactly when {!multi_to_string}
     renders them identically; the tenancy service tier keys its cache on

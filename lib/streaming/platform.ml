@@ -1,6 +1,6 @@
 type t = { speeds : float array; bandwidth : float array array }
 
-let create ~speeds ~bandwidth =
+let create_owned ~speeds ~bandwidth =
   let m = Array.length speeds in
   if m = 0 then invalid_arg "Platform.create: no processors";
   (* plain loops: a closure over a float array would box every element *)
@@ -15,7 +15,10 @@ let create ~speeds ~bandwidth =
       if p <> q && row.(q) <= 0.0 then invalid_arg "Platform.create: bandwidth must be positive"
     done
   done;
-  { speeds = Array.copy speeds; bandwidth = Array.map Array.copy bandwidth }
+  { speeds; bandwidth }
+
+let create ~speeds ~bandwidth =
+  create_owned ~speeds:(Array.copy speeds) ~bandwidth:(Array.map Array.copy bandwidth)
 
 let of_link_function ~n ~speeds ~bw =
   if Array.length speeds <> n then invalid_arg "Platform.of_link_function: speeds size mismatch";

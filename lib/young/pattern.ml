@@ -67,7 +67,7 @@ let m_lattice_fallback =
     ~help:"Young-lattice direct enumerations that fell back to generic BFS"
     "young_lattice_fallback_total"
 
-let young_graph ?(cap = 200_000) ?budget ~u ~v () =
+let young_graph ?cap ?budget ~u ~v () =
   check u v;
   let n = u * v in
   let pw = nbits (v - 1) and qw = nbits (u - 1) in
@@ -76,7 +76,7 @@ let young_graph ?(cap = 200_000) ?budget ~u ~v () =
     None
   end
   else begin
-    let cap = match budget with None -> cap | Some b -> Supervise.Budget.cap_allowed b cap in
+    let cap = Petrinet.Marking.effective_cap ?cap ?budget () in
     let p_shift = Array.init u (fun s -> s * pw) in
     let q_shift = Array.init v (fun r -> (u * pw) + (r * qw)) in
     let p_mask = (1 lsl pw) - 1 and q_mask = (1 lsl qw) - 1 in
@@ -287,27 +287,21 @@ let invariant_shift ~u ~v rates =
 
    The reachable marking graph of a [u x v] pattern (and of its Erlang
    expansion) depends only on the shape, never on the transfer times, so
-   the explored structure is cached per [(u, v, phases, cap)] and reused
-   across rate assignments.  On top of that, the solved throughput itself
-   is memoised per rate matrix, keyed on the rates' IEEE-754 bits:
-   parameter sweeps that revisit an identical communication component skip
-   both the exploration and the elimination.  The memo holds at most
-   [result_capacity] entries and is emptied when an insertion would pass
-   that, so a long-lived process that keeps meeting new rates stays
-   bounded.  Both tables are guarded by one mutex so pooled domains can
-   share them; values are deterministic functions of their key, so a
-   racing duplicate computation is only wasted work, never a wrong
-   answer. *)
+   the explored structure lives in the shape cache of [Markov.Tpn_markov],
+   keyed on [(u, v, phases)], and is reused across rate assignments.  On
+   top of that, the solved throughput itself is memoised per rate matrix,
+   keyed on the rates' IEEE-754 bits: parameter sweeps that revisit an
+   identical communication component skip both the exploration and the
+   elimination.  The memo holds at most [result_capacity] entries and is
+   emptied when an insertion would pass that, so a long-lived process that
+   keeps meeting new rates stays bounded.  The memo is guarded by a mutex
+   so pooled domains can share it; values are deterministic functions of
+   their key, so a racing duplicate computation is only wasted work, never
+   a wrong answer. *)
 
 type cache_stats = { hits : int; misses : int; structures : int; results : int }
 
-type shape = {
-  expansion : Petrinet.Expand.t option;  (** [None] for the 1-phase net *)
-  structure : Markov.Tpn_markov.structure;
-}
-
 let cache_mutex = Mutex.create ()
-let shape_cache : (int * int * int * int, shape) Hashtbl.t = Hashtbl.create 16
 let result_capacity = 4096
 let result_cache : (string, float) Hashtbl.t = Hashtbl.create 64
 let cache_hits = ref 0
@@ -318,17 +312,13 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
 
 let cache_stats () =
+  let structures = (Markov.Tpn_markov.shape_stats ()).Markov.Tpn_markov.entries in
   locked (fun () ->
-      {
-        hits = !cache_hits;
-        misses = !cache_misses;
-        structures = Hashtbl.length shape_cache;
-        results = Hashtbl.length result_cache;
-      })
+      { hits = !cache_hits; misses = !cache_misses; structures; results = Hashtbl.length result_cache })
 
 let clear_caches () =
+  Markov.Tpn_markov.clear_shapes ();
   locked (fun () ->
-      Hashtbl.reset shape_cache;
       Hashtbl.reset result_cache;
       cache_hits := 0;
       cache_misses := 0)
@@ -362,38 +352,26 @@ let store_result key rho =
       Hashtbl.replace result_cache key rho)
 
 let shape_of ?budget ?pool ~u ~v ~phases ~cap () =
-  let key = (u, v, phases, cap_key cap) in
-  match locked (fun () -> Hashtbl.find_opt shape_cache key) with
-  | Some shape -> shape
-  | None ->
+  Markov.Tpn_markov.cached_shape ?cap ?budget (Markov.Tpn_markov.Pattern { u; v }) ~phases
+    ~walk:(fun () ->
       Obs.Trace.span "young:structure" @@ fun () ->
       Obs.Trace.add_attr "pattern" (Printf.sprintf "%dx%d ph%d" u v phases);
-      (* built outside the lock: exploration can be slow, and a duplicate
-         build by a racing domain yields an equal value.  A budget-aborted
-         exploration raises here, before anything reaches the cache.  The
-         key ignores [budget] and [pool]: both leave the cached value
-         byte-identical (the sharded exploration reproduces the serial
-         graph exactly, and a completed budgeted build is a full build). *)
+      (* A budget-aborted exploration raises here, before anything reaches
+         the cache.  The key ignores [budget] and [pool]: both leave the
+         walk byte-identical (the sharded exploration reproduces the serial
+         graph exactly, and a completed budgeted walk is a full walk). *)
       let base = build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
-      let shape =
-        if phases = 1 then
-          (* the direct lattice walk produces the same graph as the generic
-             BFS; fall back when the position code would not fit an int *)
-          let structure =
-            match young_graph ?cap ?budget ~u ~v () with
-            | Some g -> Markov.Tpn_markov.structure_of_graph base g
-            | None -> Markov.Tpn_markov.structure ?cap ?budget ?pool base
-          in
-          { expansion = None; structure }
-        else
-          let expansion = Petrinet.Expand.erlang ~phases:(fun _ -> phases) base in
-          {
-            expansion = Some expansion;
-            structure = Markov.Tpn_markov.structure ?cap ?budget ?pool (Petrinet.Expand.teg expansion);
-          }
-      in
-      locked (fun () -> if not (Hashtbl.mem shape_cache key) then Hashtbl.add shape_cache key shape);
-      shape
+      (* the direct lattice walk produces the same graph as the generic
+         BFS; fall back when the position code would not fit an int *)
+      match if phases = 1 then young_graph ?cap ?budget ~u ~v () else None with
+      | Some g ->
+          { Markov.Tpn_markov.structure = Markov.Tpn_markov.structure_of_graph base g; expansion = None }
+      | None -> Markov.Tpn_markov.walk_shape ?cap ?budget ?pool base ~phases)
+
+let prepare_shape ?cap ~phases ~u ~v () =
+  check u v;
+  if phases < 1 then invalid_arg "Pattern.prepare_shape: phases must be at least 1";
+  ignore (shape_of ~u ~v ~phases ~cap ())
 
 (* The critical cycle of [build]'s net without building it: transition k
    is node k, its out-edges are its sender-ring place (towards k + u) and
@@ -446,7 +424,9 @@ let exponential_inner_throughput ?cap ~u ~v ~rate () =
   | Some rho -> rho
   | None ->
       let shape = shape_of ~u ~v ~phases:1 ~cap () in
-      let chain = Markov.Tpn_markov.analyse_with shape.structure ~rates:(fun id -> rates.(id)) in
+      let chain =
+        Markov.Tpn_markov.analyse_with shape.Markov.Tpn_markov.structure ~rates:(fun id -> rates.(id))
+      in
       let rho = Markov.Tpn_markov.throughput_of chain (List.init (u * v) Fun.id) in
       store_result key rho;
       rho
@@ -473,9 +453,9 @@ let erlang_inner_throughput ?cap ~phases ~u ~v ~rate () =
   | Some rho -> rho
   | None ->
       let shape = shape_of ~u ~v ~phases ~cap () in
-      let expansion = Option.get shape.expansion in
+      let expansion = Option.get shape.Markov.Tpn_markov.expansion in
       let rates id = Petrinet.Expand.phase_rates expansion ~original_rate:(fun k -> base_rates.(k)) id in
-      let chain = Markov.Tpn_markov.analyse_with shape.structure ~rates in
+      let chain = Markov.Tpn_markov.analyse_with shape.Markov.Tpn_markov.structure ~rates in
       (* one data set completes per firing of a transfer's LAST phase *)
       let rho =
         Markov.Tpn_markov.throughput_of chain
@@ -509,7 +489,7 @@ let supervised_inner_throughput ?cap ?budget ?pool ?(lump = true) ~phases ~u ~v 
      an actual solve, which a cache hit would have nothing to say about *)
   let shape = shape_of ?budget ?pool ~u ~v ~phases ~cap () in
   let rates, outputs =
-    match shape.expansion with
+    match shape.Markov.Tpn_markov.expansion with
     | None -> ((fun id -> base_rates.(id)), List.init n Fun.id)
     | Some e ->
         (* one data set completes per firing of a transfer's LAST phase *)
@@ -524,20 +504,22 @@ let supervised_inner_throughput ?cap ?budget ?pool ?(lump = true) ~phases ~u ~v 
          phase j of transfer k+d, with the same rate p·λ(k)) *)
       let place_perm, trans_perm = rotation_perms ~u ~v ~phases ~shift:d in
       let t, prov, ls =
-        Markov.Tpn_markov.analyse_with_lumped ?budget shape.structure ~rates ~place_perm
+        Markov.Tpn_markov.analyse_with_lumped ?budget shape.Markov.Tpn_markov.structure ~rates ~place_perm
           ~trans_perm
       in
       (t, prov, Some ls)
     end
     else
-      let t, prov = Markov.Tpn_markov.analyse_with_supervised ?budget shape.structure ~rates in
+      let t, prov =
+        Markov.Tpn_markov.analyse_with_supervised ?budget shape.Markov.Tpn_markov.structure ~rates
+      in
       (t, prov, None)
   in
   {
     throughput = Markov.Tpn_markov.throughput_of chain outputs;
     provenance;
-    states = Markov.Tpn_markov.structure_states shape.structure;
-    edges = Markov.Tpn_markov.structure_edges shape.structure;
+    states = Markov.Tpn_markov.structure_states shape.Markov.Tpn_markov.structure;
+    edges = Markov.Tpn_markov.structure_edges shape.Markov.Tpn_markov.structure;
     lump = lstats;
   }
 

@@ -96,15 +96,25 @@ val erlang_inner_throughput :
 (** {1 Pattern-solve caches}
 
     The reachable marking graph of a [u x v] pattern depends only on the
-    shape, so {!exponential_inner_throughput} and
-    {!erlang_inner_throughput} keep two process-wide caches: the explored
-    structure per [(u, v, phases, cap)], and the solved throughput per
-    [(u, v, phases, cap, rate matrix)], where the key holds each rate's
-    IEEE-754 bits, so only bit-identical rates share a solve.  The result
-    memo holds at most {!result_capacity} entries: an insertion that would
-    pass it first empties the memo.  Both are thread-safe (shared by the
-    {!Parallel.Pool} domains) and purely an optimisation: cached and
-    uncached calls return identical floats. *)
+    shape, so {!exponential_inner_throughput}, {!erlang_inner_throughput},
+    {!supervised_inner_throughput} and {!prepare_shape} take the explored
+    structure from the process-wide shape cache of {!Markov.Tpn_markov},
+    keyed on [(u, v, phases)] and bounded by
+    {!Markov.Tpn_markov.shape_capacity_words}; a stored structure answers
+    a call only when its states fit the call's cap.  On top of it, the
+    solved throughput is memoised per [(u, v, phases, cap, rate matrix)],
+    where the key holds each rate's IEEE-754 bits, so only bit-identical
+    rates share a solve.  The result memo holds at most {!result_capacity}
+    entries: an insertion that would pass it first empties the memo.  Both
+    are thread-safe (shared by the {!Parallel.Pool} domains) and purely an
+    optimisation: cached and uncached calls return identical floats. *)
+
+val prepare_shape : ?cap:int -> phases:int -> u:int -> v:int -> unit -> unit
+(** Takes the pattern's structure from the shape cache, or walks it and
+    stores it, without solving anything: the walk a solve of the pattern
+    would make, with the same [State_space_exceeded] past [cap].  A pattern
+    whose solve is skipped still pays it, so a skip cannot turn an
+    intractable pattern into a value. *)
 
 val result_capacity : int
 (** The most solved throughputs the result memo holds (4 096). *)
@@ -112,15 +122,15 @@ val result_capacity : int
 type cache_stats = {
   hits : int;  (** result-memo lookups answered from the cache *)
   misses : int;  (** result-memo lookups that had to solve *)
-  structures : int;  (** cached per-shape marking structures *)
+  structures : int;  (** walks in the shape cache, patterns and Strict nets alike *)
   results : int;  (** cached solved throughputs *)
 }
 
 val cache_stats : unit -> cache_stats
 
 val clear_caches : unit -> unit
-(** Drop both caches and reset the counters (used by tests and by the
-    cold/warm benchmark). *)
+(** Empty the shape cache and the result memo, and reset the memo's
+    counters (used by tests and by the cold/warm benchmark). *)
 
 type supervised_result = {
   throughput : float;  (** stationary data sets per time unit *)

@@ -459,6 +459,443 @@ let test_des_rung_bits () =
     | Error (Supervise.Error.State_space_exceeded { cap = 2; _ } as a), Error b -> a = b
     | _ -> false)
 
+(* ---- the sandwich the skip rests on ----
+
+   An Overlap fold solves a pattern only when Theorem 4's closed form at
+   its slowest link (a lower bound) leaves it able to set a row's rate;
+   the input it compares with is propagated from deterministic values (an
+   upper bound).  These properties test the chain of bounds, and that
+   skipping leaves every throughput bit-identical to solving everything. *)
+
+(* [a <= b] up to a relative slack of 1e-9 *)
+let below a b = a <= b +. (1e-9 *. Float.abs b)
+
+let rec ordered = function a :: (b :: _ as rest) -> below a b && ordered rest | _ -> true
+
+let show chain = String.concat " <= " (List.map (Printf.sprintf "%.17g") chain)
+
+let coprime_shapes =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  Array.of_list
+    (List.concat_map
+       (fun u -> List.filter_map (fun v -> if gcd u v = 1 then Some (u, v) else None) [ 1; 2; 3; 4; 5 ])
+       [ 1; 2; 3; 4; 5 ])
+
+(* rates over two decades; one draw in three is one slow link among equal
+   ones *)
+let draw_rates g ~u ~v =
+  let decade () = 10.0 ** Prng.uniform g 0.0 2.0 in
+  if Prng.int g 3 = 0 then begin
+    let r = decade () in
+    let rates = Array.make_matrix u v r in
+    rates.(Prng.int g u).(Prng.int g v) <- r /. (10.0 ** Prng.uniform g 0.1 2.0);
+    rates
+  end
+  else Array.init u (fun _ -> Array.init v (fun _ -> decade ()))
+
+let qcheck_pattern_sandwich =
+  QCheck.Test.make ~name:"pattern: closed form <= exp <= erlang 2 <= 3 <= det" ~count:40
+    ~long_factor:60 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let u, v = coprime_shapes.(Prng.int g (Array.length coprime_shapes)) in
+      let rates = draw_rates g ~u ~v in
+      let rate ~sender ~receiver = rates.(sender).(receiver) in
+      let slowest = Array.fold_left (Array.fold_left Float.min) infinity rates in
+      let erlang phases = Young.Pattern.erlang_inner_throughput ~phases ~u ~v ~rate () in
+      let chain =
+        [
+          Young.Pattern.homogeneous_inner_throughput ~u ~v ~lambda:slowest;
+          Young.Pattern.exponential_inner_throughput ~u ~v ~rate ();
+          erlang 2;
+          erlang 3;
+          Young.Pattern.deterministic_inner_throughput ~u ~v ~time:(fun ~sender ~receiver ->
+              1.0 /. rate ~sender ~receiver);
+        ]
+      in
+      ordered chain || QCheck.Test.fail_reportf "%dx%d: %s" u v (show chain))
+
+(* Overlap mappings with times over two decades *)
+let overlap_draw g =
+  Workload.Gen.random_mapping g
+    {
+      Workload.Gen.n_stages = 2 + Prng.int g 3;
+      n_procs = 4 + Prng.int g 6;
+      comp_range = (0.5, 50.0);
+      comm_range = (0.5, 50.0);
+      max_rows = 30;
+    }
+
+(* the fold with every pattern at Theorem 4's closed form at its slowest
+   link: a lower bound on the mapping, since the fold is monotone *)
+let closed_form_floor mapping =
+  Columns.fold_throughput mapping ~inner:(function
+    | Columns.Compute { stage; proc } -> 1.0 /. Mapping.comp_time mapping ~stage ~proc
+    | Columns.Communication comm ->
+        let slowest = ref 0.0 in
+        for sender = 0 to comm.Columns.u - 1 do
+          for receiver = 0 to comm.Columns.v - 1 do
+            slowest := Float.max !slowest (Columns.pattern_time mapping comm ~sender ~receiver)
+          done
+        done;
+        Young.Pattern.homogeneous_inner_throughput ~u:comm.Columns.u ~v:comm.Columns.v
+          ~lambda:(1.0 /. !slowest))
+
+let qcheck_mapping_sandwich =
+  QCheck.Test.make ~name:"overlap: closed form <= exp <= erlang 2 <= 3 <= det" ~count:10
+    ~long_factor:60 QCheck.int (fun seed ->
+      let mapping = overlap_draw (Prng.create ~seed) in
+      let solve law = fst (Throughput.solve law Model.Overlap mapping) in
+      let chain =
+        [
+          closed_form_floor mapping;
+          solve Throughput.Exponential;
+          solve (Throughput.Erlang 2);
+          solve (Throughput.Erlang 3);
+          solve Throughput.Deterministic;
+        ]
+      in
+      ordered chain || QCheck.Test.fail_reportf "%s" (show chain))
+
+(* every pattern solved: the fold as it ran before it skipped any *)
+let solve_every_pattern ~phases mapping =
+  Columns.fold_throughput mapping ~inner:(function
+    | Columns.Compute { stage; proc } -> 1.0 /. Mapping.comp_time mapping ~stage ~proc
+    | Columns.Communication comm -> (
+        let u = comm.Columns.u and v = comm.Columns.v in
+        let rate ~sender ~receiver = 1.0 /. Columns.pattern_time mapping comm ~sender ~receiver in
+        match phases with
+        | None when Columns.is_homogeneous mapping comm ->
+            Young.Pattern.homogeneous_inner_throughput ~u ~v ~lambda:(rate ~sender:0 ~receiver:0)
+        | None -> Young.Pattern.exponential_inner_throughput ~u ~v ~rate ()
+        | Some phases -> Young.Pattern.erlang_inner_throughput ~phases ~u ~v ~rate ()))
+
+let skipping_agrees mapping =
+  List.for_all
+    (fun phases ->
+      let skipped =
+        match phases with
+        | None -> Expo.overlap_throughput mapping
+        | Some phases -> Expo.overlap_throughput_erlang ~phases mapping
+      in
+      let every = solve_every_pattern ~phases mapping in
+      Int64.equal (Int64.bits_of_float skipped) (Int64.bits_of_float every)
+      || QCheck.Test.fail_reportf "phases %s: skipping %h, every pattern %h"
+           (match phases with None -> "exp" | Some k -> string_of_int k)
+           skipped every)
+    [ None; Some 1; Some 2 ]
+
+(* the teams of a draw on a flat platform (every time 1, so a pattern
+   with one sender per residue ties its input exactly), or on one whose
+   bandwidths are off 1 by up to 1e-9 *)
+let flatten g ~jitter mapping =
+  let n = Mapping.n_stages mapping and m = Mapping.n_processors mapping in
+  let wobble = Array.init m (fun _ -> Array.init m (fun _ -> jitter *. Prng.uniform g (-1.0) 1.0)) in
+  Mapping.create
+    ~app:(Application.create ~work:(Array.make n 1.0) ~files:(Array.make (n - 1) 1.0))
+    ~platform:
+      (Platform.of_link_function ~n:m ~speeds:(Array.make m 1.0) ~bw:(fun p q ->
+           1.0 +. wobble.(p).(q)))
+    ~teams:(Array.init n (Mapping.team mapping))
+
+let qcheck_skip_bit_for_bit =
+  QCheck.Test.make ~name:"skipping = solving every pattern, bit for bit" ~count:15
+    ~long_factor:60 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let mapping = overlap_draw g in
+      let mapping =
+        match seed mod 3 with
+        | 0 -> mapping
+        | 1 -> flatten g ~jitter:0.0 mapping
+        | _ -> flatten g ~jitter:1e-9 mapping
+      in
+      skipping_agrees mapping)
+
+(* One u x v pattern fed by u senders whose rate per row is the pattern's
+   lower bound per row times (1 + delta), then v fast receivers: the skip
+   test sits on its margin. *)
+let tie_mapping g ~u ~v ~links ~delta =
+  let times =
+    match links with
+    | `Random -> Array.init u (fun _ -> Array.init v (fun _ -> 10.0 ** Prng.uniform g (-1.0) 1.0))
+    | `Near_equal ->
+        let t = Array.make_matrix u v 2.0 in
+        t.(Prng.int g u).(Prng.int g v) <- 2.0 *. (1.0 -. 1e-9);
+        t
+    | `Equal -> Array.make_matrix u v 2.0
+    | `One_slow ->
+        let t = Array.make_matrix u v 0.5 in
+        t.(Prng.int g u).(Prng.int g v) <- 20.0;
+        t
+  in
+  let slowest = Array.fold_left (Array.fold_left Float.max) 0.0 times in
+  let lower_per_row =
+    Young.Pattern.homogeneous_inner_throughput ~u ~v ~lambda:(1.0 /. slowest) /. float_of_int (u * v)
+  in
+  (* each sender covers v of the u*v rows *)
+  let work = 1.0 /. (float_of_int v *. lower_per_row *. (1.0 +. delta)) in
+  Mapping.create
+    ~app:(Application.create ~work:[| work; 1e-3 |] ~files:[| 1.0 |])
+    ~platform:
+      (Platform.of_link_function ~n:(u + v) ~speeds:(Array.make (u + v) 1.0) ~bw:(fun p q ->
+           if p < u && q >= u then 1.0 /. times.(p).(q - u) else 1.0))
+    ~teams:[| Array.init u Fun.id; Array.init v (fun r -> u + r) |]
+
+let qcheck_skip_near_ties =
+  QCheck.Test.make ~name:"skipping = solving every pattern on the margin" ~count:6
+    ~long_factor:60 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let u, v = coprime_shapes.(Prng.int g (Array.length coprime_shapes)) in
+      List.for_all
+        (fun links ->
+          List.for_all
+            (fun delta -> skipping_agrees (tie_mapping g ~u ~v ~links ~delta))
+            [ -1e-7; -2e-9; -1e-9; -5e-10; 0.0; 5e-10; 1e-9; 2e-9; 1e-7 ])
+        [ `Random; `Near_equal; `Equal; `One_slow ])
+
+(* Two pattern columns in series behind a fast source, every computation
+   fast: the second pattern's input bound comes from the first pattern's
+   upper bound, so propagating anything below it would skip a pattern
+   that sets the throughput. *)
+let series_mapping g =
+  let r1 = 1 + Prng.int g 4 and r2 = 1 + Prng.int g 4 in
+  let n = 1 + r1 + r2 in
+  let time = Array.init n (fun _ -> Array.init n (fun _ -> 10.0 ** Prng.uniform g (-1.0) 1.0)) in
+  Mapping.create
+    ~app:(Application.create ~work:[| 1e-3; 1e-3; 1e-3 |] ~files:[| 1.0; 1.0 |])
+    ~platform:
+      (Platform.of_link_function ~n ~speeds:(Array.make n 1.0) ~bw:(fun p q -> 1.0 /. time.(p).(q)))
+    ~teams:[| [| 0 |]; Array.init r1 (fun i -> 1 + i); Array.init r2 (fun i -> 1 + r1 + i) |]
+
+let qcheck_skip_in_series =
+  QCheck.Test.make ~name:"skipping = solving every pattern, in series" ~count:20
+    ~long_factor:60 QCheck.int (fun seed -> skipping_agrees (series_mapping (Prng.create ~seed)))
+
+let counter ?(labels = []) name = Obs.Metrics.Counter.value (Obs.Metrics.Counter.create ~labels name)
+
+(* a pattern over its cap still raises when its solve is skipped: a 9x10
+   pattern (more states than the cap) behind senders far slower than it *)
+let test_skipped_pattern_walks () =
+  let app = Application.create ~work:[| 50.0; 1e-3 |] ~files:[| 1.0 |] in
+  let platform =
+    Platform.of_link_function ~n:19 ~speeds:(Array.make 19 1.0) ~bw:(fun p q ->
+        1.0 +. (0.01 *. float_of_int (p + (2 * q))))
+  in
+  let mapping =
+    Mapping.create ~app ~platform ~teams:[| Array.init 9 Fun.id; Array.init 10 (fun i -> 9 + i) |]
+  in
+  let skips = counter ~labels:[ ("law", "exponential") ] "pattern_solves_skipped_total" in
+  Alcotest.(check bool) "a typed error past the cap" true
+    (match Expo.overlap_throughput ~pattern_cap:1000 mapping with
+    | _ -> false
+    | exception Supervise.Error.Solver_error (Supervise.Error.State_space_exceeded { cap = 1000; _ }) ->
+        true);
+  Alcotest.(check int) "not counted as a skip" skips
+    (counter ~labels:[ ("law", "exponential") ] "pattern_solves_skipped_total");
+  (* a small pattern behind the same slow senders is skipped and counted *)
+  let small =
+    Mapping.create ~app ~platform ~teams:[| Array.init 2 Fun.id; Array.init 3 (fun i -> 9 + i) |]
+  in
+  let violations = counter ~labels:[ ("check", "pattern_bounds") ] "solver_invariant_violations_total" in
+  Alcotest.(check int64) "the senders' rate"
+    (Int64.bits_of_float (solve_every_pattern ~phases:None small))
+    (Int64.bits_of_float (Expo.overlap_throughput small));
+  Alcotest.(check int) "one skip" (skips + 1)
+    (counter ~labels:[ ("law", "exponential") ] "pattern_solves_skipped_total");
+  Alcotest.(check int) "no violation" violations
+    (counter ~labels:[ ("check", "pattern_bounds") ] "solver_invariant_violations_total")
+
+(* ---- the shape cache ---- *)
+
+let shape_stats = Markov.Tpn_markov.shape_stats
+
+(* the same mapping with processor p renamed perm.(p): speeds, bandwidth
+   rows and columns, and teams move together *)
+let rename g mapping =
+  let platform = Mapping.platform mapping in
+  let m = Platform.n_processors platform in
+  let perm = Array.init m Fun.id in
+  for i = m - 1 downto 1 do
+    let j = Prng.int g (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let inv = Array.make m 0 in
+  Array.iteri (fun p q -> inv.(q) <- p) perm;
+  Mapping.create ~app:(Mapping.app mapping)
+    ~platform:
+      (Platform.create
+         ~speeds:(Array.init m (fun q -> Platform.speed platform inv.(q)))
+         ~bandwidth:
+           (Array.init m (fun q ->
+                Array.init m (fun q' -> Platform.bandwidth platform ~src:inv.(q) ~dst:inv.(q')))))
+    ~teams:
+      (Array.init (Mapping.n_stages mapping) (fun i ->
+           Array.map (fun p -> perm.(p)) (Mapping.team mapping i)))
+
+let qcheck_renaming =
+  QCheck.Test.make ~name:"renaming processors moves no bit; Strict hits" ~count:6
+    ~long_factor:40 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      List.for_all
+        (fun model ->
+          let mapping = small_mapping g model in
+          let renamed = rename g mapping in
+          List.for_all
+            (fun law ->
+              let value = outcome (fun () -> fst (Throughput.solve law model mapping)) in
+              (* an Overlap solve of the renamed mapping starts cold, so no
+                 pattern value comes from the result memo *)
+              if model = Model.Overlap then Young.Pattern.clear_caches ();
+              let before = shape_stats () in
+              let value' = outcome (fun () -> fst (Throughput.solve law model renamed)) in
+              let after = shape_stats () in
+              let hit =
+                model = Model.Overlap || law = Throughput.Deterministic
+                || (after.hits = before.hits + 1 && after.misses = before.misses)
+              in
+              (compare value value' = 0 && hit)
+              || QCheck.Test.fail_reportf "%s %s: hits %d -> %d, misses %d -> %d"
+                   (Model.to_string model) (Throughput.law_to_string law) before.hits after.hits
+                   before.misses after.misses)
+            [ Throughput.Deterministic; Throughput.Exponential; Throughput.Erlang 2 ])
+        [ Model.Overlap; Model.Strict ])
+
+(* a three-stage Strict mapping replicated (1, 2, 3) *)
+let strict_mapping () =
+  let app = Application.create ~work:[| 4.0; 6.0; 5.0 |] ~files:[| 2.0; 1.0 |] in
+  let platform =
+    Platform.of_link_function ~n:6 ~speeds:[| 1.0; 1.3; 0.7; 1.1; 0.9; 1.2 |] ~bw:(fun p q ->
+        1.0 +. (0.1 *. float_of_int (p + (3 * q))))
+  in
+  Mapping.create ~app ~platform ~teams:[| [| 0 |]; [| 1; 2 |]; [| 3; 4; 5 |] |]
+
+let strict_states mapping =
+  Markov.Tpn_markov.structure_states
+    (Markov.Tpn_markov.structure (Tpn.teg (Tpn.build mapping Model.Strict)))
+
+(* distinct keys no solve derives (a negative team size), each holding
+   [filler], one bound's worth of them: every entry stored before is
+   evicted *)
+let flood filler =
+  let words = Obj.reachable_words (Obj.repr filler) in
+  for k = 0 to Markov.Tpn_markov.shape_capacity_words / words do
+    ignore
+      (Markov.Tpn_markov.cached_shape (Markov.Tpn_markov.Strict [| -2; k |]) ~phases:1 ~walk:(fun () ->
+           filler))
+  done
+
+let test_cached_uncached_evicted () =
+  Young.Pattern.clear_caches ();
+  let mapping = strict_mapping () in
+  let solve law = outcome (fun () -> fst (Throughput.solve law Model.Strict mapping)) in
+  List.iter
+    (fun law ->
+      let name = Throughput.law_to_string law in
+      let s0 = shape_stats () in
+      let uncached = solve law in
+      let s1 = shape_stats () in
+      let cached = solve law in
+      let s2 = shape_stats () in
+      Alcotest.(check int) (name ^ ": first solve walks") (s0.misses + 1) s1.misses;
+      Alcotest.(check int) (name ^ ": second solve hits") (s1.hits + 1) s2.hits;
+      Alcotest.(check bool) (name ^ ": cached = uncached") true (compare uncached cached = 0))
+    [ Throughput.Exponential; Throughput.Erlang 2 ];
+  (* a filler the size of a real walk, measured as the cache measures it *)
+  let filler =
+    {
+      Markov.Tpn_markov.structure =
+        Markov.Tpn_markov.structure
+          (Young.Pattern.build ~u:4 ~v:5 ~time:(fun ~sender:_ ~receiver:_ -> 1.0));
+      expansion = None;
+    }
+  in
+  (* the least recently used entry leaves first: after a hit, the Strict
+     walk outlives a filler stored before it *)
+  Young.Pattern.clear_caches ();
+  let store ?(walked = ref false) key =
+    ignore
+      (Markov.Tpn_markov.cached_shape (Markov.Tpn_markov.Strict key) ~phases:1 ~walk:(fun () ->
+           walked := true;
+           filler))
+  in
+  store [| -3 |];
+  ignore (solve Throughput.Exponential);
+  store [| -4 |];
+  ignore (solve Throughput.Exponential);
+  let s3 = shape_stats () in
+  let i = ref 0 in
+  while (shape_stats ()).evictions = s3.evictions do
+    store [| -1; !i |];
+    incr i
+  done;
+  let walked = ref false in
+  store ~walked [| -3 |];
+  Alcotest.(check bool) "the oldest filler was evicted first" true !walked;
+  let s4 = shape_stats () in
+  ignore (solve Throughput.Exponential);
+  Alcotest.(check int) "the refreshed Strict walk survived" (s4.hits + 1) (shape_stats ()).hits;
+  flood filler;
+  let s5 = shape_stats () in
+  Alcotest.(check bool) "within the bound" true (s5.words <= Markov.Tpn_markov.shape_capacity_words);
+  let evicted = solve Throughput.Exponential in
+  Alcotest.(check int) "evicted: walks again" (s5.misses + 1) (shape_stats ()).misses;
+  Young.Pattern.clear_caches ();
+  Alcotest.(check bool) "evicted = uncached" true
+    (compare evicted (solve Throughput.Exponential) = 0);
+  Alcotest.(check int) "cleared" 1 (shape_stats ()).entries;
+  Young.Pattern.clear_caches ()
+
+(* a stored walk that does not fit the request's cap or state ceiling
+   walks again, which raises the walk's own error; one whose wall budget
+   is spent raises as a walk's first poll does *)
+let test_hit_errors () =
+  let mapping = strict_mapping () in
+  let n = strict_states mapping in
+  let solve ?cap ?budget () =
+    outcome (fun () -> fst (Throughput.solve ?cap ?budget Throughput.Exponential Model.Strict mapping))
+  in
+  let exceeded = Error (Supervise.Error.State_space_exceeded { cap = n - 1; explored = n - 1 }) in
+  let spent () =
+    let b = Supervise.Budget.create ~wall:1e-6 () in
+    Unix.sleepf 0.002;
+    b
+  in
+  let check_errors label =
+    Alcotest.(check bool) (label ^ ": cap below the count") true (solve ~cap:(n - 1) () = exceeded);
+    Alcotest.(check bool) (label ^ ": state ceiling below the count") true
+      (solve ~budget:(Supervise.Budget.create ~states:(n - 1) ()) () = exceeded);
+    Alcotest.(check bool) (label ^ ": wall spent") true
+      (match solve ~budget:(spent ()) () with
+      | Error (Supervise.Error.Budget_exhausted _) -> true
+      | _ -> false)
+  in
+  Young.Pattern.clear_caches ();
+  check_errors "uncached";
+  let value = solve ~cap:n () in
+  let s0 = shape_stats () in
+  check_errors "cached";
+  let s1 = shape_stats () in
+  Alcotest.(check int) "the spent wall was a hit" (s0.hits + 1) s1.hits;
+  Alcotest.(check int) "the two that did not fit walked" (s0.misses + 2) s1.misses;
+  Alcotest.(check bool) "a cap at the count fits" true (solve ~cap:n () = value);
+  Alcotest.(check int) "and hits" (s1.hits + 1) (shape_stats ()).hits;
+  (* a pattern: its solve's cap below its state count *)
+  let rate ~sender ~receiver = 1.0 +. float_of_int (sender + (2 * receiver)) in
+  let pattern ?cap () =
+    outcome (fun () -> Young.Pattern.exponential_inner_throughput ?cap ~u:3 ~v:4 ~rate ())
+  in
+  ignore (pattern ());
+  Alcotest.(check bool) "pattern: cap below the count" true
+    (pattern ~cap:5 () = Error (Supervise.Error.State_space_exceeded { cap = 5; explored = 5 }));
+  Alcotest.(check bool) "pattern: wall spent" true
+    (match
+       Young.Pattern.supervised_inner_throughput ~budget:(spent ()) ~phases:1 ~u:3 ~v:4 ~rate ()
+     with
+    | _ -> false
+    | exception Supervise.Error.Solver_error (Supervise.Error.Budget_exhausted _) -> true);
+  Young.Pattern.clear_caches ()
+
 let () =
   Alcotest.run "expo"
     [
@@ -495,5 +932,20 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_solve_bit_for_bit;
           QCheck_alcotest.to_alcotest qcheck_theorem7_through_the_table;
           Alcotest.test_case "DES rung bits" `Quick test_des_rung_bits;
+        ] );
+      ( "pattern skip",
+        [
+          QCheck_alcotest.to_alcotest qcheck_pattern_sandwich;
+          QCheck_alcotest.to_alcotest qcheck_mapping_sandwich;
+          QCheck_alcotest.to_alcotest qcheck_skip_bit_for_bit;
+          QCheck_alcotest.to_alcotest qcheck_skip_near_ties;
+          QCheck_alcotest.to_alcotest qcheck_skip_in_series;
+          Alcotest.test_case "a skipped pattern still walks" `Quick test_skipped_pattern_walks;
+        ] );
+      ( "shape cache",
+        [
+          QCheck_alcotest.to_alcotest qcheck_renaming;
+          Alcotest.test_case "cached, uncached and evicted" `Quick test_cached_uncached_evicted;
+          Alcotest.test_case "typed errors on a hit" `Quick test_hit_errors;
         ] );
     ]

@@ -181,9 +181,9 @@ let qcheck_frames_chunking =
 (* Words one cached [Server.respond] allocates, in the minor heap and
    straight into the major heap, on a (5,14) request of the warm-hits
    shape: decode, instance parse, key, lookup and reply.  For one build
-   the count repeats exactly; the budget is the measured 5 581 words plus
+   the count repeats exactly; the budget is the measured 4 976 words plus
    10%. *)
-let warm_respond_budget = 6139
+let warm_respond_budget = 5474
 
 let test_warm_respond_allocation () =
   let mapping =
@@ -203,7 +203,10 @@ let test_warm_respond_allocation () =
   let server = Server.create (config ()) in
   ignore (respond server line);
   ignore (respond server line);
-  (* an empty minor heap: nothing is promoted while the reply is made *)
+  (* a finished major cycle, so no slice that empties the minor heap is
+     due while the reply is made, and an empty minor heap: nothing is
+     promoted while the reply is made *)
+  Gc.full_major ();
   Gc.minor ();
   let minor0 = Gc.minor_words () in
   let _, _, major0 = Gc.counters () in
@@ -623,6 +626,59 @@ let test_key_parameters () =
   Alcotest.(check bool) "single and multi keys never meet" false
     (String.equal k0 m0)
 
+(* The keys are written once at their final length; their bytes are the
+   ones the Buffer-built keys had (digests recorded with that encoder):
+   the LRU and the router's ring placement both hash them. *)
+let test_key_bytes () =
+  let digest keys = Digest.to_hex (Digest.string (String.concat "" keys)) in
+  let keys ~seed ~model ~law ~stages ~procs =
+    let g = Prng.create ~seed in
+    let params =
+      {
+        Workload.Gen.n_stages = stages;
+        n_procs = procs;
+        comp_range = (4.0, 12.0);
+        comm_range = (4.0, 12.0);
+        max_rows = 60;
+      }
+    in
+    List.init 12 (fun _ ->
+        let instance = Streaming.Instance_io.to_string (Workload.Gen.random_mapping g params) in
+        let q =
+          {
+            Engine.instance;
+            model;
+            law;
+            cap = Engine.default_cap;
+            wall = None;
+            sweeps = None;
+            states = None;
+            simulate = false;
+          }
+        in
+        match Engine.prepare q with Ok p -> p.Engine.key | Error msg -> Alcotest.fail msg)
+  in
+  Alcotest.(check string) "overlap/exponential (5,14)" "fcd27657e291df8a144deb9319e7e7c7"
+    (digest
+       (keys ~seed:11 ~model:Streaming.Model.Overlap ~law:Engine.Exponential ~stages:5 ~procs:14));
+  Alcotest.(check string) "strict/erlang:2 (3,7)" "ab1bf5882587dce635e07720bdadb917"
+    (digest
+       (keys ~seed:2 ~model:Streaming.Model.Strict ~law:(Engine.Erlang 2) ~stages:3 ~procs:7));
+  let multi floor_b =
+    let q =
+      {
+        Engine.m_instance = multi_instance ~floor_b ();
+        m_model = Streaming.Model.Overlap;
+        m_law = Engine.Exponential;
+        m_cap = Engine.default_cap;
+        m_wall = None;
+      }
+    in
+    match Engine.prepare_multi q with Ok p -> p.Engine.m_key | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check string) "tenant blocks" "db2f4aca7a84b8a0127641d0d4b68526"
+    (digest (List.map multi [ 0.01; 0.02; -0.0 ]))
+
 (* ---- trace-context propagation: the optional obs envelope ---- *)
 
 let test_obs_envelope_outside_cache_key () =
@@ -833,6 +889,46 @@ let test_golden_replies () =
     (digest
        (golden_replies ~seed:11 ~model:Streaming.Model.Overlap ~law:Engine.Exponential ~stages:5
           ~procs:14))
+
+(* The golden Overlap solves skip the pattern solves their bounds rule
+   out, and no solved pattern leaves its bounds: the daemon's own metrics
+   scrape says so. *)
+let test_golden_skips_scraped () =
+  let server = Server.create (config ()) in
+  let scrape () =
+    let reply = parse_reply (respond server (Json.render (Client.metrics_request ()))) in
+    match Client.metrics_text reply with
+    | Some text -> text
+    | None -> Alcotest.fail "no metrics text"
+  in
+  (* the value of one series, 0 when the scrape does not carry it *)
+  let series text name =
+    List.fold_left
+      (fun acc line ->
+        match String.index_opt line ' ' with
+        | Some i when String.sub line 0 i = name ->
+            float_of_string (String.sub line (i + 1) (String.length line - i - 1))
+        | _ -> acc)
+      0.0 (String.split_on_char '\n' text)
+  in
+  let skips text =
+    series text {|pattern_solves_skipped_total{law="exponential"}|}
+    +. series text {|pattern_solves_skipped_total{law="erlang:2"}|}
+  in
+  let before = scrape () in
+  ignore
+    (golden_replies ~seed:8 ~model:Streaming.Model.Overlap ~law:(Engine.Erlang 2) ~stages:5
+       ~procs:14);
+  ignore
+    (golden_replies ~seed:11 ~model:Streaming.Model.Overlap ~law:Engine.Exponential ~stages:5
+       ~procs:14);
+  let after = scrape () in
+  Alcotest.(check bool)
+    (Printf.sprintf "skips %.0f -> %.0f" (skips before) (skips after))
+    true
+    (skips after > skips before);
+  Alcotest.(check (float 0.0)) "no pattern outside its bounds" 0.0
+    (series after {|solver_invariant_violations_total{check="pattern_bounds"}|})
 
 let test_budget_exhausted_structured () =
   let server = Server.create (config ()) in
@@ -1714,6 +1810,7 @@ let () =
           Alcotest.test_case "cache hit byte-identical" `Quick test_cache_hit_byte_identical;
           Alcotest.test_case "canonical sharing" `Quick test_cache_canonical_sharing;
           Alcotest.test_case "key parameters" `Quick test_key_parameters;
+          Alcotest.test_case "key bytes" `Quick test_key_bytes;
           Alcotest.test_case "obs envelope outside the cache key" `Quick
             test_obs_envelope_outside_cache_key;
           Alcotest.test_case "obs envelope threads into the span" `Quick
@@ -1731,6 +1828,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_parse_request_total;
           Alcotest.test_case "uptime on the monotonic clock" `Quick test_uptime_monotonic;
           Alcotest.test_case "golden solve replies" `Quick test_golden_replies;
+          Alcotest.test_case "golden solves skip, within bounds" `Quick test_golden_skips_scraped;
         ] );
       ( "multi",
         [
