@@ -13,11 +13,7 @@ let statespace_run u v phases cap wall domains check_serial =
   let serial_ok =
     if not check_serial then true
     else begin
-      let base = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
-      let teg =
-        if phases = 1 then base
-        else Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) base)
-      in
+      let teg = Experiments.Statespace.pattern_net ~u ~v ~phases in
       let serial = Petrinet.Marking.explore_graph ?cap ~budget teg in
       let sharded = Petrinet.Marking.explore_graph ?cap ~budget ~pool teg in
       let same =

@@ -391,6 +391,13 @@ let walk_shape ?cap ?budget ?pool teg ~phases =
     let e = Expand.erlang ~phases:(fun _ -> phases) teg in
     { structure = structure ?cap ?budget ?pool (Expand.teg e); expansion = Some e }
 
+(* an expansion into one phase would leave the rates and outputs as they
+   are, so the net itself carries none *)
+let shape_rates shape ~original_rate outputs =
+  match shape.expansion with
+  | None -> (original_rate, outputs)
+  | Some e -> (Expand.phase_rates e ~original_rate, List.map (Expand.last e) outputs)
+
 (* the one key derivation: family, phases, then the dimensions, each a
    fixed-width int after its count, so the encoding is prefix-free *)
 let shape_key net ~phases =

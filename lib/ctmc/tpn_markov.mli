@@ -36,9 +36,8 @@ val recurrent_class : row_ptr:int array -> succ:int array -> int array * int arr
 
 val structure_of_graph : Petrinet.Teg.t -> Petrinet.Marking.graph -> structure
 (** Builds the rate-independent structure from an already-explored marking
-    graph (same contract as {!structure}).  This is the entry point for
-    enumerators that construct the graph without a generic breadth-first
-    search, such as the Young-lattice walk of [Young.Pattern]. *)
+    graph (same contract as {!structure}), for callers that time or check
+    the exploration on its own. *)
 
 val structure_states : structure -> int
 (** Number of reachable markings of the structure. *)
@@ -178,6 +177,15 @@ val walk_shape :
   ?cap:int -> ?budget:Supervise.Budget.t -> ?pool:Parallel.Pool.t -> Petrinet.Teg.t -> phases:int -> shape
 (** The walk of a net ([phases = 1]) or of its expansion into [phases]
     Erlang phases per transition, under {!structure}'s contract. *)
+
+val shape_rates : shape -> original_rate:(int -> float) -> int list -> (int -> float) * int list
+(** [shape_rates shape ~original_rate outputs] is the chain's rate of each
+    transition of the walked net, and the transitions whose firings count
+    the completions of [outputs], given the rates and outputs of the
+    unexpanded net.  On the net itself they are [original_rate] and
+    [outputs]; on an Erlang expansion, each phase of [v] fires at
+    [phases · original_rate v] ({!Petrinet.Expand.phase_rates}) and an
+    output completes at its last phase. *)
 
 val cached_shape :
   ?cap:int ->

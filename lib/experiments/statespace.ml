@@ -43,21 +43,17 @@ let winning_rung (prov : Supervise.Provenance.t) =
   | last :: _ -> last.Supervise.Provenance.rung
   | [] -> "?"
 
+let pattern_net ~u ~v ~phases =
+  let base = Young.Pattern.build ~u ~v ~time:rate in
+  if phases = 1 then base
+  else Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) base)
+
 let measure_rung ~u ~v ~phases =
-  let base = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
   (* cold path, stage by stage (bypassing the caches) *)
   let explore_s, (teg, graph) =
     timed (fun () ->
-        if phases = 1 then
-          let g =
-            match Young.Pattern.young_graph ~u ~v () with
-            | Some g -> g
-            | None -> Petrinet.Marking.explore_graph base
-          in
-          (base, g)
-        else
-          let teg = Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) base) in
-          (teg, Petrinet.Marking.explore_graph teg))
+        let teg = pattern_net ~u ~v ~phases in
+        (teg, Petrinet.Marking.explore_graph teg))
   in
   let structure_s, structure = timed (fun () -> Markov.Tpn_markov.structure_of_graph teg graph) in
   let solve_s, chain =
@@ -81,10 +77,7 @@ let measure_rung ~u ~v ~phases =
          { what = "lumped solve diverged from full"; where = "Statespace.measure" });
   (* warm path: the user-facing query, answered by the result memo (the
      first call fills it and is not timed) *)
-  let solve () =
-    if phases = 1 then Young.Pattern.exponential_inner_throughput ~u ~v ~rate ()
-    else Young.Pattern.erlang_inner_throughput ~phases ~u ~v ~rate ()
-  in
+  let solve () = Young.Pattern.erlang_inner_throughput ~phases ~u ~v ~rate () in
   let throughput = solve () in
   let warm_s, warm_throughput = timed solve in
   if warm_throughput <> throughput then
@@ -132,9 +125,8 @@ let print fmt rungs =
 (* ---- the million-state rung ----
 
    One pattern beyond anything the per-rung ladder touches: (11,12) has
-   S(11,12) = C(22,10)·12 = 7 759 752 reachable markings (the Young-lattice
-   position code needs 92 bits, so the generic BFS — sharded over the pool
-   — does the exploration), and homogeneous rates lump its chain by the
+   S(11,12) = C(22,10)·12 = 7 759 752 reachable markings, explored by the
+   BFS sharded over the pool, and homogeneous rates lump its chain by the
    full 132-fold rotation before the ladder solves the quotient. *)
 
 type big = {
@@ -158,11 +150,7 @@ let big_study ?(u = 11) ?(v = 12) ?(phases = 1) ?(cap = 12_000_000) ?(wall_budge
     ?(domains = 2) () =
   let budget = Supervise.Budget.create ~wall:wall_budget_s ~states:cap () in
   Parallel.Pool.with_pool ~domains (fun pool ->
-      let base = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
-      let teg =
-        if phases = 1 then base
-        else Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) base)
-      in
+      let teg = pattern_net ~u ~v ~phases in
       let explore_s, structure =
         timed (fun () -> Markov.Tpn_markov.structure ~cap ~budget ~pool teg)
       in

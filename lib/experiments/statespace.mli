@@ -14,7 +14,7 @@ type rung = {
   r_states : int;  (** reachable markings *)
   r_edges : int;  (** marking-graph edges *)
   r_recurrent : int;  (** states of the recurrent class *)
-  r_explore_s : float;  (** marking-graph construction (lattice walk or BFS) *)
+  r_explore_s : float;  (** net, Erlang expansion and serial BFS of the marking graph *)
   r_structure_s : float;  (** SCC / recurrent-class isolation *)
   r_solve_s : float;  (** CTMC build + stationary distribution, unlumped *)
   r_lump_classes : int;  (** orbits of the rotation quotient *)
@@ -29,6 +29,10 @@ val ladder : (int * int) list
 
 val phase_counts : int list
 (** Erlang phase counts measured per rung (1, 2, 3). *)
+
+val pattern_net : u:int -> v:int -> phases:int -> Petrinet.Teg.t
+(** The u×v pattern net with unit transfer times, or its expansion into
+    [phases] Erlang phases per transfer when [phases > 1]. *)
 
 val study : ?ladder:(int * int) list -> ?phases:int list -> unit -> rung list
 (** Measure every (rung, phase count) combination.  Clears the pattern
@@ -65,9 +69,9 @@ val big_study :
   unit ->
   big
 (** One cold solve of a pattern in the millions of states — default
-    (11,12), whose 7 759 752 markings the Young-lattice walk cannot pack
-    into one machine int, so the pool-sharded BFS explores them — under a
-    wall budget, followed by the exact rotation-quotient solve.  Raises
+    (11,12), whose 7 759 752 markings the BFS sharded over a pool of
+    [domains] explores — under a wall budget, followed by the exact
+    rotation-quotient solve.  Raises
     [Supervise.Error.Solver_error (Budget_exhausted _)] if the budget
     expires mid-run. *)
 

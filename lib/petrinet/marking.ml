@@ -122,17 +122,16 @@ let permute c ~place_perm codes off ~into =
   done;
   !fits
 
-(* the width ladder, without repeated rungs *)
-let codecs teg =
+(* the field widths of each rung of the ladder, without repeated rungs; a
+   rung's codec is built only when the walk climbs to it *)
+let width_ladder teg =
   let m0 = initial teg in
   let total = Array.fold_left ( + ) 0 m0 in
   let rec distinct = function
     | a :: (b :: _ as rest) -> if a = b then distinct rest else a :: distinct rest
     | l -> l
   in
-  List.map codec_of_widths
-    (distinct
-       [ Array.map nbits m0; Array.map (fun _ -> nbits total) m0; Array.map (fun _ -> word_bits) m0 ])
+  distinct [ Array.map nbits m0; Array.map (fun _ -> nbits total) m0; Array.map (fun _ -> word_bits) m0 ]
 
 exception Field_overflow
 
@@ -322,8 +321,15 @@ let marking g i = decode g.codec g.codes (i * g.codec.words)
 
 type store = { s_words : int; s_codes : Ibuf.t; s_table : Table.t; mutable stored : int }
 
+(* The buffers of a walk start small and double: most walks are the few
+   dozen markings of one request's pattern, and an array past 256 words
+   is allocated on the major heap.  Started at 1 024 states, a cold 1x2
+   pattern walk allocated 12 400 major words (2 at 16), and an optimizer
+   ladder on a (5,14) instance, which walks each of its patterns once,
+   435 000 (157 000 at 16, with the codec ladder built lazily; OCaml
+   5.1.1). *)
 let store ~words =
-  { s_words = words; s_codes = Ibuf.create (1024 * words); s_table = Table.create ~words 1024; stored = 0 }
+  { s_words = words; s_codes = Ibuf.create (16 * words); s_table = Table.create ~words 16; stored = 0 }
 
 let stored s = s.stored
 
@@ -350,7 +356,7 @@ let load s id into = Array.blit s.s_codes.Ibuf.a (id * s.s_words) into 0 s.s_wor
 let explore_serial ~cap ~budget teg c =
   let eff = effects_of teg c and w = c.words in
   let seen = store ~words:w in
-  let row = Ibuf.create 1024 and succ = Ibuf.create 1024 and via = Ibuf.create 1024 in
+  let row = Ibuf.create 16 and succ = Ibuf.create 16 and via = Ibuf.create 16 in
   let parent = Array.make w 0 and next = Array.make w 0 in
   encode c (initial teg) next 0;
   ignore (intern seen ~cap ?budget next);
@@ -397,7 +403,25 @@ let explore_serial ~cap ~budget teg c =
 
    The number of chunks depends on the pool size, but chunks are contiguous
    parent ranges, so (chunk, position) order never depends on it; neither do
-   shard ownership (fixed [n_shards]) or id assignment (serial merge). *)
+   shard ownership (fixed [n_shards]) or id assignment (serial merge).
+
+   A level narrower than [pooled_level] parents is not worth the pool's
+   three round trips: the calling domain expands it alone, registering each
+   unknown successor as it meets it, which is the serial walk's order too.
+   Which levels go on the pool therefore never shows in the graph. *)
+
+(* Measured with a pool of 2 on a 2-vCPU host (OCaml 5.1.1), each level
+   of the 4x9 Erlang:3 and 8x9 walks timed on the pool and on the caller
+   (medians of 5-7 walks): a pooled level cost 60-120 us more than the
+   caller's expansion, which took 1.2-1.7 us a parent.  Two domains that
+   run in parallel halve the parents' share at best, so the pool can pay
+   only from a few hundred parents up.  With every level pooled, a 3x4
+   walk took 1.4 ms against 0.08 ms at this width, and a 4x9 Erlang:3 walk
+   (112 levels of 256 or more, widest 667) 120-131 ms against a median of
+   101 ms.  On that host two domains ran plain arithmetic no faster than
+   one (0.93-1.09x), so the caller alone was quicker still (80 ms): the
+   width is set for a pool whose domains do run in parallel. *)
+let pooled_level = 256
 
 type chunk = {
   deg : Ibuf.t;  (** edges per parent *)
@@ -414,9 +438,9 @@ type chunk = {
 let explore_sharded ~cap ~budget ~pool teg c =
   let eff = effects_of teg c and w = c.words in
   let shards = Array.init n_shards (fun _ -> Table.create ~words:w 16) in
-  let all = Ibuf.create (1024 * w) in
+  let all = Ibuf.create (16 * w) in
   let n = ref 0 in
-  let row = Ibuf.create 1024 and succ = Ibuf.create 1024 and via = Ibuf.create 1024 in
+  let row = Ibuf.create 16 and succ = Ibuf.create 16 and via = Ibuf.create 16 in
   (* the serial registration: same cap test, same budget poll cadence *)
   let register key off =
     if !n >= cap then capacity_exceeded ~cap ~explored:!n;
@@ -425,13 +449,32 @@ let explore_sharded ~cap ~budget ~pool teg c =
     incr n;
     !n - 1
   in
-  let () =
-    let k0 = Array.make w 0 in
-    encode c (initial teg) k0 0;
-    let h = hash_code k0 0 w in
+  (* the id of the code [key.(0 .. w-1)], registered if new *)
+  let intern key =
+    let h = hash_code key 0 w in
     let t = shards.(h land (n_shards - 1)) in
-    let b = Table.probe t ~codes:all.Ibuf.a ~pending:[||] h k0 0 in
-    Table.fill t b h (register k0 0)
+    let b = Table.probe t ~codes:all.Ibuf.a ~pending:[||] h key 0 in
+    let id = t.Table.slots.(b) in
+    if id >= 0 then id
+    else begin
+      let id = register key 0 in
+      Table.fill t b h id;
+      id
+    end
+  in
+  let parent = Array.make w 0 and next = Array.make w 0 in
+  encode c (initial teg) next 0;
+  ignore (intern next);
+  let edge v =
+    Ibuf.push succ (intern next);
+    Ibuf.push via v
+  in
+  let expand_here lo hi =
+    for i = lo to hi - 1 do
+      Array.blit all.Ibuf.a (i * w) parent 0 w;
+      Ibuf.push row succ.Ibuf.len;
+      scan eff ~words:w parent next edge
+    done
   in
   let scan_chunk (clo, chi) =
     let ch =
@@ -476,15 +519,12 @@ let explore_sharded ~cap ~budget ~pool teg c =
     done;
     ch
   in
-  let lo = ref 0 in
-  while !lo < !n do
-    let hi = !n in
+  let expand_pooled lo0 hi =
     (* poll the wall deadline before allocating the next frontier block so
        a spent budget cannot overshoot by a whole level of work *)
     (match budget with None -> () | Some b -> Supervise.Budget.check b);
-    let width = hi - !lo in
+    let width = hi - lo0 in
     let nchunks = min width (4 * Parallel.Pool.size pool) in
-    let lo0 = !lo in
     let chunks =
       Parallel.Pool.map pool scan_chunk
         (Array.init nchunks (fun k ->
@@ -557,26 +597,40 @@ let explore_sharded ~cap ~budget ~pool teg c =
               for j = 0 to (claims.Ibuf.len / 2) - 1 do
                 slots.(claims.Ibuf.a.(2 * j)) <- ids.(claims.Ibuf.a.((2 * j) + 1))
               done)
-            claims));
+            claims))
+  in
+  let pooled = ref false in
+  let lo = ref 0 in
+  while !lo < !n do
+    let hi = !n in
+    if hi - !lo < pooled_level then expand_here !lo hi
+    else begin
+      pooled := true;
+      expand_pooled !lo hi
+    end;
     lo := hi
   done;
   Ibuf.push row succ.Ibuf.len;
-  { codec = c; codes = Ibuf.to_array all; row_ptr = Ibuf.to_array row; succ = Ibuf.to_array succ;
-    via = Ibuf.to_array via }
+  ( { codec = c; codes = Ibuf.to_array all; row_ptr = Ibuf.to_array row;
+      succ = Ibuf.to_array succ; via = Ibuf.to_array via },
+    !pooled )
 
-(* the width ladder: each rung restarts the walk after a field overflow *)
+(* the width ladder: each rung restarts the walk after a field overflow;
+   with the graph, whether some level of the finished walk went on the
+   pool *)
 let explore_codes ~cap ~budget ~pool teg =
-  let explore c =
+  let explore widths =
+    let c = codec_of_widths widths in
     match pool with
     | Some pool -> explore_sharded ~cap ~budget ~pool teg c
-    | None -> explore_serial ~cap ~budget teg c
+    | None -> (explore_serial ~cap ~budget teg c, false)
   in
   let rec climb = function
-    | [ c ] -> explore c
-    | c :: rest -> ( try explore c with Field_overflow -> climb rest)
+    | [ widths ] -> explore widths
+    | widths :: rest -> ( try explore widths with Field_overflow -> climb rest)
     | [] -> assert false
   in
-  climb (codecs teg)
+  climb (width_ladder teg)
 
 let default_cap = 200_000
 
@@ -593,21 +647,18 @@ let m_edges_explored =
 
 let m_sharded_explorations =
   Obs.Metrics.Counter.create
-    ~help:"Explorations that took the sharded level-synchronous path"
+    ~help:"Explorations that expanded at least one level on the domain pool"
     "marking_sharded_explorations_total"
 
 let explore_graph ?cap ?budget ?pool teg =
   Obs.Trace.span "petrinet:explore_graph" (fun () ->
       let cap = effective_cap ?cap ?budget () in
-      let pool =
-        match pool with
-        | Some p when Parallel.Pool.size p > 1 ->
-            Obs.Metrics.Counter.incr m_sharded_explorations;
-            Obs.Trace.add_attr "mode" "sharded";
-            Some p
-        | _ -> None
-      in
-      let g = explore_codes ~cap ~budget ~pool teg in
+      let pool = match pool with Some p when Parallel.Pool.size p > 1 -> pool | _ -> None in
+      let g, pooled = explore_codes ~cap ~budget ~pool teg in
+      if pooled then begin
+        Obs.Metrics.Counter.incr m_sharded_explorations;
+        Obs.Trace.add_attr "mode" "sharded"
+      end;
       (* counters bump once per exploration, not per state, so the
          disabled-tracing overhead stays negligible *)
       let states = n_states g and edges = Array.length g.succ in
@@ -618,7 +669,7 @@ let explore_graph ?cap ?budget ?pool teg =
       g)
 
 let explore ?cap ?budget teg =
-  let g = explore_codes ~cap:(effective_cap ?cap ?budget ()) ~budget ~pool:None teg in
+  let g, _ = explore_codes ~cap:(effective_cap ?cap ?budget ()) ~budget ~pool:None teg in
   Array.init (n_states g) (marking g)
 
 (* ---- code table over a finished graph ---- *)

@@ -51,18 +51,6 @@ let overlap_throughput ?pool ?pattern_cap ?(closed_form_only = false) mapping =
         ~v:comm.Columns.v ~rate:(pattern_rate mapping comm) ())
     ~skip:(skip_pattern ?pattern_cap ~phases:1 ~skipped:m_skipped_exponential)
 
-(* Theorem 2's general method: marking exploration, then the escalation
-   ladder on the recurrent class *)
-let markov_supervised ?cap ?budget ~rates teg outputs =
-  let chain, provenance = Markov.Tpn_markov.analyse_supervised ?cap ?budget ~rates teg in
-  (Markov.Tpn_markov.throughput_of chain outputs, provenance)
-
-let markov_throughput ?cap tpn =
-  let teg = Tpn.teg tpn in
-  fst (markov_supervised ?cap ~rates:(fun v -> 1.0 /. Petrinet.Teg.time teg v) teg (Tpn.last_column tpn))
-
-let strict_throughput ?cap mapping = markov_throughput ?cap (Tpn.build mapping Model.Strict)
-
 (* The Strict net's places and tokens come from the replication vector
    alone, so its walk — on the net, or on its Erlang expansion — is taken
    from the shape cache under that key; only the rates are the
@@ -73,22 +61,23 @@ let strict_shape ?cap ?budget ~phases tpn =
     ~phases
     ~walk:(fun () -> Markov.Tpn_markov.walk_shape ?cap ?budget (Tpn.teg tpn) ~phases)
 
-(* the general method on the cached walk: one phase is the net itself,
-   whose rates and outputs an expansion into one phase leaves unchanged *)
+(* Theorem 2's general method on the cached walk: the escalation ladder on
+   the recurrent class *)
 let strict_solve ?cap ?budget ~phases mapping =
   let tpn = Tpn.build mapping Model.Strict in
   let teg = Tpn.teg tpn in
-  let original_rate v = 1.0 /. Petrinet.Teg.time teg v in
-  let { Markov.Tpn_markov.structure; expansion } = strict_shape ?cap ?budget ~phases tpn in
+  let shape = strict_shape ?cap ?budget ~phases tpn in
   let rates, outputs =
-    match expansion with
-    | None -> (original_rate, Tpn.last_column tpn)
-    | Some e ->
-        ( Petrinet.Expand.phase_rates e ~original_rate,
-          List.map (Petrinet.Expand.last e) (Tpn.last_column tpn) )
+    Markov.Tpn_markov.shape_rates shape
+      ~original_rate:(fun v -> 1.0 /. Petrinet.Teg.time teg v)
+      (Tpn.last_column tpn)
   in
-  let chain, provenance = Markov.Tpn_markov.analyse_with_supervised ?budget structure ~rates in
+  let chain, provenance =
+    Markov.Tpn_markov.analyse_with_supervised ?budget shape.Markov.Tpn_markov.structure ~rates
+  in
   (Markov.Tpn_markov.throughput_of chain outputs, provenance)
+
+let strict_throughput ?cap mapping = fst (strict_solve ?cap ~phases:1 mapping)
 
 let m_des_fallback =
   Obs.Metrics.Counter.create
@@ -134,12 +123,18 @@ let bound_row_places tpn ~buffer =
     (fun p -> Petrinet.Teg.add_place teg ~src:p.Petrinet.Teg.dst ~dst:p.Petrinet.Teg.src ~tokens:buffer)
     forward
 
+(* the general method on a fresh walk: a bounded Overlap net is no shape
+   the cache knows *)
 let general_throughput ?cap ?(buffer = 4) mapping model =
   let tpn = Tpn.build mapping model in
   (match model with
   | Model.Overlap -> bound_row_places tpn ~buffer
   | Model.Strict -> ());
-  markov_throughput ?cap tpn
+  let teg = Tpn.teg tpn in
+  let chain, _ =
+    Markov.Tpn_markov.analyse_supervised ?cap ~rates:(fun v -> 1.0 /. Petrinet.Teg.time teg v) teg
+  in
+  Markov.Tpn_markov.throughput_of chain (Tpn.last_column tpn)
 
 let overlap_throughput_erlang ?pool ?pattern_cap ~phases mapping =
   if phases < 1 then invalid_arg "Expo.overlap_throughput_erlang: phases must be at least 1";

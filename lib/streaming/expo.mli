@@ -24,7 +24,9 @@ val strict_throughput : ?cap:int -> Mapping.t -> float
 (** Theorem 2's general method on the Strict TPN: reachable markings →
     CTMC (on the escalation ladder) → firing rate of the last column.  The Strict TPN is
     covered by token-invariant cycles, so its marking space is finite; the
-    cost is exponential in the replication factors. *)
+    cost is exponential in the replication factors.  The value of
+    {!strict_throughput_supervised} without a budget or a DES rung, on the
+    same walk from the shape cache. *)
 
 val strict_throughput_supervised :
   ?cap:int ->
@@ -52,7 +54,8 @@ val general_throughput : ?cap:int -> ?buffer:int -> Mapping.t -> Model.t -> floa
     are bounded by back-places holding [buffer] tokens (default 4) —
     a finite blocking approximation that converges to the true throughput
     from below as [buffer] grows.  For [Model.Strict] this is exact and
-    [buffer] is ignored. *)
+    [buffer] is ignored.  The net is walked afresh, never taken from the
+    shape cache. *)
 
 val overlap_throughput_erlang :
   ?pool:Parallel.Pool.t -> ?pattern_cap:int -> phases:int -> Mapping.t -> float

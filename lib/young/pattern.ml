@@ -6,20 +6,20 @@ let check u v =
 
 let transition_of ~u ~v k = (k mod u, k mod v)
 
+(* [f] at each transition's sender and receiver slots, in transition order *)
+let per_transition ~u ~v f =
+  Array.init (u * v) (fun k ->
+      let sender, receiver = transition_of ~u ~v k in
+      f ~sender ~receiver)
+
 let build ~u ~v ~time =
   check u v;
-  let n = u * v in
   let labels =
-    Array.init n (fun k ->
+    Array.init (u * v) (fun k ->
         let s, r = transition_of ~u ~v k in
         Printf.sprintf "xfer(s%d->r%d,k%d)" s r k)
   in
-  let times =
-    Array.init n (fun k ->
-        let s, r = transition_of ~u ~v k in
-        time ~sender:s ~receiver:r)
-  in
-  let teg = Petrinet.Teg.create ~labels ~times in
+  let teg = Petrinet.Teg.create ~labels ~times:(per_transition ~u ~v time) in
   let add_ring members =
     let k = Array.length members in
     for l = 0 to k - 1 do
@@ -36,163 +36,10 @@ let build ~u ~v ~time =
   done;
   teg
 
-(* ---- direct Young-lattice enumeration ----
-
-   The reachable markings of the pattern are pairs of Young diagrams
-   (Theorem 3); operationally, every serialisation ring carries exactly one
-   token, so a marking is fully described by the *position* of the token in
-   each of the u sender rings and v receiver rings.  The enumerator below
-   walks that lattice directly on a packed (positions) code — u fields of
-   width ⌈log₂ v⌉ and v fields of width ⌈log₂ u⌉ — instead of running the
-   generic breadth-first search over the 2·u·v-place marking vector:
-   transition k is enabled iff sender ring [k mod u] sits one slot before k
-   and receiver ring [k mod v] likewise, and firing k advances both rings.
-   Traversal order (breadth-first, transitions in increasing k) matches
-   [Marking.explore_graph] exactly, and the states are emitted in the
-   generic explorer's marking codes, so the resulting graph — codec,
-   codes, order and edges — is identical to the generic one, just cheaper
-   to produce. *)
-
-let nbits bound =
-  let rec go b acc = if b = 0 then max acc 1 else go (b lsr 1) (acc + 1) in
-  go bound 0
-
-(* The lattice walk can only decline for one reason today (position code
-   wider than a machine int), but the reason label keeps the Prometheus
-   series extensible — and the fallback visible, where it used to be a
-   silent [None]. *)
-let m_lattice_fallback =
-  Obs.Metrics.Counter.create
-    ~labels:[ ("reason", "code-width") ]
-    ~help:"Young-lattice direct enumerations that fell back to generic BFS"
-    "young_lattice_fallback_total"
+let unit_times ~sender:_ ~receiver:_ = 1.0
 
 let young_graph ?cap ?budget ~u ~v () =
-  check u v;
-  let n = u * v in
-  let pw = nbits (v - 1) and qw = nbits (u - 1) in
-  if (u * pw) + (v * qw) > 62 then begin
-    Obs.Metrics.Counter.incr m_lattice_fallback;
-    None
-  end
-  else begin
-    let cap = Petrinet.Marking.effective_cap ?cap ?budget () in
-    let p_shift = Array.init u (fun s -> s * pw) in
-    let q_shift = Array.init v (fun r -> (u * pw) + (r * qw)) in
-    let p_mask = (1 lsl pw) - 1 and q_mask = (1 lsl qw) - 1 in
-    (* per transition k: the ring fields it reads and the positions they
-       must hold for k to be enabled, and the positions firing k writes *)
-    let sender = Array.init n (fun k -> k mod u) in
-    let receiver = Array.init n (fun k -> k mod v) in
-    let p_next = Array.init n (fun k -> k / u) in
-    let q_next = Array.init n (fun k -> k / v) in
-    let p_need = Array.init n (fun k -> ((k / u) - 1 + v) mod v) in
-    let q_need = Array.init n (fun k -> ((k / v) - 1 + u) mod u) in
-    let initial =
-      let c = ref 0 in
-      for s = 0 to u - 1 do
-        c := !c lor ((v - 1) lsl p_shift.(s))
-      done;
-      for r = 0 to v - 1 do
-        c := !c lor ((u - 1) lsl q_shift.(r))
-      done;
-      !c
-    in
-    let codes = ref (Array.make 1024 0) in
-    let count = ref 0 in
-    let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-    let succ = ref (Array.make 1024 0) in
-    let via = ref (Array.make 1024 0) in
-    let n_edges = ref 0 in
-    let row_ptr = ref (Array.make 1025 0) in
-    let push_state code =
-      match Hashtbl.find_opt index code with
-      | Some id -> id
-      | None ->
-          if !count >= cap then
-            Supervise.Error.raise_
-              (Supervise.Error.State_space_exceeded { cap; explored = !count });
-          (* the explorers' wall-deadline cadence *)
-          (match budget with
-          | Some b when !count land (Petrinet.Marking.budget_poll_stride - 1) = 0 ->
-              Supervise.Budget.check b
-          | _ -> ());
-          let id = !count in
-          if id = Array.length !codes then begin
-            let a = Array.make (2 * id) 0 in
-            Array.blit !codes 0 a 0 id;
-            codes := a;
-            let rp = Array.make ((2 * id) + 1) 0 in
-            Array.blit !row_ptr 0 rp 0 (id + 1);
-            row_ptr := rp
-          end;
-          !codes.(id) <- code;
-          Hashtbl.add index code id;
-          incr count;
-          id
-    in
-    let push_edge dst k =
-      if !n_edges = Array.length !succ then begin
-        let grow a = let a' = Array.make (2 * !n_edges) 0 in Array.blit a 0 a' 0 !n_edges; a' in
-        succ := grow !succ;
-        via := grow !via
-      end;
-      !succ.(!n_edges) <- dst;
-      !via.(!n_edges) <- k;
-      incr n_edges
-    in
-    ignore (push_state initial);
-    let head = ref 0 in
-    while !head < !count do
-      let code = !codes.(!head) in
-      !row_ptr.(!head) <- !n_edges;
-      for k = 0 to n - 1 do
-        let s = sender.(k) and r = receiver.(k) in
-        if
-          (code lsr p_shift.(s)) land p_mask = p_need.(k)
-          && (code lsr q_shift.(r)) land q_mask = q_need.(k)
-        then begin
-          let code' =
-            code
-            land lnot (p_mask lsl p_shift.(s))
-            land lnot (q_mask lsl q_shift.(r))
-            lor (p_next.(k) lsl p_shift.(s))
-            lor (q_next.(k) lsl q_shift.(r))
-          in
-          push_edge (push_state code') k
-        end
-      done;
-      incr head
-    done;
-    !row_ptr.(!count) <- !n_edges;
-    (* ring positions to the marking code of the 2·u·v-place net, one bit
-       per place (every ring holds one token) as the generic BFS packs it,
-       in the place order [build] creates: sender ring s occupies places
-       [s·v .. s·v+v-1], receiver ring r places [u·v + r·u .. + u-1] *)
-    let codec = Petrinet.Marking.codec_of_widths (Array.make (2 * n) 1) in
-    let w = Petrinet.Marking.words codec in
-    let out = Array.make (!count * w) 0 in
-    let m = Array.make (2 * n) 0 in
-    for id = 0 to !count - 1 do
-      let code = !codes.(id) in
-      Array.fill m 0 (2 * n) 0;
-      for s = 0 to u - 1 do
-        m.((s * v) + ((code lsr p_shift.(s)) land p_mask)) <- 1
-      done;
-      for r = 0 to v - 1 do
-        m.(n + (r * u) + ((code lsr q_shift.(r)) land q_mask)) <- 1
-      done;
-      Petrinet.Marking.encode codec m out (id * w)
-    done;
-    Some
-      {
-        Petrinet.Marking.codec;
-        codes = out;
-        row_ptr = Array.sub !row_ptr 0 (!count + 1);
-        succ = Array.sub !succ 0 !n_edges;
-        via = Array.sub !via 0 !n_edges;
-      }
-  end
+  Some (Petrinet.Marking.explore_graph ?cap ?budget (build ~u ~v ~time:unit_times))
 
 (* ---- rotation symmetry ----
 
@@ -360,13 +207,14 @@ let shape_of ?budget ?pool ~u ~v ~phases ~cap () =
          the cache.  The key ignores [budget] and [pool]: both leave the
          walk byte-identical (the sharded exploration reproduces the serial
          graph exactly, and a completed budgeted walk is a full walk). *)
-      let base = build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
-      (* the direct lattice walk produces the same graph as the generic
-         BFS; fall back when the position code would not fit an int *)
-      match if phases = 1 then young_graph ?cap ?budget ~u ~v () else None with
-      | Some g ->
-          { Markov.Tpn_markov.structure = Markov.Tpn_markov.structure_of_graph base g; expansion = None }
-      | None -> Markov.Tpn_markov.walk_shape ?cap ?budget ?pool base ~phases)
+      Markov.Tpn_markov.walk_shape ?cap ?budget ?pool (build ~u ~v ~time:unit_times) ~phases)
+
+(* the chain's rates and the transitions a data set completes at: a
+   transfer's last phase, or the transfer itself *)
+let chain_rates shape base_rates =
+  Markov.Tpn_markov.shape_rates shape
+    ~original_rate:(fun k -> base_rates.(k))
+    (List.init (Array.length base_rates) Fun.id)
 
 let prepare_shape ?cap ~phases ~u ~v () =
   check u v;
@@ -383,11 +231,7 @@ let prepare_shape ?cap ~phases ~u ~v () =
 let deterministic_inner_throughput ~u ~v ~time =
   check u v;
   let n = u * v in
-  let times =
-    Array.init n (fun k ->
-        let s, r = transition_of ~u ~v k in
-        time ~sender:s ~receiver:r)
-  in
+  let times = per_transition ~u ~v time in
   if Array.exists (fun d -> d < 0.0) times then
     invalid_arg "Pattern.deterministic_inner_throughput: negative duration";
   let dst = Array.make (2 * n) 0 and tokens = Array.make (2 * n) 0 in
@@ -412,58 +256,27 @@ let deterministic_inner_throughput ~u ~v ~time =
   in
   float_of_int n /. period
 
-let exponential_inner_throughput ?cap ~u ~v ~rate () =
-  check u v;
-  let rates =
-    Array.init (u * v) (fun k ->
-        let s, r = transition_of ~u ~v k in
-        rate ~sender:s ~receiver:r)
-  in
-  let key = result_key ~u ~v ~phases:1 ~cap rates in
-  match find_result key with
-  | Some rho -> rho
-  | None ->
-      let shape = shape_of ~u ~v ~phases:1 ~cap () in
-      let chain =
-        Markov.Tpn_markov.analyse_with shape.Markov.Tpn_markov.structure ~rates:(fun id -> rates.(id))
-      in
-      let rho = Markov.Tpn_markov.throughput_of chain (List.init (u * v) Fun.id) in
-      store_result key rho;
-      rho
-
 let homogeneous_inner_throughput ~u ~v ~lambda =
   check u v;
   float_of_int (u * v) *. lambda /. float_of_int (u + v - 1)
 
 let erlang_inner_throughput ?cap ~phases ~u ~v ~rate () =
   if phases < 1 then invalid_arg "Pattern.erlang_inner_throughput: phases must be at least 1";
-  if phases = 1 then
-    (* a 1-phase Erlang is exponential: share that shape and result memo
-       instead of building an (absent) expansion *)
-    exponential_inner_throughput ?cap ~u ~v ~rate ()
-  else begin
   check u v;
-  let base_rates =
-    Array.init (u * v) (fun k ->
-        let s, r = transition_of ~u ~v k in
-        rate ~sender:s ~receiver:r)
-  in
+  let base_rates = per_transition ~u ~v rate in
   let key = result_key ~u ~v ~phases ~cap base_rates in
   match find_result key with
   | Some rho -> rho
   | None ->
       let shape = shape_of ~u ~v ~phases ~cap () in
-      let expansion = Option.get shape.Markov.Tpn_markov.expansion in
-      let rates id = Petrinet.Expand.phase_rates expansion ~original_rate:(fun k -> base_rates.(k)) id in
+      let rates, outputs = chain_rates shape base_rates in
       let chain = Markov.Tpn_markov.analyse_with shape.Markov.Tpn_markov.structure ~rates in
-      (* one data set completes per firing of a transfer's LAST phase *)
-      let rho =
-        Markov.Tpn_markov.throughput_of chain
-          (List.init (u * v) (fun k -> Petrinet.Expand.last expansion k))
-      in
+      let rho = Markov.Tpn_markov.throughput_of chain outputs in
       store_result key rho;
       rho
-  end
+
+let exponential_inner_throughput ?cap ~u ~v ~rate () =
+  erlang_inner_throughput ?cap ~phases:1 ~u ~v ~rate ()
 
 (* ---- supervised solve with the rotation quotient ---- *)
 
@@ -480,22 +293,11 @@ let supervised_inner_throughput ?cap ?budget ?pool ?(lump = true) ~phases ~u ~v 
   if phases < 1 then
     invalid_arg "Pattern.supervised_inner_throughput: phases must be at least 1";
   let n = u * v in
-  let base_rates =
-    Array.init n (fun k ->
-        let s, r = transition_of ~u ~v k in
-        rate ~sender:s ~receiver:r)
-  in
+  let base_rates = per_transition ~u ~v rate in
   (* never memoised: this entry point reports provenance and lump stats of
      an actual solve, which a cache hit would have nothing to say about *)
   let shape = shape_of ?budget ?pool ~u ~v ~phases ~cap () in
-  let rates, outputs =
-    match shape.Markov.Tpn_markov.expansion with
-    | None -> ((fun id -> base_rates.(id)), List.init n Fun.id)
-    | Some e ->
-        (* one data set completes per firing of a transfer's LAST phase *)
-        ( (fun id -> Petrinet.Expand.phase_rates e ~original_rate:(fun k -> base_rates.(k)) id),
-          List.init n (fun k -> Petrinet.Expand.last e k) )
-  in
+  let rates, outputs = chain_rates shape base_rates in
   let d = invariant_shift ~u ~v base_rates in
   let chain, provenance, lstats =
     if lump && d < n then begin
@@ -524,11 +326,7 @@ let supervised_inner_throughput ?cap ?budget ?pool ?(lump = true) ~phases ~u ~v 
   }
 
 let ph_inner_throughput ?cap ~u ~v ~ph () =
-  let laws =
-    Array.init (u * v) (fun k ->
-        let s, r = transition_of ~u ~v k in
-        ph ~sender:s ~receiver:r)
-  in
+  let laws = per_transition ~u ~v ph in
   let teg = build ~u ~v ~time:(fun ~sender ~receiver -> Markov.Ph.mean (ph ~sender ~receiver)) in
   let chain = Markov.Tpn_markov_ph.analyse ?cap ~ph_of:(fun k -> laws.(k)) teg in
   Markov.Tpn_markov_ph.throughput_of chain (List.init (u * v) Fun.id)

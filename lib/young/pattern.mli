@@ -21,20 +21,12 @@ val transition_of : u:int -> v:int -> int -> int * int
 
 val young_graph :
   ?cap:int -> ?budget:Supervise.Budget.t -> u:int -> v:int -> unit -> Petrinet.Marking.graph option
-(** Direct enumeration of the reachable marking graph of {!build}'s net:
-    a marking is the token position in each of the u+v serialisation
-    rings (a pair of Young-diagram paths, Theorem 3), and the enumerator
-    walks those position tuples combinatorially instead of firing the
-    generic breadth-first search.  The result — codec (one bit per
-    place), packed codes, discovery order and edge lists — is identical to
-    [Petrinet.Marking.explore_graph (build ~u ~v ...)].  Returns [None]
-    when the position tuple would not pack into one machine int (the
-    caller then falls back to the generic exploration).  Raises
-    [Supervise.Error.Solver_error (State_space_exceeded _)] beyond [cap]
-    states, tightened by the [budget]'s state ceiling, and
-    [Budget_exhausted] once the budget's wall deadline has passed, polled
-    every {!Petrinet.Marking.budget_poll_stride} registered states as in
-    the generic explorer. *)
+(** [Some (Petrinet.Marking.explore_graph ?cap ?budget (build ~u ~v ...))]:
+    the serial walk of the pattern net, whose reachable markings are the
+    pairs of Young diagrams of Theorem 3.  It always returns [Some], and
+    stays only for the staged pass of the pattern-cold benchmark, which
+    times it as [young.young_graph_ms], until a benchmark change drops that
+    figure. *)
 
 (** {1 Rotation symmetry}
 
@@ -78,7 +70,9 @@ val exponential_inner_throughput :
   ?cap:int -> u:int -> v:int -> rate:(sender:int -> receiver:int -> float) -> unit -> float
 (** Exact stationary transfer rate with exponential times (sum of the
     stationary firing rates of the u·v transitions), through the marking
-    CTMC of Theorem 3.  The chain has S(u,v) states. *)
+    CTMC of Theorem 3.  The chain has S(u,v) states.  This is
+    {!erlang_inner_throughput} with [phases = 1], under the same shape and
+    result memo keys. *)
 
 val homogeneous_inner_throughput : u:int -> v:int -> lambda:float -> float
 (** Theorem 4's closed form u*v*lambda / (u+v-1). *)

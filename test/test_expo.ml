@@ -432,6 +432,60 @@ let qcheck_theorem7_through_the_table =
           at_least det e2 && at_least e2 ex && Float.abs (ph2 -. e2) <= 1e-9 *. Float.abs e2)
         [ Model.Overlap; Model.Strict ])
 
+(* Data set n is served at stage i by member n mod R_i of team i (§2.2).
+   Rotating every team i by s mod R_i, for one shift s, hands data set n
+   the processors of data set n + s: the data sets are only renumbered,
+   so the throughput stays.  The shift keeps the replication vector, so a
+   Strict net past the state cap is past it on both sides, with the same
+   typed error. *)
+let shift_data_sets mapping s =
+  Mapping.create ~app:(Mapping.app mapping) ~platform:(Mapping.platform mapping)
+    ~teams:
+      (Array.init (Mapping.n_stages mapping) (fun i ->
+           let team = Mapping.team mapping i in
+           let r = Array.length team in
+           Array.init r (fun j -> team.((j + s) mod r))))
+
+let qcheck_data_set_shift =
+  QCheck.Test.make ~name:"shifting the data sets leaves the throughput" ~count:6
+    ~long_factor:10 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let n_stages = 2 + Prng.int g 3 in
+      let mapping =
+        Workload.Gen.random_mapping g
+          {
+            Workload.Gen.n_stages;
+            n_procs = n_stages + Prng.int g (10 - n_stages);
+            comp_range = (5.0, 15.0);
+            comm_range = (5.0, 15.0);
+            max_rows = 12;
+          }
+      in
+      let s = 1 + Prng.int g (max 1 (Mapping.rows mapping - 1)) in
+      let shifted = shift_data_sets mapping s in
+      List.for_all
+        (fun model ->
+          List.for_all
+            (fun law ->
+              let solve m =
+                match Throughput.solve law model m with
+                | rho, _ -> Ok rho
+                | exception Supervise.Error.Solver_error e -> Error e
+              in
+              match (solve mapping, solve shifted) with
+              | Ok rho, Ok rho' when Float.abs (rho -. rho') <= 1e-9 *. Float.abs rho -> true
+              | Error e, Error e' when e = e' -> true
+              | a, b ->
+                  let show = function
+                    | Ok rho -> Printf.sprintf "%.17g" rho
+                    | Error e -> Supervise.Error.to_string e
+                  in
+                  QCheck.Test.fail_reportf "%s %s, shift %d: %s against %s on@ %a"
+                    (Model.to_string model) (Throughput.law_to_string law) s (show a) (show b)
+                    Mapping.pp mapping)
+            [ Throughput.Deterministic; Throughput.Exponential; Throughput.Erlang 2 ])
+        [ Model.Overlap; Model.Strict ])
+
 let test_des_rung_bits () =
   (* cap 2 stops the general method before any CTMC exists; the DES rung
      at the daemon's seed answers, its estimate and provenance pinned bit
@@ -932,6 +986,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_solve_bit_for_bit;
           QCheck_alcotest.to_alcotest qcheck_theorem7_through_the_table;
           Alcotest.test_case "DES rung bits" `Quick test_des_rung_bits;
+          QCheck_alcotest.to_alcotest qcheck_data_set_shift;
         ] );
       ( "pattern skip",
         [

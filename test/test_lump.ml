@@ -228,19 +228,51 @@ let test_state_permutation_decoded () =
         shifts)
     [ (4, 5, 2, List.init 20 (fun d -> d + 1)); (3, 7, 3, List.init 21 (fun d -> d + 1)) ]
 
+let pattern_net u v = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0)
+
+(* every level of the nets above is narrower than the pooled width (256),
+   so their pooled walks never leave the caller; 7x8 has 24 024 states in
+   77 levels, 54 of them 256 wide or more (widest 429) *)
+let test_sharded_wide_levels () =
+  let teg = pattern_net 7 8 in
+  let serial = Petrinet.Marking.explore_graph teg in
+  List.iter
+    (fun domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          Alcotest.(check bool) (Printf.sprintf "pool of %d" domains) true
+            (graphs_equal serial (Petrinet.Marking.explore_graph ~pool teg))))
+    [ 2; 4 ]
+
 let test_sharded_honours_cap () =
-  let teg = Young.Pattern.build ~u:4 ~v:5 ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
       let raised =
         try
-          ignore (Petrinet.Marking.explore_graph ~cap:50 ~pool teg);
+          ignore (Petrinet.Marking.explore_graph ~cap:50 ~pool (pattern_net 4 5));
           false
         with
         | Supervise.Error.Solver_error (Supervise.Error.State_space_exceeded { cap = 50; _ })
         ->
           true
       in
-      Alcotest.(check bool) "cap enforced under sharding" true raised)
+      Alcotest.(check bool) "cap enforced under sharding" true raised;
+      (* 7x8's 5 001st state is met while its 425-state level 18 is on the
+         pool: the merge stops there, as the serial walk does *)
+      Alcotest.check_raises "cap inside a pooled level"
+        (Supervise.Error.Solver_error
+           (Supervise.Error.State_space_exceeded { cap = 5000; explored = 5000 }))
+        (fun () -> ignore (Petrinet.Marking.explore_graph ~cap:5000 ~pool (pattern_net 7 8))))
+
+(* a pooled walk counts as sharded only once a level went on the pool *)
+let test_sharded_counter () =
+  let sharded = Obs.Metrics.Counter.create "marking_sharded_explorations_total" in
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let counted teg =
+        let before = Obs.Metrics.Counter.value sharded in
+        ignore (Petrinet.Marking.explore_graph ~pool teg);
+        Obs.Metrics.Counter.value sharded - before
+      in
+      Alcotest.(check int) "3x4: every level on the caller" 0 (counted (pattern_net 3 4));
+      Alcotest.(check int) "7x8: wide levels on the pool" 1 (counted (pattern_net 7 8)))
 
 (* ---- the Arnoldi rung ---- *)
 
@@ -281,19 +313,6 @@ let test_arnoldi_no_convergence () =
   in
   Alcotest.(check bool) "matvec ceiling raises No_convergence" true raised
 
-(* ---- the lattice-fallback counter ---- *)
-
-let test_fallback_counter () =
-  let c =
-    Obs.Metrics.Counter.create
-      ~labels:[ ("reason", "code-width") ]
-      "young_lattice_fallback_total"
-  in
-  let before = Obs.Metrics.Counter.value c in
-  (* 9x10 needs 9*4 + 10*4 = 76 position bits: must decline and count it *)
-  Alcotest.(check bool) "9x10 walk declines" true (Young.Pattern.young_graph ~u:9 ~v:10 () = None);
-  Alcotest.(check int) "fallback counted" (before + 1) (Obs.Metrics.Counter.value c)
-
 let () =
   Alcotest.run "lump"
     [
@@ -315,12 +334,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_sharded_identity;
           Alcotest.test_case "cap under sharding" `Quick test_sharded_honours_cap;
+          Alcotest.test_case "wide levels: sharded = serial" `Quick test_sharded_wide_levels;
+          Alcotest.test_case "sharded counter" `Quick test_sharded_counter;
         ] );
       ( "arnoldi",
         [
           Alcotest.test_case "matches GTH" `Quick test_arnoldi_matches_gth;
           Alcotest.test_case "No_convergence" `Quick test_arnoldi_no_convergence;
         ] );
-      ( "obs",
-        [ Alcotest.test_case "lattice fallback counter" `Quick test_fallback_counter ] );
     ]

@@ -223,11 +223,7 @@ let test_golden_digests () =
     (fun ((u, v, phases), digest) ->
       let name = Printf.sprintf "%dx%d ph%d" u v phases in
       let teg = if phases = 1 then pattern u v else erlang phases (pattern u v) in
-      Alcotest.(check string) name digest (digest_graph (Marking.explore_graph teg));
-      if phases = 1 then
-        match Young.Pattern.young_graph ~u ~v () with
-        | Some g -> Alcotest.(check string) (name ^ " lattice walk") digest (digest_graph g)
-        | None -> Alcotest.failf "%s: the lattice walk declined" name)
+      Alcotest.(check string) name digest (digest_graph (Marking.explore_graph teg)))
     golden_rungs
 
 (* -- deterministic cycle time -- *)
