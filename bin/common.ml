@@ -55,6 +55,10 @@ let solver_error_exit ?(mapping = true) ~cap err =
          else "")
   | Supervise.Error.No_convergence _ ->
       Format.eprintf "hint: the iterative solver stalled; a looser tolerance may help@."
+  | Supervise.Error.Fill_exceeded _ ->
+      Format.eprintf
+        "hint: the chain is too large for exact elimination, and the iterative solver stalled \
+         before it; a smaller model (fewer replicas or phases) may fit@."
   | Supervise.Error.Non_ergodic _ ->
       Format.eprintf "hint: the marking chain has no unique recurrent class@."
   | Supervise.Error.Numerical _ | Supervise.Error.Budget_exhausted _ -> ());

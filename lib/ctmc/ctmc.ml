@@ -21,51 +21,33 @@ let m_gth_entries =
   Obs.Metrics.Counter.create ~help:"L and U entries stored by GTH solves (generator plus fill)"
     "ctmc_gth_factor_entries_total"
 
-let gth t =
-  let pi, entries = Linalg.Gth.stationary_stats t.sparse in
+let gth ?budget t =
+  let pi, entries = Linalg.Gth.stationary_stats ?budget t.sparse in
   Obs.Metrics.Counter.incr m_gth_solves;
   Obs.Metrics.Counter.add m_gth_entries entries;
   pi
 
 (* ---- supervised solving: the escalation ladder ---- *)
 
-type rung =
-  | Rung_gth
-  | Rung_gauss_seidel of { tol : float }
-  | Rung_power of { tol : float }
-  | Rung_arnoldi of { tol : float; restart : int }
+type rung = Rung_gth | Rung_gauss_seidel of { tol : float }
 
 let rung_name = function
   | Rung_gth -> "gth"
   | Rung_gauss_seidel { tol } -> Printf.sprintf "gauss-seidel(tol=%g)" tol
-  | Rung_power { tol } -> Printf.sprintf "power(tol=%g)" tol
-  | Rung_arnoldi { tol; restart } -> Printf.sprintf "arnoldi(tol=%g,m=%d)" tol restart
 
-(* GTH is exact but its fill grows fast, so it only heads the ladder for
-   chains it can actually chew through; the iterative rungs then relax the
-   tolerance before switching method entirely.  The Krylov rung closes the
-   ladder: restarted Arnoldi converges on stiff chains where the
-   one-dimensional power recurrence stalls, at the price of the basis
-   memory. *)
+(* Cheapest first: GTH's fill stays affordable up to the threshold, and
+   Gauss–Seidel's sweeps are cheaper above it.  Each rung backs up the
+   other: Gauss–Seidel answers a chain whose elimination passes GTH's
+   fill bound, and GTH, exact under that bound, answers a chain on which
+   Gauss–Seidel stalls, such as a nearly decomposable one. *)
 let default_ladder n =
-  let iterative =
-    [
-      Rung_gauss_seidel { tol = 1e-12 };
-      Rung_gauss_seidel { tol = 1e-9 };
-      Rung_power { tol = 1e-10 };
-      Rung_arnoldi { tol = 1e-10; restart = 30 };
-    ]
-  in
-  if n <= gth_threshold then Rung_gth :: iterative else iterative
+  let gs = Rung_gauss_seidel { tol = 1e-12 } in
+  if n <= gth_threshold then [ Rung_gth; gs ] else [ gs; Rung_gth ]
 
-let m_sweeps method_ =
+let m_gs_sweeps =
   Obs.Metrics.Counter.create
-    ~labels:[ ("method", method_) ]
+    ~labels:[ ("method", "gauss-seidel") ]
     ~help:"Iterative stationary-solver sweeps" "ctmc_sweeps_total"
-
-let m_gs_sweeps = m_sweeps "gauss-seidel"
-let m_power_sweeps = m_sweeps "power"
-let m_arnoldi_sweeps = m_sweeps "arnoldi"
 
 let m_rung_reached rung =
   Obs.Metrics.Counter.create
@@ -78,18 +60,10 @@ let m_ladder_failed =
     "ctmc_ladder_failed_total"
 
 let run_rung ?budget t = function
-  | Rung_gth -> (gth t, Supervise.Provenance.Exact)
+  | Rung_gth -> (gth ?budget t, Supervise.Provenance.Exact)
   | Rung_gauss_seidel { tol } ->
       let pi, stats = Linalg.Sparse.stationary_gauss_seidel_stats ?budget ~tol t.sparse in
       Obs.Metrics.Counter.add m_gs_sweeps stats.Linalg.Sparse.sweeps;
-      (pi, Supervise.Provenance.Iterative { residual = stats.Linalg.Sparse.residual })
-  | Rung_power { tol } ->
-      let pi, stats = Linalg.Sparse.stationary_power_stats ?budget ~tol t.sparse in
-      Obs.Metrics.Counter.add m_power_sweeps stats.Linalg.Sparse.sweeps;
-      (pi, Supervise.Provenance.Iterative { residual = stats.Linalg.Sparse.residual })
-  | Rung_arnoldi { tol; restart } ->
-      let pi, stats = Linalg.Sparse.stationary_arnoldi_stats ?budget ~tol ~restart t.sparse in
-      Obs.Metrics.Counter.add m_arnoldi_sweeps stats.Linalg.Sparse.sweeps;
       (pi, Supervise.Provenance.Iterative { residual = stats.Linalg.Sparse.residual })
 
 (* the ladder's first rung alone: no span and no per-rung counter lookup,
@@ -235,7 +209,6 @@ let lift ~classes ~n_classes pi_hat =
       let c = classes.(i) in
       pi_hat.(c) /. float_of_int sizes.(c))
 
-let flow t ~pi ~src ~dst = pi.(src) *. Linalg.Sparse.rate t.sparse src dst
 let iter_outgoing t i f = Linalg.Sparse.iter_outgoing t.sparse i f
 let exit_rate t i = Linalg.Sparse.exit_rate t.sparse i
 

@@ -10,22 +10,17 @@ val add_rate : t -> int -> int -> float -> unit
 
 val n_states : t -> int
 
-type rung =
-  | Rung_gth
-  | Rung_gauss_seidel of { tol : float }
-  | Rung_power of { tol : float }
-  | Rung_arnoldi of { tol : float; restart : int }
-(** One step of an escalation ladder: a solver paired with the tolerance
-    it is asked to reach.  [Rung_arnoldi] is the Krylov rung — restarted
-    Arnoldi with an [restart]-dimensional basis (see
-    {!Linalg.Sparse.stationary_arnoldi_stats}). *)
+type rung = Rung_gth | Rung_gauss_seidel of { tol : float }
+(** One step of an escalation ladder: exact GTH elimination under its fill
+    bound ({!Linalg.Gth}), or Gauss–Seidel asked to reach an L1 residual
+    of [tol] ({!Linalg.Sparse.stationary_gauss_seidel_stats}). *)
 
 val default_ladder : int -> rung list
-(** The standard ladder for an [n]-state chain: GTH (only when [n] is
-    within the 1200-state threshold), Gauss–Seidel at 1e-12, Gauss–Seidel
-    relaxed to 1e-9, power iteration at 1e-10, and finally restarted
-    Arnoldi (tol 1e-10, basis 30) for stiff chains that defeat the
-    one-dimensional iterations. *)
+(** The standard ladder for an [n]-state chain, cheapest first: GTH then
+    Gauss–Seidel at 1e-12 up to 1200 states, Gauss–Seidel at 1e-12 then
+    GTH above.  Either rung is the other's backstop: Gauss–Seidel for a
+    chain past GTH's fill bound, GTH for a chain on which Gauss–Seidel
+    stalls. *)
 
 val stationary : t -> float array
 (** Stationary distribution of an irreducible chain on the first rung of
@@ -45,7 +40,9 @@ val stationary_supervised :
     degraded.  Raises the last rung's [Supervise.Error.Solver_error] if
     all rungs fail, and stops climbing immediately on [Budget_exhausted]
     (a spent wall clock fails every later rung too).  The [budget] is
-    threaded into the iterative rungs' sweep loops. *)
+    threaded into both rungs: its sweep ceiling and wall deadline bound
+    Gauss–Seidel, and its wall deadline bounds GTH, which is otherwise
+    bounded by its fill. *)
 
 val lump : ?verify:bool -> t -> classes:int array -> n_classes:int -> t
 (** Exact-lumpability quotient: [classes.(i)] is the class of state [i]
@@ -65,9 +62,6 @@ val lift : classes:int array -> n_classes:int -> float array -> float array
     of the generator (the Young-lattice rotation quotients built by
     {!Young.Pattern}); for general lumpable partitions only the class sums
     are meaningful. *)
-
-val flow : t -> pi:float array -> src:int -> dst:int -> float
-(** Stationary probability flow π(src)·q(src,dst). *)
 
 val iter_outgoing : t -> int -> (int -> float -> unit) -> unit
 (** Allocation-free iteration over the merged outgoing edges of a state. *)

@@ -207,9 +207,9 @@ let analyse_with s ~rates =
   let pi = Ctmc.stationary chain in
   assemble s ~rate_array ~chain ~pi
 
-let analyse_with_supervised ?budget ?ladder s ~rates =
+let analyse_with_supervised ?budget s ~rates =
   let rate_array, chain = build_chain s ~rates in
-  let pi, provenance = Ctmc.stationary_supervised ?budget ?ladder chain in
+  let pi, provenance = Ctmc.stationary_supervised ?budget chain in
   (assemble s ~rate_array ~chain ~pi, provenance)
 
 (* ---- symmetry quotients ----
@@ -281,7 +281,7 @@ let m_lumped_analyses =
   Obs.Metrics.Counter.create ~help:"Stationary analyses solved on a symmetry quotient"
     "tpn_lumped_analyses_total"
 
-let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
+let analyse_with_lumped ?budget s ~rates ~place_perm ~trans_perm =
   Obs.Trace.span "ctmc:analyse_lumped" (fun () ->
       let rate_array = rate_array s rates in
       let n_trans = Array.length rate_array in
@@ -330,7 +330,7 @@ let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
           acc.(touched.(i)) <- 0.0
         done
       done;
-      let pi_hat, provenance = Ctmc.stationary_supervised ?budget ?ladder q in
+      let pi_hat, provenance = Ctmc.stationary_supervised ?budget q in
       let pi = Ctmc.lift ~classes ~n_classes pi_hat in
       Obs.Metrics.Counter.incr m_lumped_analyses;
       Obs.Trace.add_attr "states" (string_of_int n_rec);
@@ -340,8 +340,8 @@ let analyse_with_lumped ?budget ?ladder s ~rates ~place_perm ~trans_perm =
       let t = { (assemble s ~rate_array ~chain:q ~pi) with initial_state = None } in
       (t, provenance, { lump_states = n_rec; lump_classes = n_classes }))
 
-let analyse_supervised ?cap ?budget ?ladder ~rates teg =
-  analyse_with_supervised ?budget ?ladder (structure ?cap ?budget teg) ~rates
+let analyse_supervised ?cap ?budget ~rates teg =
+  analyse_with_supervised ?budget (structure ?cap ?budget teg) ~rates
 
 let n_markings t = t.total_markings
 let n_recurrent t = Array.length t.pi

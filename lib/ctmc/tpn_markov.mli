@@ -52,12 +52,11 @@ val analyse_with : structure -> rates:(int -> float) -> t
 
 val analyse_with_supervised :
   ?budget:Supervise.Budget.t ->
-  ?ladder:Ctmc.rung list ->
   structure ->
   rates:(int -> float) ->
   t * Supervise.Provenance.t
 (** As {!analyse_with}, but solves the chain through
-    {!Ctmc.stationary_supervised}'s escalation ladder and reports the
+    {!Ctmc.stationary_supervised}'s default ladder and reports the
     provenance of the result. *)
 
 (** {1 Symmetry quotients (exact lumping)}
@@ -89,7 +88,6 @@ type lump_stats = { lump_states : int; lump_classes : int }
 
 val analyse_with_lumped :
   ?budget:Supervise.Budget.t ->
-  ?ladder:Ctmc.rung list ->
   structure ->
   rates:(int -> float) ->
   place_perm:int array ->
@@ -110,12 +108,11 @@ val analyse_with_lumped :
 val analyse_supervised :
   ?cap:int ->
   ?budget:Supervise.Budget.t ->
-  ?ladder:Ctmc.rung list ->
   rates:(int -> float) ->
   Petrinet.Teg.t ->
   t * Supervise.Provenance.t
-(** [analyse_with_supervised ?budget ?ladder (structure ?cap ?budget teg)
-    ~rates]: budgeted exploration followed by the escalation ladder. *)
+(** [analyse_with_supervised ?budget (structure ?cap ?budget teg)
+    ~rates]: budgeted exploration followed by the default ladder. *)
 
 val n_markings : t -> int
 (** Number of reachable markings (including transient ones). *)

@@ -141,9 +141,10 @@ let replicated_throughputs ?pool ?warmup_fraction ?release mapping model ~timing
     seeds
 
 (* The last rung of the escalation ladder: when the exact and iterative
-   solvers have all failed (state space over the cap, no convergence,
-   budget spent), estimate the throughput by simulation and report an
-   honest batch-means confidence interval alongside. *)
+   solvers have both failed (state space over the cap, no convergence,
+   budget spent, fill past GTH's bound), estimate the throughput by
+   simulation and report an honest batch-means confidence interval
+   alongside. *)
 let estimate ?(data_sets = 20_000) ~seed mapping model () =
   let completions =
     completions mapping model ~timing:(Independent (Streaming.Laws.exponential mapping)) ~seed

@@ -86,5 +86,5 @@ val estimate :
     the nominal means, with its 95% batch-means half-width ([data_sets]
     defaults to 20_000).  Partially applied, it is the [simulate] rung of
     {!Streaming.Throughput.solve}, the last step of the escalation ladder
-    (GTH → Gauss–Seidel → power iteration → simulation), which cannot
+    (Gauss–Seidel and GTH, cheapest first → simulation), which cannot
     live in [lib/streaming] because the simulator sits above it. *)

@@ -120,7 +120,23 @@ let give_back sc =
   let words = (7 * Array.length sc.x) + (2 * (Array.length sc.l.col + Array.length sc.u.col)) in
   if words <= spare_words then Atomic.set (Domain.DLS.get spare) (Some sc)
 
-let stationary_stats s =
+(* The most L and U entries a solve may store: 2^22, 8 Mi words of column
+   and value, the shape cache's bound.  Measured one solve each on a
+   2-vCPU host: the 15 Strict (3,7) exponential chains (576–3 456 states)
+   store 37 k – 1.13 M entries in 2–104 ms, and the 11 820-state 5×6
+   Erlang:2 pattern 3.65 M in 251 ms.  Past the bound: 4×9 Erlang:2 would
+   store 8.43 M (it is refused at 4.19 M, after 0.37 s), 4×9 Erlang:3
+   92.7 M (about 1.5 GB and 9.7 s), and Strict (3,7) Erlang:2 chains
+   9.3 – 32 M (1.0–9.6 s).  Checked once per finished row, so a solve
+   overshoots by at most one row's entries (457 on 4×9 Erlang:2). *)
+let fill_bound = 1 lsl 22
+
+(* The budget's wall deadline is polled after every [poll_rows] finished
+   rows: 5×6 Erlang:2 finishes 64 rows in 1.4 ms on average, against
+   about 40 ns for a clock read. *)
+let poll_rows = 64
+
+let stationary_stats ?budget s =
   let n = Sparse.size s in
   if n = 0 then ([||], 0)
   else if n = 1 then ([| 1.0 |], 0)
@@ -183,7 +199,13 @@ let stationary_stats s =
              });
       sum.(i) <- !si;
       l_ptr.(i) <- l.len;
-      u_ptr.(i) <- u.len
+      u_ptr.(i) <- u.len;
+      let entries = l.len + u.len in
+      if entries > fill_bound then
+        Supervise.Error.raise_ (Supervise.Error.Fill_exceeded { entries; bound = fill_bound });
+      match budget with
+      | Some b when (n - i) mod poll_rows = 0 -> Supervise.Budget.check b
+      | _ -> ()
     done;
     let pi = Array.make n 0.0 in
     pi.(0) <- 1.0;

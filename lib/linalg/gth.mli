@@ -29,7 +29,15 @@
     is at most 16 MB, so a stream of similar chains allocates little
     beyond its results.  A solve that runs while another holds its
     domain's set allocates its own: concurrent solves from any thread or
-    domain are safe. *)
+    domain are safe.  A solve that raises keeps nothing, so the next one
+    on its domain starts from fresh storage.
+
+    Bound: the elimination stores at most 2{^22} L and U entries
+    (8 Mi words of column and value, as the shape cache).  It compares its
+    count with that bound once per finished row and raises
+    [Supervise.Error.Solver_error (Fill_exceeded _)] past it, so it can
+    close any ladder without exhausting memory; a solve overshoots by at
+    most one row's entries. *)
 
 val stationary : Sparse.t -> float array
 (** [stationary q] returns the stationary distribution π (πQ = 0, Σπ = 1)
@@ -37,10 +45,13 @@ val stationary : Sparse.t -> float array
     probabilities) are the merged entries of [q].  Raises
     [Supervise.Error.Solver_error (Numerical _)] if the chain is reducible
     (a state with no outflow mass into the states below it is reached
-    during elimination; the message names that state). *)
+    during elimination; the message names that state), and
+    [Fill_exceeded _] past the fill bound. *)
 
-val stationary_stats : Sparse.t -> float array * int
+val stationary_stats : ?budget:Supervise.Budget.t -> Sparse.t -> float array * int
 (** As {!stationary}, also returning the number of L and U entries the
     elimination stored: every column a row's pattern reached (the
     generator's entries plus fill), less U entries that rounded to zero.
-    A tridiagonal chain has no fill: 2(n−1) entries. *)
+    A tridiagonal chain has no fill: 2(n−1) entries.  The [budget]'s wall
+    deadline is polled after every 64 finished rows ([Budget_exhausted]
+    when it has passed); its sweep ceiling does not apply. *)

@@ -1,10 +1,11 @@
-(** A CTMC generator in compressed-sparse-row form, and the iterative
-    stationary solvers that sweep it.
+(** A CTMC generator in compressed-sparse-row form, and Gauss–Seidel,
+    the iterative stationary solver that sweeps it.
 
     The exact solver, {!Gth}, eliminates on the same CSR rows, but its
     fill grows quickly on the Young-diagram pattern chains of Theorem 3
     and the marking chains of the general method, so beyond 1200 states
-    the CTMC layer switches to the iterative solvers here. *)
+    the CTMC layer tries Gauss–Seidel first and keeps GTH, under its fill
+    bound, as the exact backstop. *)
 
 type t
 (** A CTMC generator: edges accumulate in flat append-only arrays and are
@@ -25,18 +26,12 @@ val nnz : t -> int
 
 val exit_rate : t -> int -> float
 
-val outgoing : t -> int -> (int * float) list
-(** Merged outgoing transitions of a state, in first-insertion order. *)
-
-val rate : t -> int -> int -> float
-(** Merged rate of i → j; 0 if absent. *)
-
 val iter_outgoing : t -> int -> (int -> float -> unit) -> unit
 (** [iter_outgoing t i f] calls [f j r] for every merged edge i → j without
     allocating. *)
 
 type stats = { sweeps : int; residual : float }
-(** What an iterative solve achieved: sweeps executed and the L1 residual
+(** What a Gauss–Seidel solve achieved: sweeps executed and the L1 residual
     of π·Q at the final iterate — the raw material of a result's
     provenance record. *)
 
@@ -52,35 +47,3 @@ val stationary_gauss_seidel_stats :
     full sweep — is only evaluated every 8th sweep, and the [budget]'s
     wall deadline is polled at the same cadence ([Budget_exhausted] when
     it fires); the budget's sweep ceiling tightens [max_sweeps]. *)
-
-val stationary_power_stats :
-  ?budget:Supervise.Budget.t -> ?tol:float -> ?max_iters:int -> t -> float array * stats
-(** Power iteration on the uniformised chain, with the iteration count and
-    the L1 residual of the final iterate (one extra residual pass); slower
-    than Gauss–Seidel but useful as an independent cross-check of it.
-    Failure and budget behaviour as in {!stationary_gauss_seidel_stats}.
-
-    Sweeps of chains larger than 2¹⁵ states run on a cache-blocked edge
-    ordering (edges grouped by 8192-column destination blocks, row-major
-    within a block) — bit-identical results, memory-bandwidth-bound
-    scatters. *)
-
-val stationary_arnoldi_stats :
-  ?budget:Supervise.Budget.t ->
-  ?tol:float ->
-  ?restart:int ->
-  ?max_matvecs:int ->
-  t ->
-  float array * stats
-(** Restarted Arnoldi on the uniformised chain P = I + Q/λ: an [restart]-
-    dimensional (default 30) Krylov basis is built by modified
-    Gram–Schmidt, the stationary direction is approximated by the Ritz
-    vector of the dominant eigenpair of the small Hessenberg projection,
-    clamped to the nonnegative cone and L1-normalised, and the process
-    restarts from it until the L1 residual ‖πQ‖₁ meets [tol] (default
-    1e-10).  Each basis extension is one matvec, counted against
-    [max_matvecs] (default 100_000) and against the [budget]'s sweep
-    ceiling; its wall deadline is polled at the usual cadence.  Raises
-    [No_convergence] with matvecs spent and residual achieved, like the
-    other iterative solvers, and reports them on success.  Sweeps share
-    the blocked-CSR path of {!stationary_power_stats}. *)

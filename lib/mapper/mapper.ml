@@ -3,11 +3,12 @@ open Streaming
 type metric = Deterministic | Exponential
 
 (* Only typed, recoverable solver failures (state space over the cap, a
-   stalled iteration, an exhausted budget) may demote a candidate to a
-   zero score: they are information about the candidate, not about the
-   code.  Everything else — [Non_ergodic], [Numerical], [Invalid_argument]
-   — propagates, so a genuine programming error can never masquerade as a
-   "worthless mapping" that the climbs silently route around. *)
+   stalled iteration, an exhausted budget, an elimination past its fill
+   bound) may demote a candidate to a zero score: they are information
+   about the candidate, not about the code.  Everything else —
+   [Non_ergodic], [Numerical], [Invalid_argument] — propagates, so a
+   genuine programming error can never masquerade as a "worthless
+   mapping" that the climbs silently route around. *)
 let evaluate metric mapping =
   let law =
     match metric with

@@ -31,7 +31,8 @@ val evaluate : metric -> Mapping.t -> float
     evaluation is intractable for this mapping — precisely, when it fails
     with a {e recoverable} typed solver error
     (see {!Supervise.Error.is_recoverable}): state space over the cap,
-    stalled iteration, exhausted budget.  Any other failure —
+    stalled iteration, exhausted budget, elimination past its fill
+    bound.  Any other failure —
     [Non_ergodic], [Numerical], [Invalid_argument] — propagates: a
     programming error never scores as a worthless mapping. *)
 

@@ -28,7 +28,8 @@ let error_kind = function
       | Supervise.Error.State_space_exceeded _ -> "state_space_exceeded"
       | Supervise.Error.Non_ergodic _ -> "non_ergodic"
       | Supervise.Error.Numerical _ -> "numerical"
-      | Supervise.Error.Budget_exhausted _ -> "budget_exhausted")
+      | Supervise.Error.Budget_exhausted _ -> "budget_exhausted"
+      | Supervise.Error.Fill_exceeded _ -> "fill_exceeded")
 
 let error_message = function
   | Parse_error msg -> "malformed JSON: " ^ msg
@@ -60,6 +61,8 @@ let error_extras = function
       [ ("what", Json.String what); ("where", Json.String where) ]
   | Solver (Supervise.Error.Budget_exhausted { elapsed }) ->
       [ ("elapsed_s", Json.Float elapsed) ]
+  | Solver (Supervise.Error.Fill_exceeded { entries; bound }) ->
+      [ ("entries", Json.Int entries); ("bound", Json.Int bound) ]
   | Busy { inflight; limit } -> [ ("inflight", Json.Int inflight); ("limit", Json.Int limit) ]
   | Unavailable { reason } -> [ ("reason", Json.String reason) ]
   | Admission_rejected { tenant; victim; floor; bound } ->
@@ -112,6 +115,8 @@ let solver_error_of_json err =
            })
   | Some "budget_exhausted" ->
       Some (Supervise.Error.Budget_exhausted { elapsed = flt "elapsed_s" 0. })
+  | Some "fill_exceeded" ->
+      Some (Supervise.Error.Fill_exceeded { entries = int "entries" 0; bound = int "bound" 0 })
   | _ -> None
 
 (* ---- request decoding ---- *)

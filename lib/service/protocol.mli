@@ -20,7 +20,8 @@
     or [{"v":1, "id":..., "ok":false, "error":{"kind":..., "message":...,
     "retriable":bool, ...}}].  Solver failures keep their typed payload
     ([budget_exhausted] carries ["elapsed_s"], [state_space_exceeded]
-    carries ["cap"]/["explored"], ...). *)
+    carries ["cap"]/["explored"], [fill_exceeded] carries
+    ["entries"]/["bound"], ...). *)
 
 val version : int
 

@@ -1,13 +1,15 @@
 (** Per-solve resource budgets, checked cooperatively by the solvers.
 
     A budget bounds one solve along three axes: wall-clock time (checked
-    every few sweeps of the iterative solvers and every batch of
-    registered states in the explorers), iteration count (folded into the
-    solver's sweep ceiling), and state count (folded into the explorer's
-    cap).  Exceeding the deadline raises
-    [Error.Solver_error (Budget_exhausted _)]; the other two axes surface
-    through the solver's own [No_convergence] / [State_space_exceeded]
-    errors with the tightened limits. *)
+    every few Gauss–Seidel sweeps, every batch of rows the GTH
+    elimination finishes and every batch of registered states in the
+    explorers), iteration count (folded into Gauss–Seidel's sweep
+    ceiling), and state count (folded into the explorer's cap).
+    Exceeding the deadline raises [Error.Solver_error (Budget_exhausted
+    _)]; the other two axes surface through the solver's own
+    [No_convergence] / [State_space_exceeded] errors with the tightened
+    limits.  GTH takes no sweeps: besides the deadline, only its own
+    fill bound ([Fill_exceeded]) stops it. *)
 
 type t
 
@@ -18,8 +20,8 @@ val unlimited : t
 val create : ?wall:float -> ?sweeps:int -> ?states:int -> unit -> t
 (** [create ()] starts the clock now.  [wall] is in seconds of the
     monotonic clock ({!Obs.Clock}), so a step of the system clock neither
-    expires nor stretches it; [sweeps] caps iterative sweeps; [states]
-    caps explored states. *)
+    expires nor stretches it; [sweeps] caps Gauss–Seidel sweeps;
+    [states] caps explored states. *)
 
 val of_limits : ?wall:float -> ?sweeps:int -> ?states:int -> unit -> t option
 (** [None] when no limit is given (the solver runs unbudgeted), else

@@ -4,6 +4,7 @@ type t =
   | Non_ergodic of { recurrent : int; transient : int }
   | Numerical of { what : string; where : string }
   | Budget_exhausted of { elapsed : float }
+  | Fill_exceeded of { entries : int; bound : int }
 
 exception Solver_error of t
 
@@ -18,6 +19,8 @@ let to_string = function
   | Numerical { what; where } -> Printf.sprintf "numerical failure in %s: %s" where what
   | Budget_exhausted { elapsed } ->
       Printf.sprintf "budget exhausted after %.3g s of wall clock" elapsed
+  | Fill_exceeded { entries; bound } ->
+      Printf.sprintf "exact elimination stored %d factor entries, past its bound of %d" entries bound
 
 let raise_ e = raise (Solver_error e)
 
@@ -26,7 +29,7 @@ let raise_ e = raise (Solver_error e)
    the candidate and move on.  The others flag a broken model or a numeric
    invariant violation: routing around them would hide programming errors. *)
 let is_recoverable = function
-  | State_space_exceeded _ | No_convergence _ | Budget_exhausted _ -> true
+  | State_space_exceeded _ | No_convergence _ | Budget_exhausted _ | Fill_exceeded _ -> true
   | Non_ergodic _ | Numerical _ -> false
 
 let () =

@@ -12,7 +12,7 @@
 
 type t =
   | No_convergence of { sweeps : int; residual : float }
-      (** An iterative solver hit its sweep ceiling; [residual] is the L1
+      (** Gauss–Seidel hit its sweep ceiling; [residual] is the L1
           residual achieved when it gave up. *)
   | State_space_exceeded of { cap : int; explored : int }
       (** A state-space exploration outgrew its cap after registering
@@ -27,6 +27,10 @@ type t =
   | Budget_exhausted of { elapsed : float }
       (** A cooperative wall-clock deadline fired [elapsed] seconds into
           the solve. *)
+  | Fill_exceeded of { entries : int; bound : int }
+      (** The exact GTH elimination had stored [entries] L and U entries
+          (the generator's plus fill), more than its [bound], when a row
+          finished: the chain's fill is too large to eliminate. *)
 
 exception Solver_error of t
 
@@ -39,6 +43,7 @@ val raise_ : t -> 'a
 val is_recoverable : t -> bool
 (** Whether a search may treat the failure as information about the
     candidate/budget pair and move on ([State_space_exceeded],
-    [No_convergence], [Budget_exhausted]) rather than a broken model that
-    must propagate ([Non_ergodic], [Numerical]).  This is the demotion
-    contract of [Mapper.evaluate] and the [Optimize] objective layer. *)
+    [No_convergence], [Budget_exhausted], [Fill_exceeded]) rather than a
+    broken model that must propagate ([Non_ergodic], [Numerical]).  This
+    is the demotion contract of [Mapper.evaluate] and the [Optimize]
+    objective layer. *)

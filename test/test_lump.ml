@@ -1,5 +1,5 @@
-(* Exact lumping, the rotation quotient, sharded exploration identity and
-   the Arnoldi ladder rung (PR 7). *)
+(* Exact lumping, the rotation quotient and sharded exploration
+   identity. *)
 
 open Markov
 
@@ -274,45 +274,6 @@ let test_sharded_counter () =
       Alcotest.(check int) "3x4: every level on the caller" 0 (counted (pattern_net 3 4));
       Alcotest.(check int) "7x8: wide levels on the pool" 1 (counted (pattern_net 7 8)))
 
-(* ---- the Arnoldi rung ---- *)
-
-let random_rates ~n ~seed add_rate =
-  let rng = Random.State.make [| 23; seed |] in
-  for i = 0 to n - 1 do
-    add_rate i ((i + 1) mod n) (0.5 +. Random.State.float rng 2.0)
-  done;
-  for _ = 1 to 2 * n do
-    let i = Random.State.int rng n and j = Random.State.int rng n in
-    if i <> j then add_rate i j (0.1 +. Random.State.float rng 1.0)
-  done
-
-let test_arnoldi_matches_gth () =
-  let n = 180 in
-  let t = Ctmc.create n in
-  random_rates ~n ~seed:5 (Ctmc.add_rate t);
-  let pi_gth = fst (Ctmc.stationary_supervised ~ladder:[ Ctmc.Rung_gth ] t) in
-  let pi_arn, prov =
-    Ctmc.stationary_supervised ~ladder:[ Ctmc.Rung_arnoldi { tol = 1e-10; restart = 30 } ] t
-  in
-  Array.iteri (fun i p -> check_float 1e-8 (Printf.sprintf "pi(%d)" i) p pi_arn.(i)) pi_gth;
-  Alcotest.(check bool) "not degraded" false prov.Supervise.Provenance.degraded;
-  match prov.Supervise.Provenance.quality with
-  | Supervise.Provenance.Iterative { residual } ->
-      Alcotest.(check bool) "residual reported below tol" true (residual <= 1e-10)
-  | _ -> Alcotest.fail "arnoldi provenance should be Iterative"
-
-let test_arnoldi_no_convergence () =
-  let n = 180 in
-  let s = Linalg.Sparse.create n in
-  random_rates ~n ~seed:6 (Linalg.Sparse.add_rate s);
-  let raised =
-    try
-      ignore (Linalg.Sparse.stationary_arnoldi_stats ~tol:1e-14 ~max_matvecs:3 s);
-      false
-    with Supervise.Error.Solver_error (Supervise.Error.No_convergence _) -> true
-  in
-  Alcotest.(check bool) "matvec ceiling raises No_convergence" true raised
-
 let () =
   Alcotest.run "lump"
     [
@@ -336,10 +297,5 @@ let () =
           Alcotest.test_case "cap under sharding" `Quick test_sharded_honours_cap;
           Alcotest.test_case "wide levels: sharded = serial" `Quick test_sharded_wide_levels;
           Alcotest.test_case "sharded counter" `Quick test_sharded_counter;
-        ] );
-      ( "arnoldi",
-        [
-          Alcotest.test_case "matches GTH" `Quick test_arnoldi_matches_gth;
-          Alcotest.test_case "No_convergence" `Quick test_arnoldi_no_convergence;
         ] );
     ]

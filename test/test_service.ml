@@ -993,6 +993,7 @@ let test_solver_errors_roundtrip () =
         Non_ergodic { recurrent = 3; transient = 4 };
         Numerical { what = "singular \"pivot\"\n"; where = "Gth.solve" };
         Budget_exhausted { elapsed = 0.125 };
+        Fill_exceeded { entries = 4_194_761; bound = 4_194_304 };
       ]
   in
   List.iter
@@ -1040,6 +1041,30 @@ let test_strict_erlang_budget () =
   Alcotest.(check bool) "provenance names the Gauss–Seidel rung" true
     (List.exists
        (fun attempt -> String.starts_with ~prefix:" gauss-seidel(tol=1e-12): iterative" attempt)
+       (String.split_on_char ';' (Option.get (field "provenance"))))
+
+(* a Strict (3,7) system replicated (1,5,1): 1 260 markings, so the
+   ladder starts on Gauss–Seidel, which needs 16–24 sweeps on such chains.
+   A 4-sweep budget makes it fail, and GTH answers exactly *)
+let test_gth_backstop_wire () =
+  let instance =
+    "stages 3\nwork 4 6 5\nfiles 2 3\nprocessors 7\nspeeds 1 1.2 0.9 1.1 1 0.8 1.3\n\
+     bandwidth default 1\nteam 0\nteam 1 2 3 4 5\nteam 6\n"
+  in
+  let server = Server.create (config ()) in
+  let line =
+    Json.render (Client.solve_request ~model:Streaming.Model.Strict ~sweeps:4 ~instance ())
+  in
+  let reply = parse_reply (respond server line) in
+  Alcotest.(check bool) "ok" true (Client.reply_ok reply);
+  let result = Option.get (Json.member "result" reply) in
+  let field name = Option.bind (Json.member name result) Json.to_string_opt in
+  Alcotest.(check (option string)) "quality" (Some "exact") (field "quality");
+  Alcotest.(check (option bool)) "degraded" (Some true)
+    (Option.bind (Json.member "degraded" result) Json.to_bool_opt);
+  Alcotest.(check bool) "provenance names gth" true
+    (List.exists
+       (fun attempt -> String.starts_with ~prefix:" gth: exact" attempt)
        (String.split_on_char ';' (Option.get (field "provenance"))))
 
 let test_busy_backpressure () =
@@ -1822,6 +1847,7 @@ let () =
           Alcotest.test_case "strict erlang budget" `Quick test_strict_erlang_budget;
           Alcotest.test_case "overlap budget binds" `Quick test_overlap_budget_binds;
           Alcotest.test_case "solver errors survive the wire" `Quick test_solver_errors_roundtrip;
+          Alcotest.test_case "gth backstop on the wire" `Quick test_gth_backstop_wire;
           Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;
           Alcotest.test_case "batch isolates bad items" `Quick test_batch_isolates_bad_items;
           Alcotest.test_case "shutdown command" `Quick test_shutdown_command;

@@ -46,11 +46,52 @@ let test_gs_stats_on_success () =
     (fun i v -> Alcotest.(check (float 1e-9)) (Printf.sprintf "pi%d" i) exact.(i) v)
     pi
 
-let test_power_stats_on_success () =
-  let pi, stats = Linalg.Sparse.stationary_power_stats ~tol:1e-10 (ring_sparse ()) in
-  Alcotest.(check bool) "spent iterations" true (stats.Linalg.Sparse.sweeps > 0);
-  Alcotest.(check bool) "residual finite" true (Float.is_finite stats.Linalg.Sparse.residual);
-  Alcotest.(check (float 1e-6)) "normalised" 1.0 (Array.fold_left ( +. ) 0.0 pi)
+(* the recurrent marking chain of the u×v pattern expanded into Erlang
+   phases, every edge at rate 1: the chains GTH's fill bound was set
+   against *)
+let pattern_sparse ~u ~v ~phases =
+  let teg = Young.Pattern.build ~u ~v ~time:(fun ~sender:_ ~receiver:_ -> 1.0) in
+  let expanded = Petrinet.Expand.teg (Petrinet.Expand.erlang ~phases:(fun _ -> phases) teg) in
+  let { Petrinet.Marking.row_ptr; succ; _ } = Petrinet.Marking.explore_graph expanded in
+  let recurrent, local = Markov.Tpn_markov.recurrent_class ~row_ptr ~succ in
+  let s = Linalg.Sparse.create (Array.length recurrent) in
+  Array.iteri
+    (fun k st ->
+      for e = row_ptr.(st) to row_ptr.(st + 1) - 1 do
+        let j = local.(succ.(e)) in
+        if j >= 0 && j <> k then Linalg.Sparse.add_rate s k j 1.0
+      done)
+    recurrent;
+  s
+
+let ctmc_of_sparse s =
+  let chain = Markov.Ctmc.create (Linalg.Sparse.size s) in
+  for i = 0 to Linalg.Sparse.size s - 1 do
+    Linalg.Sparse.iter_outgoing s i (Markov.Ctmc.add_rate chain i)
+  done;
+  chain
+
+let gth_only = [ Markov.Ctmc.Rung_gth ]
+
+(* 4×9 Erlang:2 would store 8.43 M entries: GTH refuses it with a typed,
+   recoverable failure.  The refused solve keeps no storage, so the next
+   solve on this domain starts afresh and the one after reuses what that
+   one kept: both must still get the oracle's bits *)
+let test_gth_fill_bound () =
+  let chain = ctmc_of_sparse (pattern_sparse ~u:4 ~v:9 ~phases:2) in
+  (match Markov.Ctmc.stationary_supervised ~ladder:gth_only chain with
+  | _ -> Alcotest.fail "expected Fill_exceeded"
+  | exception Error.Solver_error (Error.Fill_exceeded { entries; bound } as e) ->
+      Alcotest.(check bool) (Printf.sprintf "%d entries past the bound %d" entries bound) true
+        (entries > bound);
+      Alcotest.(check bool) "recoverable" true (Error.is_recoverable e)
+  | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e));
+  let bits pi = Array.map Int64.bits_of_float pi in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "later solve = reference, bit for bit" true
+        (bits (Linalg.Gth.stationary s) = bits (Ref_gth.stationary s)))
+    [ pattern_sparse ~u:3 ~v:4 ~phases:2; pattern_sparse ~u:3 ~v:4 ~phases:2 ]
 
 (* ---- budgets ---- *)
 
@@ -69,6 +110,18 @@ let test_budget_sweep_ceiling () =
   | _ -> Alcotest.fail "expected No_convergence"
   | exception Error.Solver_error (Error.No_convergence { sweeps; _ }) ->
       Alcotest.(check int) "ceiling tightened max_sweeps" 8 sweeps
+  | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+
+(* GTH polls the wall deadline every 64 finished rows: an expired budget
+   stops the 11 820-state 5×6 Erlang:2 elimination *)
+let test_budget_gth_wall () =
+  let chain = ctmc_of_sparse (pattern_sparse ~u:5 ~v:6 ~phases:2) in
+  let budget = Budget.create ~wall:1e-9 () in
+  ignore (Unix.select [] [] [] 0.01);
+  match Markov.Ctmc.stationary_supervised ~budget ~ladder:gth_only chain with
+  | _ -> Alcotest.fail "expected Budget_exhausted"
+  | exception Error.Solver_error (Error.Budget_exhausted { elapsed }) ->
+      Alcotest.(check bool) "elapsed positive" true (elapsed > 0.0)
   | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
 
 (* an unbounded net: firing "src" adds a token that "sink" never consumes *)
@@ -179,6 +232,40 @@ let test_ladder_stops_on_budget () =
   | _ -> Alcotest.fail "expected Budget_exhausted"
   | exception Error.Solver_error (Error.Budget_exhausted _) -> ()
   | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+
+(* Two rate-1 rings of 1 500 states joined by rates ε and 2ε: the first
+   ring holds 2/3 of the mass.  Gauss–Seidel moves mass between the rings
+   at rate ε per sweep, so after 1 000 sweeps it has stalled near 1/2
+   each, and only the GTH backstop answers right *)
+let two_rings eps =
+  let m = 1500 in
+  let chain = Markov.Ctmc.create (2 * m) in
+  for i = 0 to m - 1 do
+    Markov.Ctmc.add_rate chain i ((i + 1) mod m) 1.0;
+    Markov.Ctmc.add_rate chain (m + i) (m + ((i + 1) mod m)) 1.0
+  done;
+  Markov.Ctmc.add_rate chain 0 m eps;
+  Markov.Ctmc.add_rate chain m 0 (2.0 *. eps);
+  chain
+
+let test_ladder_two_rings () =
+  List.iter
+    (fun eps ->
+      let what = Printf.sprintf "eps=%g: " eps in
+      let budget = Budget.create ~sweeps:1000 () in
+      let pi, prov = Markov.Ctmc.stationary_supervised ~budget (two_rings eps) in
+      let first = ref 0.0 and second = ref 0.0 in
+      Array.iteri (fun i p -> if i < 1500 then first := !first +. p else second := !second +. p) pi;
+      Alcotest.(check (float 1e-9)) (what ^ "first ring") (2.0 /. 3.0) !first;
+      Alcotest.(check (float 1e-9)) (what ^ "second ring") (1.0 /. 3.0) !second;
+      (match prov.Provenance.attempts with
+      | [ { rung = r1; outcome = Error (Error.No_convergence _) }; { rung = r2; outcome = Ok _ } ] ->
+          Alcotest.(check string) (what ^ "first rung") "gauss-seidel(tol=1e-12)" r1;
+          Alcotest.(check string) (what ^ "backstop") "gth" r2
+      | _ -> Alcotest.fail (what ^ "unexpected attempts: " ^ Provenance.describe prov));
+      Alcotest.(check bool) (what ^ "quality exact") true (prov.Provenance.quality = Provenance.Exact);
+      Alcotest.(check bool) (what ^ "degraded") true prov.Provenance.degraded)
+    [ 1e-5; 1e-6 ]
 
 let test_full_ladder_degrades_to_des () =
   let app = Streaming.Application.uniform ~n:2 ~work:1.0 ~file:1.0 in
@@ -554,7 +641,7 @@ let () =
         [
           Alcotest.test_case "gs no convergence" `Quick test_gs_no_convergence;
           Alcotest.test_case "gs stats on success" `Quick test_gs_stats_on_success;
-          Alcotest.test_case "power stats on success" `Quick test_power_stats_on_success;
+          Alcotest.test_case "gth fill bound" `Quick test_gth_fill_bound;
           Alcotest.test_case "non-ergodic two classes" `Quick test_non_ergodic_two_classes;
           Alcotest.test_case "non-ergodic with transient" `Quick test_non_ergodic_with_transient;
         ] );
@@ -563,12 +650,14 @@ let () =
           Alcotest.test_case "wall exhausted" `Quick test_budget_wall_exhausted;
           Alcotest.test_case "sweep ceiling" `Quick test_budget_sweep_ceiling;
           Alcotest.test_case "state ceiling" `Quick test_budget_state_ceiling;
+          Alcotest.test_case "gth wall deadline" `Quick test_budget_gth_wall;
         ] );
       ( "escalation ladder",
         [
           Alcotest.test_case "escalates with provenance" `Quick test_ladder_escalates;
           Alcotest.test_case "first rung not degraded" `Quick test_ladder_first_rung_not_degraded;
           Alcotest.test_case "stops on spent budget" `Quick test_ladder_stops_on_budget;
+          Alcotest.test_case "two rings reach the gth backstop" `Quick test_ladder_two_rings;
           Alcotest.test_case "degrades to DES" `Slow test_full_ladder_degrades_to_des;
         ] );
       ( "journal",
